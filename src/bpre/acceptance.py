@@ -17,12 +17,19 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .environment import EnvironmentModel, EnvSequence, is_ref, ss_ref, ws_ref
+from .environment import (
+    EnvironmentModel,
+    EnvSequence,
+    draw_env_batch,
+    is_ref,
+    ss_ref,
+    ws_ref,
+)
 from .errors import ValidationError
 from .lfexact import (
     closed_form_log_survival,
     lf_minorant,
-    log_survival_for_indices,
+    log_survival_profile,
     quenched_survival,
 )
 from .limits import functional_residual, qprocess_kernel, qprocess_run, yaglom
@@ -65,7 +72,7 @@ class CriterionResult:
 
 
 def _result(label, name, budget, started, passed, detail) -> CriterionResult:
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     return CriterionResult(
         label=label,
         name=name,
@@ -79,7 +86,7 @@ def _result(label, name, budget, started, passed, detail) -> CriterionResult:
 def criterion_1(seed: int) -> CriterionResult:
     """Closed-form vs iterated survival on the constant critical-geometric
     environment: both equal 1/(1+n) out to n = 1000."""
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     u = 1.0
     laws: list[LinearFractional] = []
@@ -99,21 +106,41 @@ def criterion_1(seed: int) -> CriterionResult:
     )
 
 
-def criterion_2(seed: int) -> CriterionResult:
-    """Survival never exceeds exp(running minimum), path by path."""
-    started = time.time()
-    n, reps = 30, 10**5
+def _minimum_bound_gap(n: int, reps: int, seed: int, prefix: str) -> float:
+    """Largest p - exp(running minimum) over environments of the three
+    reference models."""
     worst = -math.inf
     for tag, model in (("ss", ss_ref()), ("is", is_ref()), ("ws", ws_ref())):
 
         def chunk(rng, count, start):
-            idx = rng.choice(len(model.components), size=(count, n), p=model.weights)
-            log_q = log_survival_for_indices(model, idx)
-            paths = np.cumsum(model.log_means[idx], axis=1)
-            return (np.exp(log_q) - np.exp(paths.min(axis=1)),)
+            batch = draw_env_batch(model, n, rng, count)
+            log_q = log_survival_profile(model, batch.idx)[:, 0]
+            return (np.exp(log_q) - np.exp(np.cumsum(batch.steps, axis=1).min(axis=1)),)
 
-        (gap,) = streams.run_chunks(chunk, reps, seed, f"c2-{tag}")
+        (gap,) = streams.run_chunks(chunk, reps, seed, f"{prefix}-{tag}")
         worst = max(worst, float(gap.max()))
+    return worst
+
+
+def _dominance_gap(model: EnvironmentModel, n: int, reps: int, seed: int, purpose: str) -> float:
+    """Largest p_sub - p when every law is replaced by its dominating
+    linear-fractional law, on shared environment draws."""
+    tilde = EnvironmentModel([(lf_minorant(law), w) for law, w in model.components])
+
+    def chunk(rng, count, start):
+        idx = draw_env_batch(model, n, rng, count).idx
+        base = np.exp(log_survival_profile(model, idx)[:, 0])
+        return (np.exp(log_survival_profile(tilde, idx)[:, 0]) - base,)
+
+    (gap,) = streams.run_chunks(chunk, reps, seed, purpose)
+    return float(gap.max())
+
+
+def criterion_2(seed: int) -> CriterionResult:
+    """Survival never exceeds exp(running minimum), path by path."""
+    started = time.perf_counter()
+    reps = 10**5
+    worst = _minimum_bound_gap(30, reps, seed, "c2")
     return _result(
         "C2", "running-minimum survival bound", 10.0, started,
         worst <= 1e-12, f"max (p - exp(min)) = {worst:.2e} over 3x{reps} paths",
@@ -123,22 +150,12 @@ def criterion_2(seed: int) -> CriterionResult:
 def criterion_3(seed: int) -> CriterionResult:
     """Substituting each law by its dominating linear-fractional law never
     raises quenched survival."""
-    started = time.time()
-    n, reps = 20, 10**4
-    worst = -math.inf
-    for tag, model in (("ss", ss_ref()), ("is", is_ref()), ("ws", ws_ref())):
-        tilde = EnvironmentModel(
-            [(lf_minorant(law), w) for law, w in model.components]
-        )
-
-        def chunk(rng, count, start):
-            idx = rng.choice(len(model.components), size=(count, n), p=model.weights)
-            base = np.exp(log_survival_for_indices(model, idx))
-            sub = np.exp(log_survival_for_indices(tilde, idx))
-            return (sub - base,)
-
-        (gap,) = streams.run_chunks(chunk, reps, seed, f"c3-{tag}")
-        worst = max(worst, float(gap.max()))
+    started = time.perf_counter()
+    reps = 10**4
+    worst = max(
+        _dominance_gap(model, 20, reps, seed, f"c3-{tag}")
+        for tag, model in (("ss", ss_ref()), ("is", is_ref()), ("ws", ws_ref()))
+    )
     return _result(
         "C3", "coupling dominance", 5.0, started,
         worst <= 1e-12, f"max (p_sub - p) = {worst:.2e} over 3x{reps} paths",
@@ -147,7 +164,7 @@ def criterion_3(seed: int) -> CriterionResult:
 
 def criterion_4(seed: int) -> CriterionResult:
     """Regime solver hits the analytic constants of the reference models."""
-    started = time.time()
+    started = time.perf_counter()
     ws = classify(ws_ref())
     is_rep = classify(is_ref())
     ss = classify(ss_ref())
@@ -170,7 +187,7 @@ def criterion_4(seed: int) -> CriterionResult:
 
 def criterion_5(seed: int) -> CriterionResult:
     """Inclusion-exclusion holds path-wise to float rounding."""
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     for k in (2, 3, 4):
         report = inclusion_exclusion_check(ss_ref(), k, 10, 10**4, seed=seed)
@@ -183,7 +200,7 @@ def criterion_5(seed: int) -> CriterionResult:
 
 def criterion_6(seed: int) -> CriterionResult:
     """Survival-probability ratio equals the particle count in SS and IS."""
-    started = time.time()
+    started = time.perf_counter()
     details = []
     ok = True
     for tag, model in (("ss", ss_ref()), ("is", is_ref())):
@@ -200,7 +217,7 @@ def criterion_6(seed: int) -> CriterionResult:
 
 def criterion_7(seed: int) -> CriterionResult:
     """Sublinear growth of the particle-count value in the weak regime."""
-    started = time.time()
+    started = time.perf_counter()
     k_list = [2, 4, 8, 16, 32]
     table = alpha_k_curve(ws_ref(), k_list, [20], 10**5, seed=seed)
     vals = [table.at(k, 20).value for k in k_list]
@@ -215,7 +232,7 @@ def criterion_7(seed: int) -> CriterionResult:
 
 def criterion_8(seed: int) -> CriterionResult:
     """Lineage-count conditioning: single survivor in SS, several in WS."""
-    started = time.time()
+    started = time.perf_counter()
     ss_vals = []
     for n in (5, 10, 15, 20):
         dist = conditional_lineage_counts(ss_ref(), 3, n, 10**5, seed=seed + n)
@@ -242,7 +259,7 @@ def criterion_8(seed: int) -> CriterionResult:
 def criterion_9(seed: int) -> CriterionResult:
     """Environment selection: favorable environments persist under
     conditioning in WS, and fade as the particle count grows."""
-    started = time.time()
+    started = time.perf_counter()
     eps = 0.01
     c1 = conditional_env_survival(ws_ref(), 1, 20, 10**5, [eps], seed=seed)
     c64 = conditional_env_survival(ws_ref(), 64, 20, 10**5, [eps], seed=seed + 1)
@@ -259,7 +276,7 @@ def criterion_9(seed: int) -> CriterionResult:
 def criterion_10(seed: int) -> CriterionResult:
     """Monte Carlo tail of the running minimum matches the exact lattice
     oracle; the uniform exponential envelope fits and verifies."""
-    started = time.time()
+    started = time.perf_counter()
     ok = True
     worst_z = 0.0
     for n in (8, 16):
@@ -290,7 +307,7 @@ def criterion_10(seed: int) -> CriterionResult:
 
 def criterion_11(seed: int) -> CriterionResult:
     """Reflected-sum threshold exists uniformly; occupation counts decay."""
-    started = time.time()
+    started = time.perf_counter()
     report = reflected_sum_check(ws_ref(), reps=2 * 10**4, seed=seed)
     vals = []
     for l in (1, 2, 4, 8, 16):
@@ -315,7 +332,7 @@ def criterion_11(seed: int) -> CriterionResult:
 def criterion_12(seed: int) -> CriterionResult:
     """Conditioned-population pgf satisfies the stationarity equation; the
     law does not depend on the particle count in SS."""
-    started = time.time()
+    started = time.perf_counter()
     est = yaglom(ss_ref(), 1, 20, 10**5, seed=seed)
     gamma = classify(ss_ref()).gamma
     max_res, _ = functional_residual(est, ss_ref(), gamma)
@@ -335,7 +352,7 @@ def criterion_12(seed: int) -> CriterionResult:
 def criterion_13(seed: int) -> CriterionResult:
     """Size-biased kernel: normalized rows, the SS chain's limit law, IS
     transience, and the two-step product identity."""
-    started = time.time()
+    started = time.perf_counter()
     row_ok = True
     worst_row = 0.0
     for model in (ss_ref(), is_ref()):
@@ -353,13 +370,13 @@ def criterion_13(seed: int) -> CriterionResult:
     chain_ok = tv <= 4.0 * budget
     run_is = qprocess_run(is_ref(), 1, 30, 4000, seed=seed + 3)
     is_ok = run_is.medians[30] > run_is.medians[10]
-    product_ok = _product_formula_identity() <= 1e-10
-    ok = row_ok and chain_ok and is_ok and product_ok
+    product_err = _product_formula_identity()
+    ok = row_ok and chain_ok and is_ok and product_err <= 1e-10
     return _result(
         "C13", "survival-conditioned chain", 120.0, started, ok,
         f"row deviation {worst_row:.1e}; TV chain-vs-size-biased {tv:.4f} "
         f"vs 4*budget {4 * budget:.4f}; IS medians {run_is.medians[10]:.0f}->"
-        f"{run_is.medians[30]:.0f}; product identity err {_product_formula_identity():.1e}",
+        f"{run_is.medians[30]:.0f}; product identity err {product_err:.1e}",
     )
 
 
@@ -404,19 +421,9 @@ def _product_formula_identity() -> float:
 
 
 def extended_minimum_bound(seed: int) -> CriterionResult:
-    started = time.time()
-    n, reps = 60, 2 * 10**5
-    worst = -math.inf
-    for tag, model in (("ss", ss_ref()), ("is", is_ref()), ("ws", ws_ref())):
-
-        def chunk(rng, count, start):
-            idx = rng.choice(len(model.components), size=(count, n), p=model.weights)
-            log_q = log_survival_for_indices(model, idx)
-            paths = np.cumsum(model.log_means[idx], axis=1)
-            return (np.exp(log_q) - np.exp(paths.min(axis=1)),)
-
-        (gap,) = streams.run_chunks(chunk, reps, seed, f"f1-{tag}")
-        worst = max(worst, float(gap.max()))
+    started = time.perf_counter()
+    n = 60
+    worst = _minimum_bound_gap(n, 2 * 10**5, seed, "f1")
     return _result(
         "F1", "minimum bound, long horizon", 60.0, started,
         worst <= 1e-12, f"max (p - exp(min)) = {worst:.2e} at n={n}",
@@ -424,7 +431,7 @@ def extended_minimum_bound(seed: int) -> CriterionResult:
 
 
 def extended_closed_form(seed: int) -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     from .environment import draw_env
     from .lfexact import log_survival_env
 
@@ -450,7 +457,7 @@ def extended_min_tail_shape(seed: int) -> CriterionResult:
     compared within one residue class; mixing classes folds a genuine
     parity oscillation into the comparison.
     """
-    started = time.time()
+    started = time.perf_counter()
     rep = classify(ws_ref())
     xs = np.arange(5.0)
 
@@ -470,7 +477,7 @@ def extended_min_tail_shape(seed: int) -> CriterionResult:
 
 
 def extended_tilt_identities(seed: int) -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     from .environment import env_expectation, tilt
 
     worst = 0.0
@@ -490,23 +497,14 @@ def extended_tilt_identities(seed: int) -> CriterionResult:
 
 
 def extended_mixed_family_dominance(seed: int) -> CriterionResult:
-    started = time.time()
+    started = time.perf_counter()
     model = EnvironmentModel(
         [
             (FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4),  # mean 0.7
             (LinearFractional(0.125, 0.5), 0.6),  # mean 1/2
         ]
     )
-    tilde = EnvironmentModel([(lf_minorant(law), w) for law, w in model.components])
-
-    def chunk(rng, count, start):
-        idx = rng.choice(len(model.components), size=(count, 20), p=model.weights)
-        base = np.exp(log_survival_for_indices(model, idx))
-        sub = np.exp(log_survival_for_indices(tilde, idx))
-        return (sub - base,)
-
-    (gap,) = streams.run_chunks(chunk, 10**4, seed, "f5")
-    worst = float(gap.max())
+    worst = _dominance_gap(model, 20, 10**4, seed, "f5")
     return _result(
         "F5", "dominance on a mixed-family model", 30.0, started,
         worst <= 1e-12, f"max (p_sub - p) = {worst:.2e}",

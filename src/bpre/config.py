@@ -73,10 +73,6 @@ def model_from_config(spec: Any, path: str = "model") -> EnvironmentModel:
     return EnvironmentModel(comps)
 
 
-def env_to_config(env: EnvSequence) -> list:
-    return [law_to_config(law) for law in env]
-
-
 def env_from_config(spec: Any, path: str = "env") -> EnvSequence:
     if not isinstance(spec, list):
         raise ValidationError("environment must be a list of laws", field=path)
@@ -122,7 +118,6 @@ class ExperimentConfig:
 
 KNOWN_OPS = (
     "regime",
-    "quenched",
     "survival",
     "jointsurv",
     "alphak",

@@ -61,7 +61,9 @@ class EnvironmentModel:
 
     @cached_property
     def log_means(self) -> np.ndarray:
-        return np.log(self.means)
+        """Steps of the log-mean walk; the one definition every estimator uses."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.means)
 
     @cached_property
     def all_linear_fractional(self) -> bool:
@@ -93,16 +95,59 @@ def draw_env(
     """Draw n iid generations from the component mixture."""
     if n < 0:
         raise ValidationError(f"generation count must be >= 0, got {n}", field="n")
-    idx = draw_component_indices(model, n, stream)
     laws = model.laws
-    return EnvSequence([laws[i] for i in idx])
+    return EnvSequence([laws[i] for i in draw_env_batch(model, n, stream, 1).idx[0]])
 
 
-def draw_component_indices(
-    model: EnvironmentModel, size, stream: np.random.Generator
-) -> np.ndarray:
-    """Component indices for iid environment draws (shape ``size``)."""
-    return stream.choice(len(model.components), size=size, p=model.weights)
+@dataclass(frozen=True)
+class TiltPlan:
+    """Draw plan of the environment law tilted by m**theta.
+
+    Replicates drawn under ``weights`` carry the importance weight
+    rate**n * exp(-theta * S_n), which reweights them back to the base model.
+    """
+
+    theta: float
+    rate: float  # the normalizer E[m**theta]
+    weights: np.ndarray  # component probabilities of the tilted mixture
+
+
+def tilt_plan(model: EnvironmentModel, theta: float) -> TiltPlan:
+    tilted, z = tilt(model, theta)
+    return TiltPlan(theta=theta, rate=z, weights=tilted.weights)
+
+
+@dataclass(frozen=True)
+class EnvBatch:
+    """A chunk of Monte Carlo environments, one row per replicate."""
+
+    model: EnvironmentModel
+    idx: np.ndarray  # (count, n) component indices, generation order left to right
+    w: np.ndarray  # (count,) importance weights back to the base model
+
+    @property
+    def steps(self) -> np.ndarray:
+        """(count, n) log-mean walk steps."""
+        return self.model.log_means[self.idx]
+
+
+def draw_env_batch(
+    model: EnvironmentModel,
+    n: int,
+    rng: np.random.Generator,
+    count: int,
+    plan: TiltPlan | None = None,
+) -> EnvBatch:
+    """Draw ``count`` iid environments of n generations, tilted when ``plan``
+    is given; every Monte Carlo estimator draws its environments here."""
+    p = model.weights if plan is None else plan.weights
+    idx = rng.choice(len(model.components), size=(count, n), p=np.asarray(p))
+    if plan is None:
+        w = np.ones(count)
+    else:
+        s_n = model.log_means[idx].sum(axis=1)
+        w = np.exp(n * math.log(plan.rate) - plan.theta * s_n)
+    return EnvBatch(model=model, idx=idx, w=w)
 
 
 def env_expectation(model: EnvironmentModel, g: Callable[[OffspringLaw], float]) -> float:

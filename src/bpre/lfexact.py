@@ -19,6 +19,7 @@ import numpy as np
 from .environment import EnvSequence, EnvironmentModel
 from .errors import CrossCheckError, ValidationError
 from .offspring import (
+    _LOG_TINY,
     LinearFractional,
     OffspringLaw,
     lf_from_moments,
@@ -160,93 +161,62 @@ def minorant_env(env: EnvSequence) -> EnvSequence:
     return EnvSequence([lf_minorant(law) for law in env])
 
 
-# --- vectorized kernels -----------------------------------------------------
+# --- batch kernel -----------------------------------------------------------
 #
-# Monte Carlo over environments only needs, per replicate, the log survival
-# probability and the log-mean walk. For all-linear-fractional models both
-# are computed for a whole chunk of replicates at once.
+# Monte Carlo over environments needs, per replicate, the survival profile
+# of its environment. One kernel computes it for a whole chunk of
+# replicates, in log space so that tiny survival probabilities keep their
+# relative precision.
 
 
-@dataclass(frozen=True)
-class SurvivalChunk:
-    log_q: np.ndarray  # (reps,) log single-lineage survival
-    s_n: np.ndarray  # (reps,) terminal log-mean walk value
-    paths: np.ndarray | None  # (reps, n+1) walk including S_0 = 0, if requested
-    idx: np.ndarray | None  # (reps, n) component indices, if requested
+def log_survival_profile(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
+    """Log survival profiles for environments given as component indices.
 
-
-def log_survival_for_indices(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
-    """Vectorized log survival for environments given as component indices.
-
-    ``idx`` has shape (replicates, generations); generation order is left to
-    right (first law outermost in the composition).
+    ``idx`` has shape (replicates, n), generations left to right. Entry
+    [r, i] of the (replicates, n+1) result is the log probability that one
+    individual at generation i has a descendant at generation n: column n
+    is 0 and column 0 is the log survival probability. Linear-fractional
+    models step every row at once; other models step, per generation, the
+    rows that share a component.
     """
     if model.all_linear_fractional:
-        return _lf_chunk(model, idx)[0]
-    return _generic_chunk(model, idx)[0]
-
-
-def draw_survival_chunk(
-    model: EnvironmentModel,
-    draw_weights: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    count: int,
-    want_paths: bool = False,
-    want_idx: bool = False,
-) -> SurvivalChunk:
-    """Draw ``count`` environments of length n and compute survival + walk.
-
-    ``draw_weights`` selects components (tilted or not); survival and the
-    walk always use the base model's laws, so importance weights can be
-    formed from ``s_n`` afterwards.
-    """
-    ncomp = len(model.components)
-    idx = rng.choice(ncomp, size=(count, n), p=np.asarray(draw_weights))
-    if model.all_linear_fractional:
-        log_q, steps = _lf_chunk(model, idx)
-    else:
-        log_q, steps = _generic_chunk(model, idx)
-    s_n = steps.sum(axis=1) if n > 0 else np.zeros(count)
-    paths = None
-    if want_paths:
-        paths = np.zeros((count, n + 1))
-        if n > 0:
-            np.cumsum(steps, axis=1, out=paths[:, 1:])
-    return SurvivalChunk(
-        log_q=log_q, s_n=s_n, paths=paths, idx=idx if want_idx else None
-    )
-
-
-def _lf_params(model: EnvironmentModel) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([law.A for law in model.laws])
-    b = np.array([law.B for law in model.laws])
-    with np.errstate(divide="ignore"):
-        log_m = np.log(a) - 2.0 * np.log1p(-b)
-    return log_m, b / (1.0 - b)
-
-
-def _lf_chunk(model: EnvironmentModel, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    log_m, c = _lf_params(model)
+        return _lf_chunk(model, idx)
     count, n = idx.shape
-    lu = np.zeros(count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            col = idx[:, i]
-            lu = lu + log_m[col] - np.log1p(c[col] * np.exp(lu))
-    steps = log_m[idx]
-    return lu, steps
+    lu = np.zeros((n + 1, count))
+    for i in range(n - 1, -1, -1):
+        col = idx[:, i]
+        for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
+            rows = col == comp
+            lu[i, rows] = _log_step_batch(law, log_m, lu[i + 1, rows])
+    return lu.T
 
 
-def _generic_chunk(model: EnvironmentModel, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    laws = model.laws
-    with np.errstate(divide="ignore"):
-        log_means = np.where(model.means > 0.0, np.log(np.maximum(model.means, 1e-300)), -np.inf)
+def _lf_step(lu, log_m, c):
+    """Linear-fractional step in log space; c = B / (1 - B)."""
+    return lu + log_m - np.log1p(c * np.exp(lu))
+
+
+def _lf_chunk(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
+    log_m = model.log_means
+    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
     count, n = idx.shape
-    log_q = np.empty(count)
-    for r in range(count):
-        lu = 0.0
-        for i in range(n - 1, -1, -1):
-            lu = log_survival_step(laws[idx[r, i]], lu)
-        log_q[r] = lu
-    return log_q, log_means[idx]
+    lu = np.zeros((n + 1, count))
+    for i in range(n - 1, -1, -1):
+        col = idx[:, i]
+        lu[i] = _lf_step(lu[i + 1], log_m[col], c[col])
+    return lu.T
+
+
+def _log_step_batch(law: OffspringLaw, log_m: float, lu: np.ndarray) -> np.ndarray:
+    """``log_survival_step`` of one law applied to an array of log u."""
+    if isinstance(law, LinearFractional):
+        return _lf_step(lu, log_m, law.B / (1.0 - law.B))
+    if log_m == -np.inf:
+        return np.full_like(lu, -np.inf)
+    p = np.asarray(law.probs[1:])
+    top = p.max()
+    with np.errstate(divide="ignore"):
+        log_dead = np.log1p(-np.exp(lu))  # log(1 - u)
+        terms = np.expm1(np.multiply.outer(log_dead, np.arange(1, len(p) + 1)))
+        scaled = -(terms * (p / top)).sum(axis=1)  # (1 - f(1 - u)) / top
+        return np.where(lu > _LOG_TINY, math.log(top) + np.log(scaled), lu + log_m)

@@ -21,25 +21,24 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import streams
-from .environment import EnvSequence, EnvironmentModel, draw_env
+from .environment import EnvironmentModel, draw_env, draw_env_batch
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .offspring import FiniteSupport, LinearFractional, pgf, survival_step
+from .lfexact import log_survival_profile
+from .offspring import FiniteSupport, LinearFractional, pgf
 from .regime import classify
 from .simcore import (
     METHOD_ENV_EXACT,
     METHOD_EXACT,
     METHOD_TILTED,
-    ESCALATION_CAP,
-    HARD_MIN_EFFECTIVE_EVENTS,
-    MIN_EFFECTIVE_EVENTS,
     _any_survive,
+    conditioning_tilt,
     evolve_lineages,
+    run_conditioned,
 )
 from .stats import (
-    kish_neff,
     ratio_and_se,
     weighted_median,
     weighted_pmf,
@@ -49,23 +48,11 @@ DEFAULT_STATE_CAP = 2**14
 DEFAULT_S_GRID = tuple(np.linspace(0.0, 1.0, 21))
 
 
-def survival_profile(env: EnvSequence) -> np.ndarray:
-    """u[i] = P(one individual at generation i has a descendant at the horizon).
-
-    Backward recursion in survival coordinates; u[n] = 1.
-    """
-    laws = tuple(env)
-    n = len(laws)
-    u = np.ones(n + 1)
-    for i in range(n - 1, -1, -1):
-        u[i] = survival_step(laws[i], u[i + 1])
-    return u
-
-
 # --- conditioned offspring laws ----------------------------------------------
 #
-# For a prolific parent at generation i (child survival probability
-# u = u[i+1], extinction x = 1 - u):
+# Survival probabilities come from ``log_survival_profile``: u = exp(lu) and
+# x = 1 - u = -expm1(lu). For a prolific parent at generation i (child
+# survival probability u = u[i+1], extinction x = 1 - u):
 #   * prolific children count: P(j) = ((1-B)/D) * (B*u/D)**(j-1), j >= 1,
 #     with D = 1 - B*x -- a shifted geometric (linear-fractional case);
 #   * doomed children given j prolific: NegativeBinomial(j+1, 1 - B*x).
@@ -73,9 +60,8 @@ def survival_profile(env: EnvSequence) -> np.ndarray:
 # otherwise 1 + Geometric(1 - B*x).
 
 
-def _skeleton_pmf(law, u_next: float) -> np.ndarray:
+def _skeleton_pmf(law, u_next: float, x: float) -> np.ndarray:
     """Exact pmf of the prolific-children count for a finite-support law."""
-    x = 1.0 - u_next
     probs = np.asarray(law.probs)
     kmax = len(probs) - 1
     pmf = np.zeros(kmax + 1)
@@ -88,11 +74,10 @@ def _skeleton_pmf(law, u_next: float) -> np.ndarray:
     return pmf / total
 
 
-def _sample_skeleton_children(law, u_next: float, size: int, rng) -> np.ndarray:
+def _sample_skeleton_children(law, u_next: float, x: float, size: int, rng) -> np.ndarray:
     if isinstance(law, LinearFractional):
-        d = 1.0 - law.B * (1.0 - u_next)
-        return rng.geometric((1.0 - law.B) / d, size=size)
-    pmf = _skeleton_pmf(law, u_next)
+        return rng.geometric((1.0 - law.B) / (1.0 - law.B * x), size=size)
+    pmf = _skeleton_pmf(law, u_next, x)
     return rng.choice(len(pmf), p=pmf, size=size)
 
 
@@ -122,49 +107,12 @@ def conditioned_binomial_positive(k: int, q: np.ndarray, rng) -> np.ndarray:
 # --- conditioned environment + skeleton sampling ------------------------------
 
 
-def _conditioning_plan(model: EnvironmentModel):
-    """(tilt_theta, rate) for conditioned sampling: tilted where centered."""
-    report = classify(model)
-    if report.regime in ("IS", "WS"):
-        return report.alpha, report.gamma, METHOD_TILTED
-    return None, None, METHOD_ENV_EXACT
-
-
-def _draw_env_profile_chunk(model, n, rng, count, tilt_theta, rate):
-    """Component indices, survival profile matrix, and importance weights."""
-    if tilt_theta is None:
-        draw_weights = model.weights
-    else:
-        from .environment import tilt as tilt_model
-
-        draw_weights = tilt_model(model, tilt_theta)[0].weights
-    idx = rng.choice(len(model.components), size=(count, n), p=np.asarray(draw_weights))
-    laws = model.laws
-    u = np.ones((count, n + 1))
-    if model.all_linear_fractional:
-        a = np.array([law.A for law in laws])
-        b = np.array([law.B for law in laws])
-        for i in range(n - 1, -1, -1):
-            ai, bi = a[idx[:, i]], b[idx[:, i]]
-            un = u[:, i + 1]
-            u[:, i] = ai * un / ((1.0 - bi) * (1.0 - bi + bi * un))
-    else:
-        for r in range(count):
-            for i in range(n - 1, -1, -1):
-                u[r, i] = survival_step(laws[idx[r, i]], u[r, i + 1])
-    if tilt_theta is None:
-        w = np.ones(count)
-    else:
-        s_n = model.log_means[idx].sum(axis=1) if n > 0 else np.zeros(count)
-        w = np.exp(n * math.log(rate) - tilt_theta * s_n)
-    return idx, u, w
-
-
-def _evolve_skeleton(model, idx, u, z0, rng, cap) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_skeleton(model, idx, lu, z0, rng, cap) -> tuple[np.ndarray, np.ndarray]:
     """Evolve prolific counts generation by generation for a whole chunk.
 
-    Returns (final counts, overflow mask); overflowed replicates are frozen
-    at zero and must be folded into reported tail mass.
+    ``lu`` is the chunk's log survival profile. Returns (final counts,
+    overflow mask); overflowed replicates are frozen at zero and must be
+    folded into reported tail mass.
     """
     count, n = idx.shape
     laws = model.laws
@@ -178,20 +126,20 @@ def _evolve_skeleton(model, idx, u, z0, rng, cap) -> tuple[np.ndarray, np.ndarra
         if total == 0:
             break
         owners = np.repeat(np.arange(count), z)
+        xn = -np.expm1(lu[:, i + 1])
         if lf:
             bi = b_arr[idx[:, i]]
-            un = u[:, i + 1]
-            d = 1.0 - bi * (1.0 - un)
-            p_ind = np.repeat((1.0 - bi) / d, z)
+            p_ind = np.repeat((1.0 - bi) / (1.0 - bi * xn), z)
             draws = rng.geometric(p_ind)
         else:
+            un = np.exp(lu[:, i + 1])
             draws = np.empty(total, dtype=np.int64)
             pos = 0
             for r in range(count):
                 if z[r] == 0:
                     continue
                 draws[pos : pos + z[r]] = _sample_skeleton_children(
-                    laws[idx[r, i]], u[r, i + 1], int(z[r]), rng
+                    laws[idx[r, i]], un[r], xn[r], int(z[r]), rng
                 )
                 pos += z[r]
         z = np.bincount(owners, weights=draws, minlength=count).astype(np.int64)
@@ -235,17 +183,17 @@ def yaglom(
     population is an exact skeleton sample, and the replicate carries weight
     (importance weight) x P(survival | environment).
     """
-    tilt_theta, rate, method = _conditioning_plan(model)
+    plan = conditioning_tilt(model)
 
     def chunk(rng, count, start):
-        idx, u, w = _draw_env_profile_chunk(model, n, rng, count, tilt_theta, rate)
-        q = u[:, 0]
-        survive_w = w * _any_survive(q, k)
+        batch = draw_env_batch(model, n, rng, count, plan)
+        lu = log_survival_profile(model, batch.idx)
+        q = np.exp(lu[:, 0])
         n_alive = conditioned_binomial_positive(k, q, rng)
-        z, over = _evolve_skeleton(model, idx, u, n_alive, rng, state_cap)
-        return z.astype(np.int64), survive_w, over.astype(bool)
+        z, over = _evolve_skeleton(model, batch.idx, lu, n_alive, rng, state_cap)
+        return batch.w * _any_survive(q, k), z, over
 
-    z, survive_w, overflow, reps_used, eff = _accumulate_conditioned(
+    (survive_w, z, overflow), reps_used, eff = run_conditioned(
         chunk, reps, seed, f"yaglom-k{k}-n{n}", chunk_size
     )
     total_w = float(np.sum(survive_w))
@@ -273,31 +221,9 @@ def yaglom(
         tail_mass=tail_mass,
         effective_events=eff,
         reps_used=reps_used,
-        method=method,
+        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
         seed_info=streams.seed_provenance(seed, f"yaglom-k{k}-n{n}", chunk_size),
     )
-
-
-def _accumulate_conditioned(chunk_fn, reps, seed, purpose, chunk_size):
-    """Escalating accumulation shared by the conditioned samplers."""
-    batches = []
-    total = 0
-    target = reps
-    round_seed = seed
-    while True:
-        fields = streams.run_chunks(chunk_fn, target - total, round_seed, purpose, chunk_size)
-        batches.append(fields)
-        total = target
-        survive_w = np.concatenate([b[1] for b in batches])
-        eff = kish_neff(survive_w)
-        if eff >= MIN_EFFECTIVE_EVENTS or total >= reps * ESCALATION_CAP:
-            break
-        target = min(total * 2, reps * ESCALATION_CAP)
-        round_seed += 1
-    if eff < HARD_MIN_EFFECTIVE_EVENTS:
-        raise ConditioningStarvationError(eff, HARD_MIN_EFFECTIVE_EVENTS)
-    merged = [np.concatenate([b[i] for b in batches]) for i in range(len(batches[0]))]
-    return (*merged, total, eff)
 
 
 def conditioned_population_by_rejection(
@@ -570,31 +496,32 @@ def conditioned_trajectories(
     Returns (trajectories, weights, overflow mask, replicates used); weighted
     statistics of the rows approximate the conditioned law.
     """
-    total_horizon = horizon + lookahead
-    tilt_theta, rate, _method = _conditioning_plan(model)
+    plan = conditioning_tilt(model)
 
     def chunk(rng, count, start):
-        return _dressed_trajectories(
-            model, k, total_horizon, horizon, rng, count, tilt_theta, rate, state_cap
-        )
+        batch = draw_env_batch(model, horizon + lookahead, rng, count, plan)
+        return _dressed_trajectories(model, k, horizon, batch, rng, state_cap)
 
-    traj, survive_w, over, reps_used, _eff = _accumulate_conditioned(
+    (survive_w, traj, over), reps_used, _eff = run_conditioned(
         chunk, reps, seed, f"qtraj-k{k}-h{horizon}", chunk_size
     )
     return traj, survive_w, over, reps_used
 
 
-def _dressed_trajectories(model, k, total_horizon, record, rng, count, tilt_theta, rate, cap):
+def _dressed_trajectories(model, k, record, batch, rng, cap):
     """Full conditioned population trajectories (prolific + doomed parts).
 
     Prolific individuals carry the skeleton; each prolific parent also
     spawns doomed children (negative binomial in the linear-fractional
     case), and doomed subtrees evolve under the extinction-conditioned
-    offspring law. Records Z_0..Z_record.
+    offspring law. Records Z_0..Z_record; returns (conditioning weights,
+    trajectories, overflow mask).
     """
-    idx, u, w = _draw_env_profile_chunk(model, total_horizon, rng, count, tilt_theta, rate)
-    q = u[:, 0]
-    survive_w = w * _any_survive(q, k)
+    idx = batch.idx
+    count = len(idx)
+    lu = log_survival_profile(model, idx)
+    q = np.exp(lu[:, 0])
+    survive_w = batch.w * _any_survive(q, k)
     n_alive = conditioned_binomial_positive(k, q, rng)
     laws = model.laws
     lf = model.all_linear_fractional
@@ -607,8 +534,7 @@ def _dressed_trajectories(model, k, total_horizon, record, rng, count, tilt_thet
     traj = np.zeros((count, record + 1), dtype=np.int64)
     traj[:, 0] = k
     for i in range(record):
-        un = u[:, i + 1]
-        xn = 1.0 - un
+        xn, x_par = -np.expm1(lu[:, i + 1]), -np.expm1(lu[:, i])
         if lf:
             ai, bi = a_arr[idx[:, i]], b_arr[idx[:, i]]
             d = 1.0 - bi * xn
@@ -624,7 +550,6 @@ def _dressed_trajectories(model, k, total_horizon, record, rng, count, tilt_thet
             new_prolific = np.bincount(owners_p, weights=j_draw, minlength=count).astype(np.int64)
             doomed_born = np.bincount(owners_p, weights=extra, minlength=count).astype(np.int64)
             # doomed parents: zero-inflated shifted geometric
-            x_par = 1.0 - u[:, i]
             with np.errstate(divide="ignore", invalid="ignore"):
                 pnz_d = np.where(
                     x_par > 0.0, ai * xn / ((1.0 - bi * xn) * np.maximum(x_par, 1e-300)), 0.0
@@ -640,14 +565,15 @@ def _dressed_trajectories(model, k, total_horizon, record, rng, count, tilt_thet
             else:
                 doomed_next = np.zeros(count, dtype=np.int64)
         else:
+            un = np.exp(lu[:, i + 1])
             new_prolific = np.zeros(count, dtype=np.int64)
             doomed_born = np.zeros(count, dtype=np.int64)
             doomed_next = np.zeros(count, dtype=np.int64)
             for r in range(count):
                 law = laws[idx[r, i]]
-                jp, db = _dressed_step_fs(law, float(un[r]), float(u[r, i]), int(prolific[r]), rng)
+                jp, db = _dressed_step_fs(law, float(un[r]), float(xn[r]), int(prolific[r]), rng)
                 new_prolific[r], doomed_born[r] = jp, db
-                doomed_next[r] = _doomed_step_fs(law, float(xn[r]), float(1.0 - u[r, i]), int(doomed[r]), rng)
+                doomed_next[r] = _doomed_step_fs(law, float(xn[r]), float(x_par[r]), int(doomed[r]), rng)
         prolific = new_prolific
         doomed = doomed_born + doomed_next
         total = prolific + doomed
@@ -658,14 +584,13 @@ def _dressed_trajectories(model, k, total_horizon, record, rng, count, tilt_thet
             doomed[over] = 0
             total = prolific + doomed
         traj[:, i + 1] = total
-    return traj, survive_w, overflow
+    return survive_w, traj, overflow
 
 
-def _dressed_step_fs(law, u_next, u_par, n_parents, rng):
+def _dressed_step_fs(law, u_next, x, n_parents, rng):
     """Prolific-parent step for a finite-support law: exact joint enumeration."""
     if n_parents == 0:
         return 0, 0
-    x = 1.0 - u_next
     probs = np.asarray(law.probs)
     pairs = []  # (j, c - j, probability)
     for c, pc in enumerate(probs):
@@ -746,11 +671,11 @@ def env_posterior(
         )
 
     def chunk(rng, count, start):
-        idx, u, w = _draw_env_profile_chunk(model, n + p, rng, count, None, None)
-        survive_w = w * _any_survive(u[:, 0], k)
-        return idx[:, :p].astype(np.int64), survive_w
+        idx = draw_env_batch(model, n + p, rng, count).idx
+        q = np.exp(log_survival_profile(model, idx)[:, 0])
+        return _any_survive(q, k), idx[:, :p].copy()
 
-    prefix, survive_w, reps_used, eff = _accumulate_conditioned(
+    (survive_w, prefix), reps_used, eff = run_conditioned(
         chunk, reps, seed, f"envpost-p{p}-n{n}", chunk_size
     )
     per_position = []

@@ -131,8 +131,15 @@ def log_survival_step(law: OffspringLaw, log_u: float) -> float:
     if m == 0.0:
         return -math.inf
     if log_u > _LOG_TINY:
-        u = survival_step(law, math.exp(log_u))
-        return math.log(u) if u > 0.0 else -math.inf
+        # sum_j p_j (1 - (1-u)**j), scaled by the largest p_j so that laws
+        # with tiny probabilities do not underflow to zero survival
+        top = max(law.probs[1:])
+        u = math.exp(log_u)
+        log_dead = math.log1p(-u) if u < 1.0 else -math.inf  # log(1 - u)
+        scaled = math.fsum(
+            p / top * -math.expm1(j * log_dead) for j, p in enumerate(law.probs) if j > 0
+        )
+        return math.log(top) + math.log(scaled)
     return log_u + math.log(m)
 
 

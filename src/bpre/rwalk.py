@@ -20,18 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .environment import EnvSequence, EnvironmentModel
+from .environment import EnvSequence, EnvironmentModel, TiltPlan, draw_env_batch
 from .errors import NonLatticeError, ValidationError
 from .offspring import moments
 from .regime import classify
 from .simcore import (
     METHOD_ENV_EXACT,
-    METHOD_EXACT,
     METHOD_TILTED,
     EstimateWithCI,
     _centered_tilt,
+    run_conditioned,
 )
-from .stats import kish_neff, mean_and_se, ratio_and_se
+from .stats import mean_and_se, ratio_and_se
+
+LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,8 @@ def walk_stats(path: WalkPath) -> WalkStats:
     n = len(path.steps)
     min0 = float(s.min())
     min1 = float(s[1:].min()) if n >= 1 else 0.0
-    bands = np.floor(s - min0).astype(int)
     occupation: dict[int, int] = {}
-    for b in bands:
+    for b in level_bands(s):
         occupation[int(b)] = occupation.get(int(b), 0) + 1
     reflected = math.fsum(math.exp(min0 - si) for si in s)
     return WalkStats(
@@ -82,43 +83,27 @@ def walk_stats(path: WalkPath) -> WalkStats:
     )
 
 
+def level_bands(paths: np.ndarray) -> np.ndarray:
+    """Unit band of each partial sum above its path's minimum (last axis).
+
+    Levels are floored with the lattice tolerance, so a walk on a lattice
+    whose steps carry rounding error still puts a visit one level above the
+    minimum in band 1.
+    """
+    return np.floor(paths - paths.min(axis=-1, keepdims=True) + LATTICE_TOL).astype(np.int64)
+
+
 # --- Monte Carlo tail of the running minimum ---------------------------------
 
 
-def _draw_walk_chunks(
-    model: EnvironmentModel,
-    n: int,
-    reps: int,
-    seed: int,
-    purpose: str,
-    tilted: bool,
-    chunk_size: int = streams.DEFAULT_CHUNK,
-):
-    """Per-replicate (running minimum, S_n, weight, paths) arrays."""
-    if tilted:
-        alpha, gamma = _centered_tilt(model)
-        from .environment import tilt as tilt_model
-
-        draw_weights = tilt_model(model, alpha)[0].weights
-    else:
-        draw_weights = model.weights
-    log_m = model.log_means
-
-    def chunk(rng, count, start):
-        idx = rng.choice(len(model.components), size=(count, n), p=np.asarray(draw_weights))
-        steps = log_m[idx]
-        paths = np.zeros((count, n + 1))
-        if n > 0:
-            np.cumsum(steps, axis=1, out=paths[:, 1:])
-        mins = paths.min(axis=1)
-        s_n = paths[:, -1]
-        if tilted:
-            w = np.exp(n * math.log(gamma) - alpha * s_n)
-        else:
-            w = np.ones(count)
-        return mins, s_n, w, paths
-
-    return streams.run_chunks(chunk, reps, seed, purpose, chunk_size)
+def _walk_paths(
+    model: EnvironmentModel, n: int, rng, count: int, plan: TiltPlan | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(count, n+1) walks including S_0 = 0, and their importance weights."""
+    batch = draw_env_batch(model, n, rng, count, plan)
+    paths = np.zeros((count, n + 1))
+    np.cumsum(batch.steps, axis=1, out=paths[:, 1:])
+    return paths, batch.w
 
 
 def ln_tail(
@@ -138,27 +123,24 @@ def ln_tail(
     """
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}", field="x")
-    if method not in (METHOD_ENV_EXACT, METHOD_TILTED, "direct"):
+    if method not in (METHOD_ENV_EXACT, METHOD_TILTED):
         raise ValidationError(f"unknown method {method!r}", field="method")
-    tilted = method == METHOD_TILTED
-    mins, _s_n, w, _paths = _draw_walk_chunks(
-        model, n, reps, seed, f"lntail-n{n}", tilted, chunk_size
-    )
-    vals = w * (mins >= -x)
+    plan = _centered_tilt(model) if method == METHOD_TILTED else None
+
+    def chunk(rng, count, start):
+        paths, w = _walk_paths(model, n, rng, count, plan)
+        return (w * (paths.min(axis=1) >= -x),)
+
+    (vals,) = streams.run_chunks(chunk, reps, seed, f"lntail-n{n}", chunk_size)
     value, se = mean_and_se(vals)
     return EstimateWithCI(
-        value,
-        se,
-        reps,
-        METHOD_TILTED if tilted else METHOD_ENV_EXACT,
-        streams.seed_provenance(seed, f"lntail-n{n}", chunk_size),
+        value, se, reps, method, streams.seed_provenance(seed, f"lntail-n{n}", chunk_size)
     )
 
 
 # --- exact lattice oracle -----------------------------------------------------
 
 MAX_DP_HORIZON = 64
-LATTICE_TOL = 1e-9
 
 
 def _lattice_spacing(model: EnvironmentModel) -> float:
@@ -247,34 +229,14 @@ def occupation_tail(
     """
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}", field="l")
-    from .errors import ConditioningStarvationError
-    from .simcore import ESCALATION_CAP, HARD_MIN_EFFECTIVE_EVENTS, MIN_EFFECTIVE_EVENTS
+    plan = _centered_tilt(model)
 
-    all_cond: list[np.ndarray] = []
-    all_occ: list[np.ndarray] = []
-    total = 0
-    target = reps
-    round_seed = seed
-    while True:
-        mins, _s_n, w, paths = _draw_walk_chunks(
-            model, n, target - total, round_seed, f"occ-n{n}", tilted=True,
-            chunk_size=chunk_size,
-        )
-        bands = np.floor(paths - paths.min(axis=1, keepdims=True))
-        all_cond.append(w * (mins >= -x))
-        all_occ.append((bands == k).sum(axis=1))
-        total = target
-        cond = np.concatenate(all_cond)
-        eff = kish_neff(cond)
-        if eff >= MIN_EFFECTIVE_EVENTS or total >= reps * ESCALATION_CAP:
-            break
-        target = min(total * 2, reps * ESCALATION_CAP)
-        round_seed += 1
-    if eff < HARD_MIN_EFFECTIVE_EVENTS:
-        raise ConditioningStarvationError(eff, HARD_MIN_EFFECTIVE_EVENTS)
-    occ = np.concatenate(all_occ)
-    num = cond * (occ >= l)
-    value, se = ratio_and_se(num, cond)
+    def chunk(rng, count, start):
+        paths, w = _walk_paths(model, n, rng, count, plan)
+        return w * (paths.min(axis=1) >= -x), (level_bands(paths) == k).sum(axis=1)
+
+    (cond, occ), total, _eff = run_conditioned(chunk, reps, seed, f"occ-n{n}", chunk_size)
+    value, se = ratio_and_se(cond * (occ >= l), cond)
     return EstimateWithCI(
         value, se, total, METHOD_TILTED, streams.seed_provenance(seed, f"occ-n{n}", chunk_size)
     )
@@ -314,12 +276,16 @@ def reflected_sum_check(
             field="model",
         )
     grid = tuple(float(2**j) for j in range(0, 17))
+    plan = _centered_tilt(model)
     curve: dict[tuple[int, float, float], tuple[float, float]] = {}
     for n in n_values:
-        mins, _s_n, w, paths = _draw_walk_chunks(
-            model, n, reps, seed, f"reflected-n{n}", tilted=True, chunk_size=chunk_size
-        )
-        reflected = np.exp(paths.min(axis=1, keepdims=True) - paths).sum(axis=1)
+
+        def chunk(rng, count, start):
+            paths, w = _walk_paths(model, n, rng, count, plan)
+            mins = paths.min(axis=1)
+            return mins, w, np.exp(mins[:, None] - paths).sum(axis=1)
+
+        mins, w, reflected = streams.run_chunks(chunk, reps, seed, f"reflected-n{n}", chunk_size)
         for x in x_values:
             cond = w * (mins >= -x)
             for beta in grid:

@@ -15,14 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .environment import EnvSequence, EnvironmentModel, draw_env
+from .environment import (
+    EnvSequence,
+    EnvironmentModel,
+    TiltPlan,
+    draw_env,
+    draw_env_batch,
+    tilt_plan,
+)
 from .errors import (
     ConditioningStarvationError,
     DegenerateTiltError,
     PopulationCapError,
     ValidationError,
 )
-from .lfexact import draw_survival_chunk
+from .lfexact import log_survival_profile
 from .offspring import sample_many
 from .regime import classify, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
@@ -30,7 +37,6 @@ from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
 DEFAULT_POPULATION_CAP = 10**7
 TILT_CENTER_TOL = 1e-8
 
-METHOD_DIRECT = "direct-sim"
 METHOD_ENV_EXACT = "env-exact"
 METHOD_TILTED = "tilted-IS"
 METHOD_EXACT = "exact-enum"
@@ -124,26 +130,33 @@ class EnvSamples:
     q: np.ndarray  # single-lineage survival
     log_q: np.ndarray
     w: np.ndarray  # importance weight (all ones when drawn from the base law)
-    s_n: np.ndarray  # terminal log-mean walk value
     method: str
     seed_info: str
 
 
-def _centered_tilt(model: EnvironmentModel) -> tuple[float, float]:
-    """Tilt exponent and rate for importance sampling of survival events.
+def _centered_tilt(model: EnvironmentModel) -> TiltPlan:
+    """Tilt at the minimizing exponent, for importance sampling of survival
+    and walk-tail events.
 
     Rejects when the minimizing exponent sits at the boundary with a
     noncentered tilted walk (weights would be exponentially degenerate).
     """
     report = classify(model)
-    alpha, gamma = report.alpha, report.gamma
     drift = report.e_m_log_m / report.e_m  # tilted E[log m] at theta = 1
-    if alpha >= 1.0 and abs(drift) > TILT_CENTER_TOL:
+    if report.alpha >= 1.0 and abs(drift) > TILT_CENTER_TOL:
         raise DegenerateTiltError(
             f"tilted walk is not centered (E_tilted[log m] = {drift:.3g}); "
             "tilted importance sampling is unusable for this model"
         )
-    return alpha, gamma
+    return tilt_plan(model, report.alpha)
+
+
+def conditioning_tilt(model: EnvironmentModel) -> TiltPlan | None:
+    """Draw plan for conditioning on survival: tilted at the minimizing
+    exponent in the intermediate and weakly subcritical regimes (the tilted
+    walk is centered there), plain draws in the strongly subcritical one."""
+    report = classify(model)
+    return tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 
 
 def draw_env_samples(
@@ -152,41 +165,23 @@ def draw_env_samples(
     reps: int,
     seed: int,
     purpose: str,
-    tilt_theta: float | None = None,
-    rate: float | None = None,
+    plan: TiltPlan | None = None,
     chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EnvSamples:
-    """Monte Carlo environments with exact quenched survival per replicate.
-
-    With ``tilt_theta`` set, environments are drawn under the tilted mixture
-    and each replicate carries the weight rate**n * exp(-theta * S_n), which
-    reweights expectations back to the base model.
-    """
-    if tilt_theta is None:
-        draw_weights = model.weights
-    else:
-        from .environment import tilt as tilt_model
-
-        tilted, z = tilt_model(model, tilt_theta)
-        if rate is None:
-            rate = z
-        draw_weights = tilted.weights
+    """Monte Carlo environments with exact quenched survival per replicate,
+    drawn under the tilt ``plan`` when one is given."""
 
     def chunk(rng, count, start):
-        c = draw_survival_chunk(model, draw_weights, n, rng, count)
-        if tilt_theta is None:
-            w = np.ones(count)
-        else:
-            w = np.exp(n * math.log(rate) - tilt_theta * c.s_n)
-        return np.exp(c.log_q), c.log_q, w, c.s_n
+        batch = draw_env_batch(model, n, rng, count, plan)
+        log_q = log_survival_profile(model, batch.idx)[:, 0].copy()
+        return np.exp(log_q), log_q, batch.w
 
-    q, log_q, w, s_n = streams.run_chunks(chunk, reps, seed, purpose, chunk_size)
+    q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose, chunk_size)
     return EnvSamples(
         q=q,
         log_q=log_q,
         w=w,
-        s_n=s_n,
-        method=METHOD_ENV_EXACT if tilt_theta is None else METHOD_TILTED,
+        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
         seed_info=streams.seed_provenance(seed, purpose, chunk_size),
     )
 
@@ -211,9 +206,8 @@ def annealed_survival(
         samples = draw_env_samples(model, n, reps, seed, "annealed", chunk_size=chunk_size)
         vals = _any_survive(samples.q, k)
     elif method == METHOD_TILTED:
-        alpha, gamma = _centered_tilt(model)
         samples = draw_env_samples(
-            model, n, reps, seed, "annealed", tilt_theta=alpha, rate=gamma, chunk_size=chunk_size
+            model, n, reps, seed, "annealed", _centered_tilt(model), chunk_size
         )
         vals = samples.w * _any_survive(samples.q, k)
     else:
@@ -244,9 +238,9 @@ def joint_survival(
         samples = draw_env_samples(model, n, reps, seed, "joint", chunk_size=chunk_size)
         vals = np.exp(k * samples.log_q)
     elif method == METHOD_TILTED:
-        theta, rate, _case = solve_gamma_tilde(model, k)
+        theta, _rate, _case = solve_gamma_tilde(model, k)
         samples = draw_env_samples(
-            model, n, reps, seed, "joint", tilt_theta=theta, rate=rate, chunk_size=chunk_size
+            model, n, reps, seed, "joint", tilt_plan(model, theta), chunk_size
         )
         vals = samples.w * np.exp(k * samples.log_q)
     else:
@@ -399,6 +393,34 @@ class ConditionedEnvSamples:
     seed_info: str
 
 
+def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str, chunk_size: int):
+    """Escalation loop shared by every estimator that conditions on an event.
+
+    ``chunk_fn`` follows the ``streams.run_chunks`` contract and returns the
+    per-replicate conditioning weight as its first field. Replicates double
+    until the weights carry ``MIN_EFFECTIVE_EVENTS`` effective events or reach
+    ``ESCALATION_CAP`` times the request; each round continues the chunk
+    indices of the same (seed, purpose), so an escalated run draws a prefix
+    of one stream family. Returns (merged fields, replicates used, effective
+    events).
+    """
+    rounds = []
+    total = next_chunk = 0
+    target = reps
+    while True:
+        count = target - total
+        rounds.append(streams.run_chunks(chunk_fn, count, seed, purpose, chunk_size, next_chunk))
+        next_chunk += -(-count // chunk_size)
+        total = target
+        eff = kish_neff(np.concatenate([fields[0] for fields in rounds]))
+        if eff >= MIN_EFFECTIVE_EVENTS or total >= reps * ESCALATION_CAP:
+            break
+        target = min(total * 2, reps * ESCALATION_CAP)
+    if eff < HARD_MIN_EFFECTIVE_EVENTS:
+        raise ConditioningStarvationError(eff, HARD_MIN_EFFECTIVE_EVENTS)
+    return [np.concatenate(parts) for parts in zip(*rounds)], total, eff
+
+
 def draw_conditioned_env(
     model: EnvironmentModel,
     k: int,
@@ -407,54 +429,25 @@ def draw_conditioned_env(
     seed: int,
     purpose: str,
     chunk_size: int = streams.DEFAULT_CHUNK,
-    min_effective: float = MIN_EFFECTIVE_EVENTS,
-    hard_min: float = HARD_MIN_EFFECTIVE_EVENTS,
-    escalation_cap: int = ESCALATION_CAP,
 ) -> ConditionedEnvSamples:
-    """Draw environments until the conditioning event has enough effective mass.
+    """Environments for conditioning on survival from k particles, drawn
+    under ``conditioning_tilt`` and escalated by ``run_conditioned``."""
+    plan = conditioning_tilt(model)
 
-    In the weakly subcritical and intermediate regimes the draws are tilted
-    at the minimizing exponent (the tilted walk is centered there); strongly
-    subcritical models use plain draws. Replicates escalate geometrically up
-    to ``escalation_cap`` times the request before declaring starvation.
-    """
-    report = classify(model)
-    use_tilt = report.regime in ("IS", "WS")
-    batches: list[EnvSamples] = []
-    total = 0
-    target = reps
-    round_seed = seed
-    while True:
-        batch = draw_env_samples(
-            model,
-            n,
-            target - total,
-            round_seed,
-            purpose,
-            tilt_theta=report.alpha if use_tilt else None,
-            rate=report.gamma if use_tilt else None,
-            chunk_size=chunk_size,
-        )
-        batches.append(batch)
-        total = target
-        q = np.concatenate([b.q for b in batches])
-        w = np.concatenate([b.w for b in batches])
-        survive_w = w * _any_survive(q, k)
-        eff = kish_neff(survive_w)
-        if eff >= min_effective or total >= reps * escalation_cap:
-            break
-        target = min(total * 2, reps * escalation_cap)
-        round_seed += 1  # fresh stream family for the escalation round
-    if eff < hard_min:
-        raise ConditioningStarvationError(eff, hard_min)
+    def chunk(rng, count, start):
+        batch = draw_env_batch(model, n, rng, count, plan)
+        q = np.exp(log_survival_profile(model, batch.idx)[:, 0])
+        return batch.w * _any_survive(q, k), q, batch.w
+
+    (survive_w, q, w), total, eff = run_conditioned(chunk, reps, seed, purpose, chunk_size)
     return ConditionedEnvSamples(
         q=q,
         w=w,
         survive_w=survive_w,
-        method=batches[0].method,
+        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
         reps_used=total,
         effective_events=eff,
-        seed_info=batches[0].seed_info,
+        seed_info=streams.seed_provenance(seed, purpose, chunk_size),
     )
 
 

@@ -100,13 +100,6 @@ def pmf_tv_budget(
     return 0.5 * budget
 
 
-def ols_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
-
-
 def linear_r_squared(x: np.ndarray, y: np.ndarray) -> float:
     """R**2 of the best straight-line fit y ~ a + b*x."""
     x = np.asarray(x, dtype=float)

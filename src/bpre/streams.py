@@ -64,19 +64,21 @@ def run_chunks(
     seed: int,
     purpose: str,
     chunk_size: int = DEFAULT_CHUNK,
+    first_chunk: int = 0,
 ) -> list[np.ndarray]:
     """Map ``fn(rng, count, start)`` over chunks and concatenate its outputs.
 
     ``fn`` must return the same tuple of per-replicate arrays for every chunk.
     Outputs are concatenated in chunk order, so the reduction is independent
-    of the worker count.
+    of the worker count. Chunk streams are numbered from ``first_chunk``, so
+    a later call can continue the streams of an earlier one.
     """
     bounds = list(chunk_bounds(reps, chunk_size))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 
     def work(entry):
         index, start, stop = entry
-        rng = stream(seed, purpose, index)
+        rng = stream(seed, purpose, first_chunk + index)
         results[index] = fn(rng, stop - start, start)
 
     workers = thread_count()

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, main, run
-from bpre.config import config_from_dict, model_from_config, model_hash
+from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, main, run
+from bpre.config import KNOWN_OPS, config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref
 from bpre.errors import ValidationError
 
@@ -25,6 +25,9 @@ class TestConfig:
     def test_bad_op(self):
         with pytest.raises(ValidationError):
             config_from_dict({"op": "na", "model": "ss-ref", "seed": 1})
+
+    def test_every_known_op_has_a_handler(self):
+        assert set(OP_HANDLERS) == set(KNOWN_OPS)
 
     def test_roundtrip_through_echo(self):
         cfg = config_from_dict(
@@ -107,6 +110,14 @@ class TestCliEndToEnd:
         code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert code == EXIT_VALIDATION
         assert "seed" in err
+
+    def test_quenched_config_is_validation_exit(self, capsys, tmp_path):
+        # the quenched subcommand takes an environment file, not a model
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"op": "quenched", "model": "ss-ref", "seed": 1}))
+        code, _, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "op" in err
 
     def test_supercritical_model_validation_exit(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"

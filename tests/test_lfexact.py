@@ -5,18 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpre.environment import EnvSequence, draw_env, is_ref, ss_ref, ws_ref
+from bpre.environment import (
+    EnvironmentModel,
+    EnvSequence,
+    draw_env,
+    draw_env_batch,
+    is_ref,
+    ss_ref,
+    ws_ref,
+)
 from bpre.errors import ValidationError
 from bpre.lfexact import (
     closed_form_log_survival,
-    draw_survival_chunk,
     iterate_F,
     lf_minorant,
     log_survival_env,
+    log_survival_profile,
     minorant_env,
     quenched_survival,
 )
-from bpre.offspring import FiniteSupport, LinearFractional, moments, pgf
+from bpre.offspring import (
+    FiniteSupport,
+    LinearFractional,
+    log_survival_step,
+    moments,
+    pgf,
+)
 from bpre.rwalk import WalkPath, walk_stats
 from bpre.simcore import evolve_lineages
 from bpre.streams import stream
@@ -157,25 +171,48 @@ class TestQuenchedAgainstSimulation:
         assert abs(frac - p) < 4 * se
 
 
+FS_MIXTURE = EnvironmentModel(
+    [(FiniteSupport([0.5, 0.3, 0.2]), 0.5), (FiniteSupport([0.3, 0.3, 0.2, 0.2]), 0.5)]
+)
+MIXED_FAMILY = EnvironmentModel(
+    [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
+)
+
+
 class TestVectorizedKernel:
     def test_matches_scalar_path(self):
         model = ws_ref()
-        rng = stream(55, "t")
-        chunk = draw_survival_chunk(model, model.weights, 25, rng, 50, want_idx=True)
+        batch = draw_env_batch(model, 25, stream(55, "t"), 50)
+        log_q = log_survival_profile(model, batch.idx)[:, 0]
         laws = model.laws
         for r in range(50):
-            env = EnvSequence([laws[i] for i in chunk.idx[r]])
+            env = EnvSequence([laws[i] for i in batch.idx[r]])
             expected = log_survival_env(env)
-            assert chunk.log_q[r] == pytest.approx(expected, abs=1e-10)
+            assert log_q[r] == pytest.approx(expected, abs=1e-10)
             s_n = sum(math.log(moments(law)[0]) for law in env)
-            assert chunk.s_n[r] == pytest.approx(s_n, abs=1e-10)
+            assert batch.steps[r].sum() == pytest.approx(s_n, abs=1e-10)
 
     def test_paths_are_cumulative_sums(self):
         model = ss_ref()
-        rng = stream(56, "t")
-        chunk = draw_survival_chunk(model, model.weights, 10, rng, 20, want_paths=True, want_idx=True)
-        steps = model.log_means[chunk.idx]
-        expected = np.concatenate(
-            [np.zeros((20, 1)), np.cumsum(steps, axis=1)], axis=1
-        )
-        np.testing.assert_allclose(chunk.paths, expected, atol=1e-12)
+        batch = draw_env_batch(model, 10, stream(56, "t"), 20)
+        np.testing.assert_array_equal(batch.steps, model.log_means[batch.idx])
+        np.testing.assert_array_equal(batch.w, np.ones(20))
+
+    @pytest.mark.parametrize(
+        "model", [ws_ref(), FS_MIXTURE, MIXED_FAMILY], ids=["lf", "fs", "mixed"]
+    )
+    def test_profile_matches_scalar_steps_everywhere(self, model):
+        # horizon long enough to reach the small-u branch of the FS step
+        n, count = 400, 30
+        batch = draw_env_batch(model, n, stream(57, "t"), count)
+        profile = log_survival_profile(model, batch.idx)
+        assert profile.shape == (count, n + 1)
+        laws = model.laws
+        for r in range(count):
+            lu = 0.0
+            assert profile[r, n] == 0.0
+            for i in range(n - 1, -1, -1):
+                lu = log_survival_step(laws[batch.idx[r, i]], lu)
+                assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0)
+            env = EnvSequence([laws[j] for j in batch.idx[r]])
+            assert profile[r, 0] == pytest.approx(log_survival_env(env), rel=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from bpre.environment import EnvironmentModel, EnvSequence, draw_env, is_ref, ss_ref, ws_ref
 from bpre.errors import ValidationError
-from bpre.lfexact import quenched_survival
+from bpre.lfexact import log_survival_profile, quenched_survival
 from bpre.limits import (
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
@@ -14,7 +14,6 @@ from bpre.limits import (
     functional_residual,
     qprocess_kernel,
     qprocess_run,
-    survival_profile,
     yaglom,
 )
 from bpre.offspring import FiniteSupport, LinearFractional
@@ -33,8 +32,10 @@ FS_HALF = EnvironmentModel([(FiniteSupport([0.75, 0.0, 0.25]), 1.0)])  # mean 1/
 
 
 def test_survival_profile_matches_quenched():
-    env = draw_env(ws_ref(), 12, stream(1, "t"))
-    u = survival_profile(env)
+    model = ws_ref()
+    env = draw_env(model, 12, stream(1, "t"))
+    idx = np.array([[model.laws.index(law) for law in env]])
+    u = np.exp(log_survival_profile(model, idx)[0])
     assert u[0] == pytest.approx(quenched_survival(env).p, rel=1e-12)
     assert u[-1] == 1.0
     sub = EnvSequence(tuple(env)[4:])

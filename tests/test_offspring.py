@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpre.errors import ValidationError
@@ -92,15 +93,37 @@ def test_pgf_monotone_and_convex_on_grid(law):
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
 
+def exact_survival_step(law, u: float) -> Fraction:
+    """1 - f(1 - u) in exact rational arithmetic.
+
+    Computed as sum_{j>=1} p_j * (1 - (1 - u)**j), which involves no
+    cancellation; for a linear-fractional law the series is summed in closed
+    form, A/(1-B) - A*s/(1 - B*s) with s = 1 - u.
+    """
+    u = Fraction(u)
+    s = 1 - u
+    if isinstance(law, LinearFractional):
+        a, b = Fraction(law.A), Fraction(law.B)
+        return a / (1 - b) - a * s / (1 - b * s)
+    return sum((Fraction(p) * (1 - s**j) for j, p in enumerate(law.probs) if j > 0), Fraction(0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_law_strategy(), st.floats(0.01, 1.0))
+@example(FiniteSupport((0.9999999403953588, 5.960464122267716e-08)), 0.140625)
+@example(FiniteSupport((0.999999999999, 9.999999999990001e-13)), 0.5)
+@example(FiniteSupport((1.0, 5e-324)), 0.5)
+@example(FiniteSupport((1.0, 5e-324)), 1.0)
 def test_survival_step_consistency(law, u):
-    direct = 1.0 - pgf(law, 1.0 - u)
-    assert survival_step(law, u) == pytest.approx(direct, abs=1e-12)
-    if direct > 0:
-        assert log_survival_step(law, math.log(u)) == pytest.approx(
-            math.log(direct), abs=1e-9
-        )
+    # the reference 1 - pgf(law, 1 - u) would cancel catastrophically for
+    # laws with almost all mass at zero, so it is computed exactly instead
+    exact = exact_survival_step(law, u)
+    assert survival_step(law, u) == pytest.approx(float(exact), abs=1e-12)
+    if exact > 0:
+        # log of the numerator and denominator integers: exact below the
+        # float range too
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert log_survival_step(law, math.log(u)) == pytest.approx(log_exact, abs=1e-9)
 
 
 class TestSampling:

@@ -133,6 +133,11 @@ class TestMonteCarloTail:
         with pytest.raises(DegenerateTiltError):
             ln_tail(ss_ref(), 10, 1.0, 100, method="tilted-IS", seed=6)
 
+    @pytest.mark.parametrize("method", ["direct", "exact-enum"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValidationError):
+            ln_tail(ws_ref(), 8, 1.0, 100, method=method, seed=6)
+
 
 class TestOccupation:
     def test_l_zero_is_one(self):
@@ -146,6 +151,28 @@ class TestOccupation:
     def test_minimum_band_always_visited(self):
         est = occupation_tail(ws_ref(), 15, 0, 1, 2.0, 4000, seed=8)
         assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_lattice_enumeration(self):
+        # ws-ref steps are -2 and +1 (up to rounding) with probability 1/2:
+        # enumerate all integer-step paths for P(band-0 visits >= 3 | min >= -1)
+        n, hits, kept = 14, 0, 0
+        for steps in itertools.product((-2, 1), repeat=n):
+            s = np.concatenate([[0], np.cumsum(steps)])
+            if s.min() >= -1:
+                kept += 1
+                hits += int(np.count_nonzero(s == s.min()) >= 3)
+        exact = hits / kept
+        assert exact == pytest.approx(0.0998117, abs=1e-7)
+        est = occupation_tail(ws_ref(), n, 0, 3, 1.0, 200000, seed=5)
+        assert abs(est.value - exact) < 4 * est.std_error
+
+    def test_float_lattice_levels_band_correctly(self):
+        # log means -2.0 and 1.0000000000000002: the partial sums miss the
+        # integers by rounding error, and one level up must still be band 1
+        log_m = ws_ref().log_means
+        stats = walk_stats(WalkPath((log_m[1], log_m[0])))
+        # partial sums 0, 1, -1: levels above the minimum 1, 2, 0
+        assert stats.occupation == {0: 1, 1: 1, 2: 1}
 
 
 class TestReflectedSum:

@@ -4,8 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from bpre import streams
 from bpre.environment import EnvironmentModel, EnvSequence, is_ref, ss_ref, ws_ref
-from bpre.errors import DegenerateTiltError, PopulationCapError, ValidationError
+from bpre.errors import (
+    ConditioningStarvationError,
+    DegenerateTiltError,
+    PopulationCapError,
+    ValidationError,
+)
 from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.simcore import (
     alpha_k_curve,
@@ -17,6 +23,7 @@ from bpre.simcore import (
     inclusion_exclusion_check,
     joint_survival,
     lineage_counts_by_simulation,
+    run_conditioned,
     simulate_lineages,
 )
 from bpre.stats import chi_square_pvalue
@@ -213,3 +220,36 @@ class TestSharedDrawInvariants:
         est_tilted = annealed_survival(ws_ref(), 1, 8, 60000, method="tilted-IS", seed=29)
         comb = math.hypot(est_direct.std_error, est_tilted.std_error)
         assert abs(est_direct.value - est_tilted.value) < 4 * comb
+
+
+class TestEscalation:
+    def test_neighbouring_seeds_use_disjoint_streams(self, monkeypatch):
+        keys = {1: set(), 2: set()}
+        original = streams.stream
+        for seed in keys:
+
+            def recording(s, purpose, chunk_index=0, seen=keys[seed]):
+                seen.add((s, purpose, chunk_index))
+                return original(s, purpose, chunk_index)
+
+            monkeypatch.setattr(streams, "stream", recording)
+            try:
+                conditional_lineage_counts(ss_ref(), 3, 60, 4096, seed=seed)
+            except ConditioningStarvationError:
+                pass  # the keys drawn before starvation still count
+        assert len(keys[1]) > 1  # the request escalated
+        assert not keys[1] & keys[2]
+
+    def test_escalated_rounds_equal_one_longer_run(self):
+        # about 143 events in 4096 replicates and 287 in 8192, so the loop
+        # escalates exactly once past the 200-event target
+        def chunk(rng, count, start):
+            hits = (rng.random(count) < 0.035).astype(float)
+            return hits, rng.random(count)
+
+        fields, total, eff = run_conditioned(chunk, 4096, 3, "escalate", 4096)
+        assert total == 8192
+        single = streams.run_chunks(chunk, 8192, 3, "escalate", 4096)
+        for merged, direct in zip(fields, single):
+            np.testing.assert_array_equal(merged, direct)
+        assert eff == fields[0].sum()
