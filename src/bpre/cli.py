@@ -5,8 +5,8 @@ pins every emitted number bit-for-bit, independent of the worker count.
 ``BPRE_THREADS`` sets how many threads run the replicate chunks and does
 scale: on a 2-core machine, ``BPRE_THREADS=2`` took a tilted
 ``annealed_survival`` on ws-ref (n = 100, 4e5 replicates) from 2.2 s to
-1.4-1.6 s and ``yaglom(ws-ref, k=1, n=16, 16384 replicates)`` from 2.0 s
-to 1.3 s.
+1.4-1.6 s and ``yaglom(ws-ref, k=1, n=16, 16384 replicates)`` from 0.09 s
+to 0.07 s.
 
 Exit codes: 0 success, 2 validation error, 3 conditioning starvation,
 4 population cap exceeded.

@@ -5,8 +5,11 @@ Sampling Z_n given survival is done exactly, per environment, through the
 prolific-skeleton decomposition: an individual is prolific when it has a
 descendant alive at the horizon, every ancestor of a survivor is prolific,
 and given the environment the prolific individuals form a branching process
-whose offspring law has an explicit form (closed form for linear-fractional
-components, finite enumeration otherwise). This replaces accept/reject on
+whose offspring law has an explicit form. Each generation draws, per
+replicate, the total children of all its prolific (and doomed) parents in
+one step per offspring family: negative binomial and binomial totals for
+linear-fractional components, one multinomial draw over the finite-support
+outcomes otherwise. This replaces accept/reject on
 the survival event, whose acceptance probability decays geometrically in
 the horizon. A literal rejection sampler is kept for validation at short
 horizons.
@@ -44,41 +47,121 @@ from .stats import (
     weighted_pmf,
 )
 
-DEFAULT_STATE_CAP = 2**14
+DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
+# Sampled populations above this size are flagged as overflow and frozen at
+# zero. The cap only keeps the aggregate draws inside numpy's samplers:
+# binomial and negative_binomial counts stay far below int64, whatever the
+# growth of one generation. Cost does not grow with population size.
+POPULATION_CAP = 2**32
 DEFAULT_S_GRID = tuple(np.linspace(0.0, 1.0, 21))
 
 
 # --- conditioned offspring laws ----------------------------------------------
 #
 # Survival probabilities come from ``log_survival_profile``: u = exp(lu) and
-# x = 1 - u = -expm1(lu). For a prolific parent at generation i (child
-# survival probability u = u[i+1], extinction x = 1 - u):
-#   * prolific children count: P(j) = ((1-B)/D) * (B*u/D)**(j-1), j >= 1,
-#     with D = 1 - B*x -- a shifted geometric (linear-fractional case);
-#   * doomed children given j prolific: NegativeBinomial(j+1, 1 - B*x).
-# For a doomed parent: no offspring with probability (1 - A/(1-B))/x_parent,
-# otherwise 1 + Geometric(1 - B*x).
+# x = 1 - u = -expm1(lu). Given the environment, the children of the z
+# prolific and d doomed parents of one replicate at generation i (child
+# survival u = u[i+1], extinction x = 1 - u) are drawn as per-replicate
+# totals, one step per offspring family.
+#   * Linear fractional (closed form): a prolific parent has a shifted
+#     Geometric((1-B)/(1-B*x)) number of prolific children, so z parents have
+#     z + NB(z, (1-B)/(1-B*x)); given J prolific children, their doomed
+#     siblings number NB(J + z, 1 - B*x). A doomed parent's law is the
+#     linear-fractional law A' = A*x/x_parent, B' = B*x: m = Binomial(d,
+#     A'/(1-B')) parents have children, m + NB(m, 1 - B*x) in total.
+#   * Finite support: one multinomial draw over the joint (prolific j >= 1,
+#     doomed c - j) children of a prolific parent, P ~ p_c C(c,j) u^j x^(c-j),
+#     and one over p_c x^c for a doomed parent; the rows that share a
+#     component are stepped together.
 
 
-def _skeleton_pmf(law, u_next: float, x: float) -> np.ndarray:
-    """Exact pmf of the prolific-children count for a finite-support law."""
-    probs = np.asarray(law.probs)
-    kmax = len(probs) - 1
-    pmf = np.zeros(kmax + 1)
-    for c, pc in enumerate(probs):
-        for j in range(1, c + 1):
-            pmf[j] += pc * math.comb(c, j) * u_next**j * x ** (c - j)
-    total = pmf.sum()
-    if total <= 0.0:
-        raise ValidationError("law cannot produce a prolific child", field="law")
-    return pmf / total
+def _lf_arrays(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per component: linear-fractional or not, and A and B (0 otherwise)."""
+    laws = model.laws
+    is_lf = np.array([isinstance(law, LinearFractional) for law in laws])
+    a = np.array([law.A if lf else 0.0 for law, lf in zip(laws, is_lf)])
+    b = np.array([law.B if lf else 0.0 for law, lf in zip(laws, is_lf)])
+    return is_lf, a, b
 
 
-def _sample_skeleton_children(law, u_next: float, x: float, size: int, rng) -> np.ndarray:
-    if isinstance(law, LinearFractional):
-        return rng.geometric((1.0 - law.B) / (1.0 - law.B * x), size=size)
-    pmf = _skeleton_pmf(law, u_next, x)
-    return rng.choice(len(pmf), p=pmf, size=size)
+def _fs_groups(model, col):
+    """(rows, probability vector) of each finite-support component in ``col``
+    that can have children; the rows of FiniteSupport((1.0,)) have none."""
+    for comp, law in enumerate(model.laws):
+        if isinstance(law, FiniteSupport) and len(law.probs) > 1:
+            rows = col == comp
+            if rows.any():
+                yield rows, np.asarray(law.probs)
+
+
+def _neg_binomial(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """NegativeBinomial(n, p) per row, 0 where n = 0."""
+    out = np.zeros(len(n), dtype=np.int64)
+    pos = n > 0
+    if pos.any():
+        out[pos] = rng.negative_binomial(n[pos], p[pos])
+    return out
+
+
+def _lf_totals(rng, n: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Total offspring of n[r] iid parents with linear-fractional law (a, b)[r];
+    P(children) is clipped at 1 against rounding in conditioned laws."""
+    j = rng.binomial(n, np.minimum(a / (1.0 - b), 1.0))
+    return j + _neg_binomial(rng, j, 1.0 - b)
+
+
+def _fs_totals(rng, n: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over n[r] iid categories drawn from row r of
+    ``weights`` (normalized here; an all-zero row draws its first category)."""
+    weights = np.atleast_2d(weights).astype(float)
+    weights[weights.sum(axis=1) <= 0.0, 0] = 1.0
+    counts = rng.multinomial(n, weights / weights.sum(axis=1, keepdims=True))
+    return counts @ values
+
+
+def _pair_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offspring count c, prolific count j (1 <= j <= c) and p_c C(c, j) of
+    every joint outcome of a prolific parent with finite-support law."""
+    c, j = np.tril_indices(len(probs))
+    c, j = c[j >= 1], j[j >= 1]
+    coef = probs[c] * np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)
+    return c, j, coef
+
+
+def _generation(model, col, lu_child, lu_parent, z, d, rng):
+    """Children of one generation, as per-replicate totals.
+
+    Replicate r has z[r] prolific and d[r] doomed parents in component
+    col[r]; ``lu_child`` and ``lu_parent`` are the log survival
+    probabilities of a child and of a parent. Returns the prolific and the
+    doomed children. With ``d`` None only the prolific children are drawn
+    (the skeleton) and the doomed total is None.
+    """
+    x = -np.expm1(lu_child)
+    is_lf, a, b = _lf_arrays(model)
+    z_next = np.zeros_like(z)
+    d_next = None if d is None else np.zeros_like(z)
+    lf = is_lf[col]
+    if lf.any():
+        ai, bi, xi, zi = a[col[lf]], b[col[lf]], x[lf], z[lf]
+        geo_p = 1.0 - bi * xi
+        j = zi + _neg_binomial(rng, zi, (1.0 - bi) / geo_p)
+        z_next[lf] = j
+        if d is not None:
+            x_par = -np.expm1(lu_parent[lf])
+            a_doomed = np.divide(ai * xi, x_par, out=np.zeros_like(xi), where=x_par > 0.0)
+            d_next[lf] = _neg_binomial(rng, j + zi, geo_p) + _lf_totals(rng, d[lf], a_doomed, bi * xi)
+    for rows, probs in _fs_groups(model, col):
+        c, j, coef = _pair_table(probs)
+        u = np.exp(lu_child[rows, None])
+        weights = coef * u ** (j - 1) * x[rows, None] ** (c - j)
+        born = _fs_totals(rng, z[rows], weights, np.stack([j, c - j], axis=1))
+        z_next[rows] = born[:, 0]
+        if d is not None:
+            sizes = np.arange(len(probs))
+            doomed = _fs_totals(rng, d[rows], probs * x[rows, None] ** sizes, sizes)
+            d_next[rows] = born[:, 1] + doomed
+    return z_next, d_next
 
 
 def conditioned_binomial_positive(k: int, q: np.ndarray, rng) -> np.ndarray:
@@ -114,39 +197,15 @@ def _evolve_skeleton(model, idx, lu, z0, rng, cap) -> tuple[np.ndarray, np.ndarr
     overflow mask); overflowed replicates are frozen at zero and must be
     folded into reported tail mass.
     """
-    count, n = idx.shape
-    laws = model.laws
-    z = z0.astype(np.int64).copy()
-    overflow = np.zeros(count, dtype=bool)
-    lf = model.all_linear_fractional
-    if lf:
-        b_arr = np.array([law.B for law in laws])
-    for i in range(n):
-        total = int(z.sum())
-        if total == 0:
+    z = z0.astype(np.int64)
+    overflow = np.zeros(len(z), dtype=bool)
+    for i in range(idx.shape[1]):
+        if not z.any():
             break
-        owners = np.repeat(np.arange(count), z)
-        xn = -np.expm1(lu[:, i + 1])
-        if lf:
-            bi = b_arr[idx[:, i]]
-            p_ind = np.repeat((1.0 - bi) / (1.0 - bi * xn), z)
-            draws = rng.geometric(p_ind)
-        else:
-            un = np.exp(lu[:, i + 1])
-            draws = np.empty(total, dtype=np.int64)
-            pos = 0
-            for r in range(count):
-                if z[r] == 0:
-                    continue
-                draws[pos : pos + z[r]] = _sample_skeleton_children(
-                    laws[idx[r, i]], un[r], xn[r], int(z[r]), rng
-                )
-                pos += z[r]
-        z = np.bincount(owners, weights=draws, minlength=count).astype(np.int64)
+        z, _ = _generation(model, idx[:, i], lu[:, i + 1], None, z, None, rng)
         over = z > cap
-        if over.any():
-            overflow |= over
-            z[over] = 0
+        overflow |= over
+        z[over] = 0
     return z, overflow
 
 
@@ -172,7 +231,6 @@ def yaglom(
     n: int,
     reps: int,
     seed: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
     s_grid: tuple[float, ...] = DEFAULT_S_GRID,
     chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> YaglomEstimate:
@@ -190,7 +248,7 @@ def yaglom(
         lu = log_survival_profile(model, batch.idx)
         q = np.exp(lu[:, 0])
         n_alive = conditioned_binomial_positive(k, q, rng)
-        z, over = _evolve_skeleton(model, batch.idx, lu, n_alive, rng, state_cap)
+        z, over = _evolve_skeleton(model, batch.idx, lu, n_alive, rng, POPULATION_CAP)
         return batch.w * _any_survive(q, k), z, over
 
     (survive_w, z, overflow), reps_used, eff = run_conditioned(
@@ -376,36 +434,27 @@ class QProcessRun:
     seed_info: str
 
 
-def _chain_step_lf(model, gamma, y, rng):
-    """One exact kernel step for all-linear-fractional mixtures.
+def _chain_step(model, gamma, y, rng):
+    """One exact kernel step of the chain conditioned to survive forever.
 
     Picks the component size-biased by its mean, then draws the size-biased
-    sum: one size-biased offspring plus y-1 plain offspring.
+    sum: y-1 plain offspring plus one size-biased offspring (for a
+    linear-fractional law, the sum of two shifted geometrics).
     """
-    a = np.array([law.A for law in model.laws])
-    b = np.array([law.B for law in model.laws])
+    is_lf, a, b = _lf_arrays(model)
     pick_p = model.weights * model.means / gamma
     comp = rng.choice(len(a), size=len(y), p=pick_p / pick_p.sum())
-    ai, bi = a[comp], b[comp]
-    pnz = ai / (1.0 - bi)
-    j = rng.binomial(np.maximum(y - 1, 0), pnz)
-    extra = np.zeros(len(y), dtype=np.int64)
-    pos = j > 0
-    if pos.any():
-        extra[pos] = rng.negative_binomial(j[pos], 1.0 - bi[pos])
-    plain = j + extra
-    sb = rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
-    return plain + sb
-
-
-def _chain_step_generic(model, gamma, y, rng, cache, cap):
-    out = np.empty(len(y), dtype=np.int64)
-    for r, state in enumerate(y):
-        state = int(state)
-        if state not in cache:
-            row = qprocess_kernel(model, state, cap).probs
-            cache[state] = row / row.sum()
-        out[r] = rng.choice(len(cache[state]), p=cache[state])
+    out = np.empty_like(y)
+    lf = is_lf[comp]
+    if lf.any():
+        bi = b[comp[lf]]
+        plain = _lf_totals(rng, y[lf] - 1, a[comp[lf]], bi)
+        out[lf] = plain + rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
+    for rows, probs in _fs_groups(model, comp):
+        sizes = np.arange(len(probs))
+        biased = sizes * probs
+        plain = _fs_totals(rng, y[rows] - 1, probs, sizes)
+        out[rows] = plain + rng.choice(len(probs), size=len(plain), p=biased / biased.sum())
     return out
 
 
@@ -416,7 +465,6 @@ def qprocess_run(
     reps: int,
     seed: int = 0,
     lookahead: int = 10,
-    state_cap: int = DEFAULT_STATE_CAP,
     chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> QProcessRun:
     """Simulate the chain conditioned to survive in the distant future.
@@ -429,21 +477,12 @@ def qprocess_run(
     report = classify(model)
     if report.regime in ("SS", "IS"):
         gamma = report.e_m
-        medians_acc: list[np.ndarray] = []
-        finals: list[np.ndarray] = []
-        overflow = 0
 
         def chunk(rng, count, start):
-            y = np.full(count, k, dtype=np.int64)
             traj = np.empty((count, horizon + 1), dtype=np.int64)
-            traj[:, 0] = y
-            cache: dict[int, np.ndarray] = {}
+            traj[:, 0] = k
             for i in range(horizon):
-                if model.all_linear_fractional:
-                    y = _chain_step_lf(model, gamma, y, rng)
-                else:
-                    y = _chain_step_generic(model, gamma, y, rng, cache, state_cap)
-                traj[:, i + 1] = y
+                traj[:, i + 1] = _chain_step(model, gamma, traj[:, i], rng)
             return (traj,)
 
         (traj,) = streams.run_chunks(chunk, reps, seed, "qprocess", chunk_size)
@@ -461,7 +500,7 @@ def qprocess_run(
         )
     # WS: finite-horizon conditioned simulation
     traj, survive_w, over, reps_used = conditioned_trajectories(
-        model, k, horizon, lookahead, reps, seed, state_cap, chunk_size
+        model, k, horizon, lookahead, reps, seed, chunk_size
     )
     ok = ~over
     total_w = float(np.sum(survive_w))
@@ -488,7 +527,6 @@ def conditioned_trajectories(
     lookahead: int,
     reps: int,
     seed: int = 0,
-    state_cap: int = DEFAULT_STATE_CAP,
     chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Population trajectories Z_0..Z_horizon given survival at horizon+lookahead.
@@ -500,7 +538,7 @@ def conditioned_trajectories(
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, horizon + lookahead, rng, count, plan)
-        return _dressed_trajectories(model, k, horizon, batch, rng, state_cap)
+        return _dressed_trajectories(model, k, horizon, batch, rng, POPULATION_CAP)
 
     (survive_w, traj, over), reps_used, _eff = run_conditioned(
         chunk, reps, seed, f"qtraj-k{k}-h{horizon}", chunk_size
@@ -512,109 +550,28 @@ def _dressed_trajectories(model, k, record, batch, rng, cap):
     """Full conditioned population trajectories (prolific + doomed parts).
 
     Prolific individuals carry the skeleton; each prolific parent also
-    spawns doomed children (negative binomial in the linear-fractional
-    case), and doomed subtrees evolve under the extinction-conditioned
-    offspring law. Records Z_0..Z_record; returns (conditioning weights,
-    trajectories, overflow mask).
+    spawns doomed children, and doomed subtrees evolve under the
+    extinction-conditioned offspring law. Records Z_0..Z_record; returns
+    (conditioning weights, trajectories, overflow mask).
     """
     idx = batch.idx
     count = len(idx)
     lu = log_survival_profile(model, idx)
     q = np.exp(lu[:, 0])
     survive_w = batch.w * _any_survive(q, k)
-    n_alive = conditioned_binomial_positive(k, q, rng)
-    laws = model.laws
-    lf = model.all_linear_fractional
-    if lf:
-        a_arr = np.array([law.A for law in laws])
-        b_arr = np.array([law.B for law in laws])
-    prolific = n_alive.astype(np.int64).copy()
-    doomed = (k - n_alive).astype(np.int64)
+    prolific = conditioned_binomial_positive(k, q, rng)
+    doomed = k - prolific
     overflow = np.zeros(count, dtype=bool)
     traj = np.zeros((count, record + 1), dtype=np.int64)
     traj[:, 0] = k
     for i in range(record):
-        xn, x_par = -np.expm1(lu[:, i + 1]), -np.expm1(lu[:, i])
-        if lf:
-            ai, bi = a_arr[idx[:, i]], b_arr[idx[:, i]]
-            d = 1.0 - bi * xn
-            # prolific parents: j prolific children, NB(j+1, 1-B*x) doomed ones
-            owners_p = np.repeat(np.arange(count), prolific)
-            p_geo = np.repeat((1.0 - bi) / d, prolific)
-            j_draw = rng.geometric(p_geo) if len(owners_p) else np.zeros(0, dtype=np.int64)
-            extra = (
-                rng.negative_binomial(j_draw + 1, np.repeat(1.0 - bi * xn, prolific))
-                if len(owners_p)
-                else np.zeros(0, dtype=np.int64)
-            )
-            new_prolific = np.bincount(owners_p, weights=j_draw, minlength=count).astype(np.int64)
-            doomed_born = np.bincount(owners_p, weights=extra, minlength=count).astype(np.int64)
-            # doomed parents: zero-inflated shifted geometric
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pnz_d = np.where(
-                    x_par > 0.0, ai * xn / ((1.0 - bi * xn) * np.maximum(x_par, 1e-300)), 0.0
-                )
-            pnz_d = np.clip(pnz_d, 0.0, 1.0)
-            owners_d = np.repeat(np.arange(count), doomed)
-            if len(owners_d):
-                nz = rng.random(len(owners_d)) < np.repeat(pnz_d, doomed)
-                kids = np.zeros(len(owners_d), dtype=np.int64)
-                if nz.any():
-                    kids[nz] = rng.geometric(np.repeat(1.0 - bi * xn, doomed)[nz])
-                doomed_next = np.bincount(owners_d, weights=kids, minlength=count).astype(np.int64)
-            else:
-                doomed_next = np.zeros(count, dtype=np.int64)
-        else:
-            un = np.exp(lu[:, i + 1])
-            new_prolific = np.zeros(count, dtype=np.int64)
-            doomed_born = np.zeros(count, dtype=np.int64)
-            doomed_next = np.zeros(count, dtype=np.int64)
-            for r in range(count):
-                law = laws[idx[r, i]]
-                jp, db = _dressed_step_fs(law, float(un[r]), float(xn[r]), int(prolific[r]), rng)
-                new_prolific[r], doomed_born[r] = jp, db
-                doomed_next[r] = _doomed_step_fs(law, float(xn[r]), float(x_par[r]), int(doomed[r]), rng)
-        prolific = new_prolific
-        doomed = doomed_born + doomed_next
-        total = prolific + doomed
-        over = total > cap
-        if over.any():
-            overflow |= over
-            prolific[over] = 0
-            doomed[over] = 0
-            total = prolific + doomed
-        traj[:, i + 1] = total
+        prolific, doomed = _generation(model, idx[:, i], lu[:, i + 1], lu[:, i], prolific, doomed, rng)
+        over = prolific + doomed > cap
+        overflow |= over
+        prolific[over] = 0
+        doomed[over] = 0
+        traj[:, i + 1] = prolific + doomed
     return survive_w, traj, overflow
-
-
-def _dressed_step_fs(law, u_next, x, n_parents, rng):
-    """Prolific-parent step for a finite-support law: exact joint enumeration."""
-    if n_parents == 0:
-        return 0, 0
-    probs = np.asarray(law.probs)
-    pairs = []  # (j, c - j, probability)
-    for c, pc in enumerate(probs):
-        for j in range(1, c + 1):
-            pairs.append((j, c - j, pc * math.comb(c, j) * u_next**j * x ** (c - j)))
-    weights = np.array([p for _, _, p in pairs])
-    weights = weights / weights.sum()
-    picks = rng.choice(len(pairs), p=weights, size=n_parents)
-    j_total = sum(pairs[p][0] for p in picks)
-    d_total = sum(pairs[p][1] for p in picks)
-    return j_total, d_total
-
-
-def _doomed_step_fs(law, x_next, x_par, n_parents, rng):
-    """Doomed-parent step: offspring law reweighted by extinction of every child."""
-    if n_parents == 0:
-        return 0
-    if x_par <= 0.0:
-        return 0
-    probs = np.asarray(law.probs)
-    c_vals = np.arange(len(probs))
-    pmf = probs * x_next**c_vals
-    pmf = pmf / pmf.sum()
-    return int(rng.choice(len(pmf), p=pmf, size=n_parents).sum())
 
 
 # --- environment posterior ------------------------------------------------------

@@ -63,19 +63,25 @@ def kish_neff(weights: np.ndarray) -> float:
 def weighted_pmf(
     values: np.ndarray, weights: np.ndarray
 ) -> dict[int, tuple[float, float]]:
-    """Normalized weighted pmf with delta-method standard errors per atom."""
-    total = float(np.sum(weights))
-    out: dict[int, tuple[float, float]] = {}
+    """Normalized weighted pmf with delta-method standard errors per atom.
+
+    One pass over the values: with w_v and w2_v the sums of w and w**2 over
+    atom v and W2 the sum of w**2 over all values, p_v = w_v / total and
+    SE**2 = ((1 - p_v)**2 w2_v + p_v**2 (W2 - w2_v)) / total**2. Totals come
+    from the per-atom sums, so a point mass has SE exactly 0.
+    """
+    atoms, inverse = np.unique(values, return_inverse=True)
+    weights = np.asarray(weights, dtype=float)
+    w = np.bincount(inverse, weights=weights, minlength=len(atoms))
+    w2 = np.bincount(inverse, weights=weights**2, minlength=len(atoms))
+    total = float(w.sum())
     if total == 0.0:
-        return out
-    n = len(values)
-    for v in np.unique(values):
-        ind = (values == v).astype(float)
-        p = float(np.sum(weights * ind)) / total
-        resid = weights * (ind - p)
-        se = math.sqrt(float(np.sum(resid**2))) / total if n > 1 else 0.0
-        out[int(v)] = (p, se)
-    return out
+        return {}
+    p = w / total
+    se = np.sqrt((1.0 - p) ** 2 * w2 + p**2 * (w2.sum() - w2)) / total
+    if len(values) < 2:
+        se[:] = 0.0
+    return {int(v): (float(pv), float(sv)) for v, pv, sv in zip(atoms, p, se)}
 
 
 def pmf_tv_distance(p: dict[int, tuple[float, float]], q: dict[int, tuple[float, float]]) -> float:

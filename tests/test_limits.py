@@ -7,6 +7,10 @@ from bpre.environment import EnvironmentModel, EnvSequence, draw_env, is_ref, ss
 from bpre.errors import ValidationError
 from bpre.lfexact import log_survival_profile, quenched_survival
 from bpre.limits import (
+    _component_pmf,
+    _convolve_power,
+    _fs_totals,
+    _lf_totals,
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
     conditioned_trajectories,
@@ -18,17 +22,27 @@ from bpre.limits import (
 )
 from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.regime import classify
+from bpre.simcore import evolve_lineages
 from bpre.stats import (
     chi_square_pvalue,
     kish_neff,
+    mean_and_se,
     pmf_tv_budget,
     pmf_tv_distance,
+    ratio_and_se,
     weighted_pmf,
 )
 from bpre.streams import stream
 
 BERNOULLI = EnvironmentModel([(FiniteSupport([0.5, 0.5]), 1.0)])
 FS_HALF = EnvironmentModel([(FiniteSupport([0.75, 0.0, 0.25]), 1.0)])  # mean 1/2
+# two-component finite-support mixtures: means {0.7, 0.4} (SS), {0.7, 1.3} (WS)
+FS_SS = EnvironmentModel(
+    [(FiniteSupport([0.5, 0.3, 0.2]), 0.5), (FiniteSupport([0.7, 0.2, 0.1]), 0.5)]
+)
+FS_WS = EnvironmentModel(
+    [(FiniteSupport([0.5, 0.3, 0.2]), 0.5), (FiniteSupport([0.3, 0.3, 0.2, 0.2]), 0.5)]
+)
 
 
 def test_survival_profile_matches_quenched():
@@ -40,6 +54,25 @@ def test_survival_profile_matches_quenched():
     assert u[-1] == 1.0
     sub = EnvSequence(tuple(env)[4:])
     assert u[4] == pytest.approx(quenched_survival(sub).p, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law", [LinearFractional(0.3, 0.5), FiniteSupport([0.3, 0.3, 0.2, 0.2])], ids=["lf", "fs"]
+)
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_aggregate_totals_match_convolution(law, m):
+    # one aggregate draw per replicate against the m-fold convolution of the law
+    reps, cap = 20000, 200
+    rng = stream(23, "t")
+    n = np.full(reps, m)
+    if isinstance(law, LinearFractional):
+        totals = _lf_totals(rng, n, np.full(reps, law.A), np.full(reps, law.B))
+    else:
+        totals = _fs_totals(rng, n, np.asarray(law.probs), np.arange(len(law.probs)))
+    assert totals.max() <= cap
+    exact = _convolve_power(_component_pmf(law, cap), m, cap)
+    observed = np.bincount(totals, minlength=cap + 1)
+    assert chi_square_pvalue(observed, reps * exact) > 1e-3
 
 
 class TestConditionedBinomial:
@@ -82,6 +115,20 @@ class TestYaglom:
         tv = pmf_tv_distance(est.pmf, rej_pmf)
         budget = pmf_tv_budget(est.pmf, rej_pmf, est.effective_events, float(len(rej)))
         assert tv <= 4 * budget
+
+    def test_fs_matches_rejection_oracle(self):
+        # multinomial skeleton steps of a two-component finite-support model
+        k, n = 2, 4
+        est = yaglom(FS_WS, k, n, 3 * 10**4, seed=24)
+        rej = conditioned_population_by_rejection(FS_WS, k, n, 4000, seed=25)
+        rej_pmf = weighted_pmf(rej, np.ones(len(rej)))
+        tv = pmf_tv_distance(est.pmf, rej_pmf)
+        budget = pmf_tv_budget(est.pmf, rej_pmf, est.effective_events, float(len(rej)))
+        assert tv <= 4 * budget
+
+    def test_long_ws_horizon_keeps_its_mass(self):
+        est = yaglom(ws_ref(), 1, 50, 20000, seed=1)
+        assert est.tail_mass < 0.01
 
     def test_pgf_monotone_and_normalized(self):
         est = yaglom(ws_ref(), 1, 10, 10**4, seed=9)
@@ -133,12 +180,7 @@ class TestQKernel:
 
     def test_product_formula_on_enumeration_fixture(self):
         # two-step joint law: kernel product vs size-biased path probability
-        model = EnvironmentModel(
-            [
-                (FiniteSupport([0.5, 0.3, 0.2]), 0.5),
-                (FiniteSupport([0.7, 0.2, 0.1]), 0.5),
-            ]
-        )
+        model = FS_SS
         rep = classify(model)
         assert rep.regime == "SS"
         gamma = rep.e_m
@@ -180,11 +222,24 @@ class TestQProcessRun:
         assert min(run.medians) >= 1.0
         assert all(size >= 1 for size in run.final_pmf)
 
-    def test_kernel_matches_conditioned_chain(self):
-        # exact one-step kernel vs finite-lookahead conditioned trajectories
-        model = ss_ref()
-        row = qprocess_kernel(model, 1, state_cap=64).probs
-        traj, w, over, _ = conditioned_trajectories(model, 1, 1, 15, 3 * 10**4, seed=16)
+    def test_fs_chain_matches_kernel(self):
+        # multinomial plus size-biased draws against the exact kernel row
+        reps = 20000
+        row = qprocess_kernel(FS_SS, 2, state_cap=64).probs
+        run = qprocess_run(FS_SS, 2, 1, reps, seed=26)
+        assert set(run.final_pmf) <= set(np.flatnonzero(row))
+        for state in range(12):
+            p_emp, se = run.final_pmf.get(state, (0.0, 0.0))
+            se = max(se, math.sqrt(row[state] * (1 - row[state]) / reps))
+            assert abs(p_emp - row[state]) < 4 * se + 1e-12
+
+    @pytest.mark.parametrize("model", [ss_ref(), FS_SS], ids=["ss-ref", "fs-ss"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kernel_matches_conditioned_chain(self, model, k):
+        # exact one-step kernel vs finite-lookahead conditioned trajectories;
+        # from k = 2 a doomed initial parent also has children
+        row = qprocess_kernel(model, k, state_cap=64).probs
+        traj, w, over, _ = conditioned_trajectories(model, k, 1, 15, 3 * 10**4, seed=16)
         ok = ~over
         emp = weighted_pmf(traj[ok, 1], w[ok])
         neff = kish_neff(w[ok])
@@ -192,6 +247,27 @@ class TestQProcessRun:
             p_emp, se = emp.get(state, (0.0, 0.0))
             se = max(se, math.sqrt(row[state] * (1 - row[state]) / neff))
             assert abs(p_emp - row[state]) < 4 * se + 1e-9
+
+    @pytest.mark.parametrize("model", [ws_ref(), FS_WS], ids=["ws-ref", "fs-ws"])
+    def test_trajectories_match_rejection(self, model):
+        # Z_1, Z_2 given survival at generation 3 from k = 2, against whole
+        # simulated populations: doomed parents reproduce with x well below 1
+        k, n, kept = 2, 3, []
+        traj, w, _, _ = conditioned_trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
+        rng = stream(28, "t")
+        while len(kept) < 6000:
+            pops = evolve_lineages(draw_env(model, n, rng), k, rng)
+            if pops[-1].sum() > 0:
+                kept.append(pops[1:3].sum(axis=1))
+        kept = np.array(kept)
+        for gen in (1, 2):
+            est = weighted_pmf(traj[:, gen], w)
+            rej = weighted_pmf(kept[:, gen - 1], np.ones(len(kept)))
+            tv = pmf_tv_distance(est, rej)
+            assert tv <= 4 * pmf_tv_budget(est, rej, kish_neff(w), float(len(kept)))
+            mean_est, se_est = ratio_and_se(w * traj[:, gen], w)
+            mean_rej, se_rej = mean_and_se(kept[:, gen - 1].astype(float))
+            assert abs(mean_est - mean_rej) < 4 * math.hypot(se_est, se_rej)
 
     def test_is_chain_transient_trend(self):
         run = qprocess_run(is_ref(), 1, 20, 1500, seed=17)
@@ -202,6 +278,10 @@ class TestQProcessRun:
         assert "approximation" in run.method
         assert len(run.medians) == 7
         assert run.medians[0] == 1.0
+
+    def test_ws_populations_do_not_overflow(self):
+        run = qprocess_run(ws_ref(), 1, 20, 10000, seed=1)
+        assert run.overflow_mass == 0.0
 
 
 class TestEnvPosterior:
