@@ -15,8 +15,10 @@ Exit codes: 0 success, 2 validation error, 3 conditioning starvation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -26,19 +28,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_suite
-from .config import (
-    ExperimentConfig,
-    config_from_dict,
-    env_from_config,
-    load_config,
-    model_hash,
-)
-from .errors import (
-    BpreError,
-    ConditioningStarvationError,
-    PopulationCapError,
-    ValidationError,
-)
+from .config import ExperimentConfig, config_from_dict, env_from_config, load_config, model_hash
+from .errors import BpreError, ConditioningStarvationError, PopulationCapError, ValidationError
 from .lfexact import quenched_survival
 from .limits import env_posterior, qprocess_kernel, qprocess_run, yaglom
 from .regime import classify
@@ -56,23 +47,15 @@ EXIT_VALIDATION = 2
 EXIT_STARVATION = 3
 EXIT_POPULATION_CAP = 4
 
-
-def _plain_row(estimand, value, std_error, reps, method, mhash, seed) -> dict:
-    """One flat CSV record."""
-    return {
-        "estimand": estimand,
-        "value": value,
-        "std_error": std_error,
-        "reps": reps,
-        "method": method,
-        "model_hash": mhash,
-        "seed": seed,
-    }
+# one flat record per estimate: handlers give the first five, run adds the rest
+RECORD_FIELDS = ("estimand", "value", "std_error", "reps", "method", "model_hash", "seed")
 
 
 def _jsonify(obj: Any) -> Any:
+    if obj is None or type(obj) in (float, int, str, bool):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -86,198 +69,148 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
+def _items(value: Any) -> Any:
+    return [tok for tok in value.split(",") if tok] if isinstance(value, str) else value
+
+
+def _int(value: Any) -> int:
+    """An int from an int, an integral float or flag text; rejects 2.5 and true."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _ints(value: Any) -> list[int]:
+    """A list of ints, from a JSON list or comma-separated flag text."""
+    return [_int(v) for v in _items(value)]
+
+
+def _floats(value: Any) -> list[float]:
+    """A list of floats, from a JSON list or comma-separated flag text."""
+    return [float(v) for v in _items(value)]
+
+
 # --- operation handlers ------------------------------------------------------
 #
-# Each handler returns (payload, rows): payload is the full JSON result,
-# rows are flat estimate records for CSV output.
+# A handler's signature declares its operation: ``model`` and ``seed`` come
+# from the config; ``reps`` and the keywords after it are the operation's
+# parameters, their defaults are the only defaults, and their annotations
+# convert the values a config or a flag gives (a parameter whose default is
+# None also takes None). A handler returns the payload and rows of
+# (estimand, value, std_error, reps, method).
 
 
-def _op_regime(model, params, seed, reps):
-    report = classify(model, k=int(params.get("k", 1)))
-    mhash = model_hash(model)
-    rows = [
-        _plain_row("gamma", report.gamma, 0.0, 0, "exact-enum", mhash, seed),
-        _plain_row("alpha", report.alpha, 0.0, 0, "exact-enum", mhash, seed),
+def _op_regime(model, seed, reps=None, k: _int = 1):
+    report = classify(model, k=k)
+    return report, [
+        ("gamma", report.gamma, 0.0, 0, "exact-enum"),
+        ("alpha", report.alpha, 0.0, 0, "exact-enum"),
     ]
-    return report.as_dict(), rows
 
 
-def _op_survival(model, params, seed, reps):
-    k = int(params.get("k", 1))
-    n = int(params.get("n", 10))
-    method = params.get("method", "env-exact")
-    est = annealed_survival(model, k, n, reps or 10**4, method=method, seed=seed)
-    mhash = model_hash(model)
-    return (
-        {"k": k, "n": n, "estimate": dataclasses.asdict(est)},
-        [_plain_row(
-            f"survival[k={k},n={n}]",
-            est.value, est.std_error, est.replicates, est.method, mhash, seed,
-        )],
-    )
-
-
-def _op_jointsurv(model, params, seed, reps):
-    k = int(params.get("k", 2))
-    n = int(params.get("n", 10))
-    method = params.get("method", "env-exact")
-    est = joint_survival(model, k, n, reps or 10**4, method=method, seed=seed)
-    mhash = model_hash(model)
-    return (
-        {"k": k, "n": n, "estimate": dataclasses.asdict(est)},
-        [_plain_row(
-            f"joint_survival[k={k},n={n}]",
-            est.value, est.std_error, est.replicates, est.method, mhash, seed,
-        )],
-    )
-
-
-def _op_alphak(model, params, seed, reps):
-    k_list = [int(k) for k in params.get("k_list", [2])]
-    n_list = [int(n) for n in params.get("n_list", [10, 20])]
-    table = alpha_k_curve(model, k_list, n_list, reps or 10**4, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(
-            f"alpha_k[k={r.k},n={r.n}]", r.value, r.std_error, reps or 10**4,
-            "env-exact", mhash, seed,
-        )
-        for r in table.rows
+def _op_survival(model, seed, reps=10**4, k: _int = 1, n: _int = 10, method: str = "env-exact"):
+    est = annealed_survival(model, k, n, reps, method=method, seed=seed)
+    return {"k": k, "n": n, "estimate": est}, [
+        (f"survival[k={k},n={n}]", est.value, est.std_error, est.replicates, est.method)
     ]
-    return {"rows": [dataclasses.asdict(r) for r in table.rows]}, rows
 
 
-def _op_lineages(model, params, seed, reps):
-    k = int(params.get("k", 2))
-    n = int(params.get("n", 10))
-    dist = conditional_lineage_counts(model, k, n, reps or 10**4, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(
-            f"P(N={j}|alive)[k={k},n={n}]", p, se, dist.reps_used, dist.method, mhash, seed
-        )
+def _op_jointsurv(model, seed, reps=10**4, k: _int = 2, n: _int = 10, method: str = "env-exact"):
+    est = joint_survival(model, k, n, reps, method=method, seed=seed)
+    return {"k": k, "n": n, "estimate": est}, [
+        (f"joint_survival[k={k},n={n}]", est.value, est.std_error, est.replicates, est.method)
+    ]
+
+
+def _op_alphak(model, seed, reps=10**4, k_list: _ints = (2,), n_list: _ints = (10, 20)):
+    table = alpha_k_curve(model, k_list, n_list, reps, seed=seed)
+    return {"rows": table.rows}, [
+        (f"alpha_k[k={r.k},n={r.n}]", r.value, r.std_error, reps, "env-exact") for r in table.rows
+    ]
+
+
+def _op_lineages(model, seed, reps=10**4, k: _int = 2, n: _int = 10):
+    dist = conditional_lineage_counts(model, k, n, reps, seed=seed)
+    return dist, [
+        (f"P(N={j}|alive)[k={k},n={n}]", p, se, dist.reps_used, dist.method)
         for j, (p, se) in sorted(dist.pmf.items())
     ]
-    return _jsonify(dist), rows
 
 
-def _op_envsel(model, params, seed, reps):
-    k = int(params.get("k", 1))
-    n = int(params.get("n", 10))
-    eps_grid = [float(e) for e in params.get("eps_grid", [0.01, 0.1])]
-    curve = conditional_env_survival(model, k, n, reps or 10**4, eps_grid, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(
-            f"P(p>= {eps}|alive)[k={k},n={n}]", p, se, curve.reps_used, curve.method,
-            mhash, seed,
-        )
+def _op_envsel(model, seed, reps=10**4, k: _int = 1, n: _int = 10, eps_grid: _floats = (0.01, 0.1)):
+    curve = conditional_env_survival(model, k, n, reps, eps_grid, seed=seed)
+    return curve, [
+        (f"P(p>= {eps}|alive)[k={k},n={n}]", p, se, curve.reps_used, curve.method)
         for eps, (p, se) in sorted(curve.points.items())
     ]
-    return _jsonify(curve), rows
 
 
-def _op_rwalk_tail(model, params, seed, reps):
-    n = int(params.get("n", 16))
-    x = float(params.get("x", 0.0))
-    method = params.get("method", "env-exact")
-    mhash = model_hash(model)
+def _op_rwalk_tail(
+    model, seed, reps=10**4, n: _int = 16, x: float = 0.0, method: str = "env-exact"
+):
+    estimand = f"P(min>=-{x})[n={n}]"
     if method == "exact-enum":
         value = ln_tail_exact(model, n, x)
-        rows = [_plain_row(f"P(min>=-{x})[n={n}]", value, 0.0, 0, method, mhash, seed)]
-        return {"n": n, "x": x, "value": value, "method": method}, rows
-    est = ln_tail(model, n, x, reps or 10**4, method=method, seed=seed)
-    return (
-        {"n": n, "x": x, "estimate": dataclasses.asdict(est)},
-        [_plain_row(
-            f"P(min>=-{x})[n={n}]",
-            est.value, est.std_error, est.replicates, est.method, mhash, seed,
-        )],
-    )
-
-
-def _op_rwalk_occupation(model, params, seed, reps):
-    n = int(params.get("n", 20))
-    band = int(params.get("band", 0))
-    count = int(params.get("count", 2))
-    x = float(params.get("x", 1.0))
-    est = occupation_tail(model, n, band, count, x, reps or 10**4, seed=seed)
-    mhash = model_hash(model)
-    return (
-        {"n": n, "band": band, "count": count, "x": x, "estimate": dataclasses.asdict(est)},
-        [_plain_row(
-            f"P(occ[{band}]>={count}|min>=-{x})",
-            est.value, est.std_error, est.replicates, est.method, mhash, seed,
-        )],
-    )
-
-
-def _op_rwalk_reflected(model, params, seed, reps):
-    report = reflected_sum_check(model, reps=reps or 2 * 10**4, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(
-            "reflected_beta_hat",
-            report.beta_hat if report.beta_hat is not None else float("nan"),
-            0.0, reps or 2 * 10**4, "tilted-IS", mhash, seed,
-        )
+        payload = {"n": n, "x": x, "value": value, "method": method}
+        return payload, [(estimand, value, 0.0, 0, method)]
+    est = ln_tail(model, n, x, reps, method=method, seed=seed)
+    return {"n": n, "x": x, "estimate": est}, [
+        (estimand, est.value, est.std_error, est.replicates, est.method)
     ]
+
+
+def _op_rwalk_occupation(
+    model, seed, reps=10**4, n: _int = 20, band: _int = 0, count: _int = 2, x: float = 1.0
+):
+    est = occupation_tail(model, n, band, count, x, reps, seed=seed)
+    return {"n": n, "band": band, "count": count, "x": x, "estimate": est}, [
+        (f"P(occ[{band}]>={count}|min>=-{x})", est.value, est.std_error, est.replicates, est.method)
+    ]
+
+
+def _op_rwalk_reflected(model, seed, reps=2 * 10**4):
+    report = reflected_sum_check(model, reps=reps, seed=seed)
+    beta_hat = report.beta_hat if report.beta_hat is not None else float("nan")
     payload = {
         "beta_hat": report.beta_hat,
         "passed": report.passed,
         "curve": {f"n={n},x={x},beta={b}": v for (n, x, b), v in report.curve.items()},
     }
-    return _jsonify(payload), rows
+    return payload, [("reflected_beta_hat", beta_hat, 0.0, reps, "tilted-IS")]
 
 
-def _op_yaglom(model, params, seed, reps):
-    k = int(params.get("k", 1))
-    n = int(params.get("n", 20))
-    est = yaglom(model, k, n, reps or 10**4, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(f"P(Z={z}|alive)[k={k},n={n}]", p, se, est.reps_used, est.method, mhash, seed)
+def _op_yaglom(model, seed, reps=10**4, k: _int = 1, n: _int = 20):
+    est = yaglom(model, k, n, reps, seed=seed)
+    return est, [
+        (f"P(Z={z}|alive)[k={k},n={n}]", p, se, est.reps_used, est.method)
         for z, (p, se) in sorted(est.pmf.items())
     ]
-    return _jsonify(est), rows
 
 
-def _op_qprocess(model, params, seed, reps):
-    k = int(params.get("k", 1))
-    horizon = int(params.get("horizon", 20))
-    if params.get("kernel_state") is not None:
-        row = qprocess_kernel(model, int(params["kernel_state"]))
+def _op_qprocess(
+    model, seed, reps=4000, k: _int = 1, horizon: _int = 20, kernel_state: _int = None
+):
+    if kernel_state is not None:
+        row = qprocess_kernel(model, kernel_state)
         payload = {
             "state": row.state,
             "tail_mass": row.tail_mass,
             "probs": {str(m): float(p) for m, p in enumerate(row.probs) if p > 0},
         }
         return payload, []
-    run = qprocess_run(model, k, horizon, reps or 4000, seed=seed)
-    mhash = model_hash(model)
-    rows = [
-        _plain_row(f"median_Y[{i}]", v, 0.0, run.reps, run.method, mhash, seed)
-        for i, v in enumerate(run.medians)
+    run = qprocess_run(model, k, horizon, reps, seed=seed)
+    return run, [
+        (f"median_Y[{i}]", v, 0.0, run.reps, run.method) for i, v in enumerate(run.medians)
     ]
-    return _jsonify(run), rows
 
 
-def _op_envpost(model, params, seed, reps):
-    k = int(params.get("k", 1))
-    p = int(params.get("p", 1))
-    n = int(params.get("n", 10))
-    post = env_posterior(model, k, p, n, reps or 10**4, seed=seed)
-    mhash = model_hash(model)
-    rows = []
-    for pos, dist in enumerate(post.per_position):
-        for comp, (val, se) in sorted(dist.items()):
-            rows.append(
-                _plain_row(
-                    f"P(f[{pos}]=comp{comp}|alive)", val, se, post.reps_used,
-                    post.method, mhash, seed,
-                )
-            )
-    return _jsonify(post), rows
+def _op_envpost(model, seed, reps=10**4, k: _int = 1, p: _int = 1, n: _int = 10):
+    post = env_posterior(model, k, p, n, reps, seed=seed)
+    return post, [
+        (f"P(f[{pos}]=comp{comp}|alive)", val, se, post.reps_used, post.method)
+        for pos, dist in enumerate(post.per_position)
+        for comp, (val, se) in sorted(dist.items())
+    ]
 
 
 OP_HANDLERS = {
@@ -295,56 +228,84 @@ OP_HANDLERS = {
     "envpost": _op_envpost,
 }
 
+# handler arguments that are config fields, not operation parameters
+_CALL_ARGS = ("model", "seed", "reps")
+_SIGNATURES = {op: inspect.signature(fn, eval_str=True) for op, fn in OP_HANDLERS.items()}
+
+
+def _bind(config: ExperimentConfig) -> inspect.BoundArguments:
+    """The handler call for ``config``, every parameter converted.
+
+    Unknown parameter keys and values that do not convert are validation
+    errors, raised before any estimator runs.
+    """
+    sig = _SIGNATURES[config.op]
+    names = [name for name in sig.parameters if name not in _CALL_ARGS]
+    unknown = sorted(set(config.params) - set(names))
+    if unknown:
+        raise ValidationError(
+            f"unknown parameters {unknown} for op {config.op!r}; it takes {names}", field="params"
+        )
+    given = config.params if config.reps is None else {**config.params, "reps": config.reps}
+    call = sig.bind(config.model, config.seed, **given)
+    call.apply_defaults()
+    for name in names:
+        param, value = sig.parameters[name], call.arguments[name]
+        if value is None and param.default is None:
+            continue
+        try:
+            call.arguments[name] = param.annotation(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"cannot use {value!r}: {exc}", field=f"params.{name}") from None
+    return call
+
 
 def run(config: ExperimentConfig) -> dict:
-    """Execute one experiment config and return the self-contained report."""
-    started = time.time()
-    model = config.resolve_model()
-    handler = OP_HANDLERS[config.op]
-    payload, rows = handler(model, config.params, config.seed, config.reps)
-    report = {
-        "config": config.echo(),
+    """Execute one experiment config and return the self-contained report,
+    whose config echo lists every parameter value used, defaults included."""
+    started = time.perf_counter()
+    call = _bind(config)
+    payload, rows = OP_HANDLERS[config.op](*call.args, **call.kwargs)
+    mhash = model_hash(config.model)
+    params = {name: v for name, v in call.arguments.items() if name not in _CALL_ARGS}
+    return {
+        "config": {**config.echo(), "params": params},
         "library_version": __version__,
-        "model_hash": model_hash(model),
-        "result": payload,
-        "records": rows,
-        "wall_time_s": time.time() - started,
+        "model_hash": mhash,
+        "result": _jsonify(payload),
+        "records": [dict(zip(RECORD_FIELDS, (*row, mhash, config.seed))) for row in rows],
+        "wall_time_s": time.perf_counter() - started,
     }
-    return report
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
-    if fmt == "csv":
-        rows = report["records"]
-        fieldnames = ["estimand", "value", "std_error", "reps", "method", "model_hash", "seed"]
-        if out:
-            with open(out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fieldnames)
-                writer.writeheader()
-                writer.writerows(rows)
-        else:
-            writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-            writer.writeheader()
-            writer.writerows(rows)
-        return
-    text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        sink = open(out, "w", newline="", encoding="utf-8")
     else:
-        print(text)
+        sink = contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        if fmt == "csv":
+            writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS)
+            writer.writeheader()
+            writer.writerows(report["records"])
+        else:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-# parsed arguments that are not operation parameters
-_COMMON_ARGS = ("command", "walk_command", "model", "seed", "reps", "out", "format")
+# parsed arguments that are config fields, not operation parameters
+_CONFIG_FIELDS = ("model", "seed", "reps", "out", "format")
 
 
-def _add_common(parser: argparse.ArgumentParser, need_seed: bool = True) -> None:
+def _op_parser(sub, name: str, help: str, need_seed: bool = True) -> argparse.ArgumentParser:
+    """An operation's subparser: only the flags given reach the config, so
+    an omitted flag takes the handler's default."""
+    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
     parser.add_argument("--model", required=True, help="builtin name or path to a model JSON file")
-    parser.add_argument("--seed", type=int, required=need_seed, default=None)
-    parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--seed", type=int, required=need_seed)
+    parser.add_argument("--reps", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=["json", "csv"])
+    return parser
 
 
 def _model_spec_from_arg(arg: str):
@@ -352,28 +313,6 @@ def _model_spec_from_arg(arg: str):
         with open(arg, "r", encoding="utf-8") as fh:
             return json.load(fh)
     return arg
-
-
-def _config_from_args(args: argparse.Namespace, op: str, params: dict) -> ExperimentConfig:
-    return config_from_dict(
-        {
-            "op": op,
-            "model": _model_spec_from_arg(args.model),
-            "params": params,
-            "seed": args.seed if args.seed is not None else 0,
-            "reps": args.reps,
-            "out": args.out,
-            "format": args.format,
-        }
-    )
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,78 +324,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("regime", help="classify a model and solve its rate constants")
-    _add_common(p, need_seed=False)
-    p.add_argument("--k", type=int, default=1)
+    p = _op_parser(sub, "regime", "classify a model and solve its rate constants", need_seed=False)
+    p.add_argument("--k")
 
     p = sub.add_parser("quenched", help="exact survival for a fixed environment file")
     p.add_argument("--env", required=True, help="path to a JSON list of laws")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("survival", help="annealed survival probability")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--method", choices=["env-exact", "tilted-IS"], default="env-exact")
+    p = _op_parser(sub, "survival", "annealed survival probability")
+    p.add_argument("--k")
+    p.add_argument("--n")
+    p.add_argument("--method", choices=["env-exact", "tilted-IS"])
 
-    p = sub.add_parser("jointsurv", help="all-lineages joint survival")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--method", choices=["env-exact", "tilted-IS"], default="env-exact")
+    p = _op_parser(sub, "jointsurv", "all-lineages joint survival")
+    p.add_argument("--k")
+    p.add_argument("--n")
+    p.add_argument("--method", choices=["env-exact", "tilted-IS"])
 
-    p = sub.add_parser("alphak", help="k-particle survival ratios")
-    _add_common(p)
-    p.add_argument("--k", type=_ints, default=[2], dest="k_list", metavar="K1,K2,...")
-    p.add_argument("--n", type=_ints, default=[10, 20], dest="n_list", metavar="N1,N2,...")
+    p = _op_parser(sub, "alphak", "k-particle survival ratios")
+    p.add_argument("--k", dest="k_list", metavar="K1,K2,...")
+    p.add_argument("--n", dest="n_list", metavar="N1,N2,...")
 
-    p = sub.add_parser("lineages", help="surviving-lineage counts given survival")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=10)
+    p = _op_parser(sub, "lineages", "surviving-lineage counts given survival")
+    p.add_argument("--k")
+    p.add_argument("--n")
 
-    p = sub.add_parser("envsel", help="conditional environment-survival curve")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--eps", type=_floats, default=[0.01, 0.1], dest="eps_grid")
+    p = _op_parser(sub, "envsel", "conditional environment-survival curve")
+    p.add_argument("--k")
+    p.add_argument("--n")
+    p.add_argument("--eps", dest="eps_grid", metavar="EPS1,EPS2,...")
 
     p = sub.add_parser("rwalk", help="log-mean random walk statistics")
     walk_sub = p.add_subparsers(dest="walk_command", required=True)
-    w = walk_sub.add_parser("tail", help="P(running minimum >= -x)")
-    _add_common(w)
-    w.add_argument("--n", type=int, default=16)
-    w.add_argument("--x", type=float, default=0.0)
-    w.add_argument(
-        "--method", choices=["env-exact", "tilted-IS", "exact-enum"], default="env-exact"
-    )
-    w = walk_sub.add_parser("occupation", help="conditioned occupation tail")
-    _add_common(w)
-    w.add_argument("--n", type=int, default=20)
-    w.add_argument("--band", type=int, default=0)
-    w.add_argument("--count", type=int, default=2)
-    w.add_argument("--x", type=float, default=1.0)
-    w = walk_sub.add_parser("reflected", help="uniform reflected-sum threshold search")
-    _add_common(w)
+    w = _op_parser(walk_sub, "tail", "P(running minimum >= -x)")
+    w.add_argument("--n")
+    w.add_argument("--x")
+    w.add_argument("--method", choices=["env-exact", "tilted-IS", "exact-enum"])
+    w = _op_parser(walk_sub, "occupation", "conditioned occupation tail")
+    w.add_argument("--n")
+    w.add_argument("--band")
+    w.add_argument("--count")
+    w.add_argument("--x")
+    _op_parser(walk_sub, "reflected", "uniform reflected-sum threshold search")
 
-    p = sub.add_parser("yaglom", help="conditioned population law at a horizon")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=20)
+    p = _op_parser(sub, "yaglom", "conditioned population law at a horizon")
+    p.add_argument("--k")
+    p.add_argument("--n")
 
-    p = sub.add_parser("qprocess", help="survival-conditioned chain")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--kernel-state", type=int, default=None, dest="kernel_state")
+    p = _op_parser(sub, "qprocess", "survival-conditioned chain")
+    p.add_argument("--k")
+    p.add_argument("--horizon")
+    p.add_argument("--kernel-state", dest="kernel_state")
 
-    p = sub.add_parser("envpost", help="environment posterior given distant survival")
-    _add_common(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--n", type=int, default=10)
+    p = _op_parser(sub, "envpost", "environment posterior given distant survival")
+    p.add_argument("--k")
+    p.add_argument("--p")
+    p.add_argument("--n")
 
     p = sub.add_parser("run", help="run an experiment config file")
     p.add_argument("--config", required=True)
@@ -474,34 +398,26 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = run_suite(args.suite, **kwargs)
         return EXIT_OK if report.passed else 1
 
-    if args.command == "run":
-        config = load_config(args.config)
-        report = run(config)
-        _write_output(report, config.out, config.format)
-        return EXIT_OK
-
     if args.command == "quenched":
         with open(args.env, "r", encoding="utf-8") as fh:
             env = env_from_config(json.load(fh))
         qs = quenched_survival(env, k=args.k)
-        payload = _jsonify(qs)
-        _write_output(
-            {"result": payload, "records": [], "library_version": __version__},
-            args.out,
-            "json",
-        )
+        report = {"library_version": __version__, "records": [], "result": _jsonify(qs)}
+        _write_output(report, args.out, "json")
         return EXIT_OK
 
-    if args.command == "rwalk":
-        op = f"rwalk-{args.walk_command}"
+    if args.command == "run":
+        config = load_config(args.config)
     else:
-        op = args.command
-    params = {
-        key: value for key, value in vars(args).items() if key not in _COMMON_ARGS
-    }
-    config = _config_from_args(args, op, params)
-    report = run(config)
-    _write_output(report, config.out, config.format)
+        params = vars(args)
+        op = params.pop("command")
+        if op == "rwalk":
+            op = f"rwalk-{params.pop('walk_command')}"
+        raw = {"op": op, "seed": 0}
+        raw.update((key, params.pop(key)) for key in _CONFIG_FIELDS if key in params)
+        raw["model"] = _model_spec_from_arg(raw["model"])
+        config = config_from_dict({**raw, "params": params})
+    _write_output(run(config), config.out, config.format)
     return EXIT_OK
 
 

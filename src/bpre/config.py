@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .environment import BUILTIN_MODELS, EnvironmentModel, EnvSequence, builtin_model
@@ -90,21 +91,23 @@ class ExperimentConfig:
     """One experiment: an operation applied to a model with pinned seed."""
 
     op: str
-    model_spec: Any  # builtin name or inline dict; resolved lazily
+    model_spec: Any  # builtin name or inline dict
     params: dict
     seed: int
     reps: int | None
     out: str | None
     format: str
 
-    def resolve_model(self) -> EnvironmentModel:
+    @cached_property
+    def model(self) -> EnvironmentModel:
+        """The resolved model, built once per config."""
         return model_from_config(self.model_spec)
 
     def echo(self) -> dict:
         data = {
             "op": self.op,
             "model": self.model_spec,
-            "resolved_model": model_to_config(self.resolve_model()),
+            "resolved_model": model_to_config(self.model),
             "params": self.params,
             "seed": self.seed,
             "format": self.format,
@@ -146,8 +149,6 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
         raise ValidationError(f"op must be one of {KNOWN_OPS}, got {op!r}", field="op")
     if "model" not in raw:
         raise ValidationError("a model (builtin name or inline) is required", field="model")
-    # fail fast on malformed models before any work starts
-    model_from_config(raw["model"])
     reps = raw.get("reps")
     if reps is not None:
         reps = int(reps)
@@ -159,7 +160,7 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("params must be an object", field="params")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         op=op,
         model_spec=raw["model"],
         params=params,
@@ -168,6 +169,8 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
         out=raw.get("out"),
         format=fmt,
     )
+    config.model  # fail fast on malformed models before any work starts
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -69,21 +69,6 @@ class RegimeReport:
     e_m_log_m: float
     e_m: float
 
-    def as_dict(self) -> dict:
-        return {
-            "subcritical": self.subcritical,
-            "regime": self.regime,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "k": self.k,
-            "alpha_tilde_k": self.alpha_tilde_k,
-            "gamma_tilde_k": self.gamma_tilde_k,
-            "joint_case": self.joint_case,
-            "e_log_m": self.e_log_m,
-            "e_m_log_m": self.e_m_log_m,
-            "e_m": self.e_m,
-        }
-
 
 def solve_alpha(model: EnvironmentModel) -> tuple[float, float]:
     """Minimize theta -> E[m**theta] over [0, 1]; returns (argmin, min).

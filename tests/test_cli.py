@@ -164,6 +164,78 @@ class TestCliEndToEnd:
         assert code == EXIT_STARVATION
         assert "starved" in err
 
+    def test_unknown_param_key_is_validation_exit(self, capsys, tmp_path):
+        # a misspelled key must not silently run at the default n = 20
+        raw = {"op": "yaglom", "model": "ws-ref", "seed": 1, "params": {"k": 1, "N": 6}}
+        with pytest.raises(ValidationError) as err:
+            run(config_from_dict(raw))
+        assert err.value.field == "params"
+        assert "'N'" in str(err.value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, out, _ = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+
+    @pytest.mark.parametrize("k", ["abc", 2.5, True])
+    def test_unconvertible_param_is_validation_exit(self, k, capsys, tmp_path):
+        raw = {"op": "survival", "model": "ws-ref", "seed": 1, "params": {"k": k}}
+        with pytest.raises(ValidationError) as err:
+            run(config_from_dict(raw))
+        assert err.value.field == "params.k"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, _, err_text = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "params.k" in err_text
+
+    def test_quenched_rejects_format_flag(self, capsys, tmp_path):
+        # quenched has no records, so there is nothing to write as CSV
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps([{"lf": {"A": 0.25, "B": 0.5}}]))
+        with pytest.raises(SystemExit) as exc:
+            main(["quenched", "--env", str(env_path), "--format", "csv"])
+        assert exc.value.code == EXIT_VALIDATION
+
+    def test_echo_lists_every_parameter_used(self):
+        report = run(config_from_dict(
+            {"op": "alphak", "model": "ws-ref", "seed": 1, "reps": 200,
+             "params": {"k_list": [2, 3]}}
+        ))
+        assert report["config"]["params"] == {"k_list": [2, 3], "n_list": [10, 20]}
+        again = run(config_from_dict(report["config"]))
+        assert again["records"] == report["records"]
+
+
+def _argv(op):
+    return op.split("-", 1) if op.startswith("rwalk-") else [op]
+
+
+@pytest.mark.parametrize("op", sorted(OP_HANDLERS))
+def test_omitted_flag_and_omitted_key_share_defaults(op, capsys):
+    code, out, _ = run_cli(
+        [*_argv(op), "--model", "ws-ref", "--seed", "3", "--reps", "200"], capsys
+    )
+    assert code == 0
+    from_cli = json.loads(out)
+    report = run(config_from_dict(
+        {"op": op, "model": "ws-ref", "seed": 3, "reps": 200, "params": {}}
+    ))
+    for key in ("result", "records"):
+        assert json.dumps(from_cli[key], sort_keys=True) == json.dumps(report[key], sort_keys=True)
+    assert from_cli["config"]["params"] == report["config"]["params"]
+
+
+@pytest.mark.parametrize(
+    "command", [_argv(op) for op in sorted(OP_HANDLERS)]
+    + [["quenched"], ["run"], ["acceptance"], ["rwalk"]]
+)
+def test_subcommand_help_renders(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: bpre {' '.join(command)}")
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
