@@ -28,7 +28,16 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_suite
-from .config import ExperimentConfig, config_from_dict, env_from_config, load_config, model_hash
+from .config import (
+    ExperimentConfig,
+    config_from_dict,
+    convert,
+    env_from_config,
+    load_config,
+    model_hash,
+    strict_float as _float,
+    strict_int as _int,
+)
 from .errors import BpreError, ConditioningStarvationError, PopulationCapError, ValidationError
 from .lfexact import quenched_survival
 from .limits import env_posterior, qprocess_kernel, qprocess_run, yaglom
@@ -73,13 +82,6 @@ def _items(value: Any) -> Any:
     return [tok for tok in value.split(",") if tok] if isinstance(value, str) else value
 
 
-def _int(value: Any) -> int:
-    """An int from an int, an integral float or flag text; rejects 2.5 and true."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("not an integer")
-    return int(value)
-
-
 def _ints(value: Any) -> list[int]:
     """A list of ints, from a JSON list or comma-separated flag text."""
     return [_int(v) for v in _items(value)]
@@ -87,7 +89,7 @@ def _ints(value: Any) -> list[int]:
 
 def _floats(value: Any) -> list[float]:
     """A list of floats, from a JSON list or comma-separated flag text."""
-    return [float(v) for v in _items(value)]
+    return [_float(v) for v in _items(value)]
 
 
 # --- operation handlers ------------------------------------------------------
@@ -146,7 +148,7 @@ def _op_envsel(model, seed, reps=10**4, k: _int = 1, n: _int = 10, eps_grid: _fl
 
 
 def _op_rwalk_tail(
-    model, seed, reps=10**4, n: _int = 16, x: float = 0.0, method: str = "env-exact"
+    model, seed, reps=10**4, n: _int = 16, x: _float = 0.0, method: str = "env-exact"
 ):
     estimand = f"P(min>=-{x})[n={n}]"
     if method == "exact-enum":
@@ -160,7 +162,7 @@ def _op_rwalk_tail(
 
 
 def _op_rwalk_occupation(
-    model, seed, reps=10**4, n: _int = 20, band: _int = 0, count: _int = 2, x: float = 1.0
+    model, seed, reps=10**4, n: _int = 20, band: _int = 0, count: _int = 2, x: _float = 1.0
 ):
     est = occupation_tail(model, n, band, count, x, reps, seed=seed)
     return {"n": n, "band": band, "count": count, "x": x, "estimate": est}, [
@@ -253,10 +255,7 @@ def _bind(config: ExperimentConfig) -> inspect.BoundArguments:
         param, value = sig.parameters[name], call.arguments[name]
         if value is None and param.default is None:
             continue
-        try:
-            call.arguments[name] = param.annotation(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"cannot use {value!r}: {exc}", field=f"params.{name}") from None
+        call.arguments[name] = convert(param.annotation, value, f"params.{name}")
     return call
 
 

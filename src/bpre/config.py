@@ -11,11 +11,35 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from .environment import BUILTIN_MODELS, EnvironmentModel, EnvSequence, builtin_model
 from .errors import ValidationError
 from .offspring import FiniteSupport, LinearFractional, OffspringLaw
+
+
+def strict_int(value: Any) -> int:
+    """An int from an int, an integral float or integer text; rejects 2.5,
+    true and "abc"."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def strict_float(value: Any) -> float:
+    """A float from a number or number text; rejects true and false."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def convert(to: Callable[[Any], Any], value: Any, field: str) -> Any:
+    """``to(value)``; a value that does not convert is a ValidationError
+    naming ``field``."""
+    try:
+        return to(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot use {value!r}: {exc}", field=field) from None
 
 
 def law_to_config(law: OffspringLaw) -> dict:
@@ -140,10 +164,7 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
         raise ValidationError("config must be a JSON object", field="config")
     if "seed" not in raw:
         raise ValidationError("a fixed seed is required (no wall-clock defaults)", field="seed")
-    try:
-        seed = int(raw["seed"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"seed must be an integer, got {raw['seed']!r}", field="seed")
+    seed = convert(strict_int, raw["seed"], "seed")
     op = raw.get("op")
     if op not in KNOWN_OPS:
         raise ValidationError(f"op must be one of {KNOWN_OPS}, got {op!r}", field="op")
@@ -151,7 +172,7 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
         raise ValidationError("a model (builtin name or inline) is required", field="model")
     reps = raw.get("reps")
     if reps is not None:
-        reps = int(reps)
+        reps = convert(strict_int, reps, "reps")
         if reps < 1:
             raise ValidationError(f"reps must be >= 1, got {reps}", field="reps")
     fmt = raw.get("format", "json")

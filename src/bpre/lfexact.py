@@ -59,18 +59,19 @@ def closed_form_log_survival(env: EnvSequence) -> float:
     space; the denominator goes through log-sum-exp.
     """
     laws = tuple(env)
-    if not all(isinstance(law, LinearFractional) for law in laws):
-        raise ValidationError("closed form requires all-linear-fractional laws")
-    n = len(laws)
-    if n == 0:
-        return 0.0
-    log_m = np.empty(n)
-    log_c = np.empty(n)
-    for j, law in enumerate(laws):
+    logs = {}  # per distinct law: (log m, log c)
+    for law in set(laws):
+        if not isinstance(law, LinearFractional):
+            raise ValidationError("closed form requires all-linear-fractional laws")
         m, f2 = moments(law)
-        log_m[j] = math.log(m) if m > 0 else -math.inf
         ratio = f2 / (2.0 * m) if m > 0 else 0.0  # = B/(1-B)
-        log_c[j] = math.log(ratio) if ratio > 0 else -math.inf
+        logs[law] = (
+            math.log(m) if m > 0 else -math.inf,
+            math.log(ratio) if ratio > 0 else -math.inf,
+        )
+    if not laws:
+        return 0.0
+    log_m, log_c = np.array([logs[law] for law in laws]).T.copy()
     # suffix[j] = sum of log means strictly after generation j
     suffix = np.concatenate([np.cumsum(log_m[::-1])[::-1][1:], [0.0]])
     terms = np.concatenate([[0.0], log_c + suffix])

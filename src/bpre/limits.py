@@ -35,10 +35,10 @@ from .regime import classify
 from .simcore import (
     METHOD_ENV_EXACT,
     METHOD_EXACT,
-    METHOD_TILTED,
     _any_survive,
     conditioning_tilt,
     evolve_lineages,
+    method_name,
     run_conditioned,
 )
 from .stats import (
@@ -53,7 +53,8 @@ DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 # binomial and negative_binomial counts stay far below int64, whatever the
 # growth of one generation. Cost does not grow with population size.
 POPULATION_CAP = 2**32
-DEFAULT_S_GRID = tuple(np.linspace(0.0, 1.0, 21))
+S_GRID = tuple(float(s) for s in np.linspace(0.0, 1.0, 21))  # where yaglom reports its pgf
+REJECTION_MAX_ATTEMPTS = 10**7
 
 
 # --- conditioned offspring laws ----------------------------------------------
@@ -231,8 +232,6 @@ def yaglom(
     n: int,
     reps: int,
     seed: int = 0,
-    s_grid: tuple[float, ...] = DEFAULT_S_GRID,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> YaglomEstimate:
     """Estimate the law of Z_n given Z_n > 0, starting from k particles.
 
@@ -242,6 +241,7 @@ def yaglom(
     (importance weight) x P(survival | environment).
     """
     plan = conditioning_tilt(model)
+    purpose = f"yaglom-k{k}-n{n}"
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
@@ -251,9 +251,7 @@ def yaglom(
         z, over = _evolve_skeleton(model, batch.idx, lu, n_alive, rng, POPULATION_CAP)
         return batch.w * _any_survive(q, k), z, over
 
-    (survive_w, z, overflow), reps_used, eff = run_conditioned(
-        chunk, reps, seed, f"yaglom-k{k}-n{n}", chunk_size
-    )
+    (survive_w, z, overflow), reps_used, eff = run_conditioned(chunk, reps, seed, purpose)
     total_w = float(np.sum(survive_w))
     ok = ~overflow
     ok_fraction = float(np.sum(survive_w[ok])) / total_w if total_w > 0 else 0.0
@@ -264,23 +262,23 @@ def yaglom(
     }
     tail_mass = 1.0 - ok_fraction
     pgf_values = []
-    for s in s_grid:
+    for s in S_GRID:
         if s >= 1.0:
             pgf_values.append(1.0)
         else:
-            vals = np.where(overflow, 0.0, np.power(float(s), z))
+            vals = np.where(overflow, 0.0, np.power(s, z))
             pgf_values.append(float(np.sum(survive_w * vals) / total_w))
     return YaglomEstimate(
         k=k,
         n=n,
         pmf=pmf,
-        s_grid=tuple(float(s) for s in s_grid),
+        s_grid=S_GRID,
         pgf_values=tuple(pgf_values),
         tail_mass=tail_mass,
         effective_events=eff,
         reps_used=reps_used,
-        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
-        seed_info=streams.seed_provenance(seed, f"yaglom-k{k}-n{n}", chunk_size),
+        method=method_name(plan),
+        seed_info=streams.seed_provenance(seed, purpose),
     )
 
 
@@ -290,7 +288,6 @@ def conditioned_population_by_rejection(
     n: int,
     accepted: int,
     seed: int = 0,
-    max_attempts: int = 10**7,
 ) -> np.ndarray:
     """Brute-force oracle: simulate whole populations, keep survivors.
 
@@ -305,7 +302,7 @@ def conditioned_population_by_rejection(
         index += 1
         for _ in range(4096):
             attempts += 1
-            if attempts > max_attempts:
+            if attempts > REJECTION_MAX_ATTEMPTS:
                 raise ConditioningStarvationError(float(len(out)), float(accepted))
             env = draw_env(model, n, rng)
             pops = evolve_lineages(env, k, rng)
@@ -465,7 +462,6 @@ def qprocess_run(
     reps: int,
     seed: int = 0,
     lookahead: int = 10,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> QProcessRun:
     """Simulate the chain conditioned to survive in the distant future.
 
@@ -477,6 +473,7 @@ def qprocess_run(
     report = classify(model)
     if report.regime in ("SS", "IS"):
         gamma = report.e_m
+        purpose = "qprocess"
 
         def chunk(rng, count, start):
             traj = np.empty((count, horizon + 1), dtype=np.int64)
@@ -485,7 +482,7 @@ def qprocess_run(
                 traj[:, i + 1] = _chain_step(model, gamma, traj[:, i], rng)
             return (traj,)
 
-        (traj,) = streams.run_chunks(chunk, reps, seed, "qprocess", chunk_size)
+        (traj,) = streams.run_chunks(chunk, reps, seed, purpose)
         medians = tuple(float(np.median(traj[:, i])) for i in range(horizon + 1))
         final_pmf = weighted_pmf(traj[:, -1], np.ones(len(traj)))
         return QProcessRun(
@@ -496,11 +493,11 @@ def qprocess_run(
             final_pmf=final_pmf,
             overflow_mass=0.0,
             reps=reps,
-            seed_info=streams.seed_provenance(seed, "qprocess", chunk_size),
+            seed_info=streams.seed_provenance(seed, purpose),
         )
     # WS: finite-horizon conditioned simulation
     traj, survive_w, over, reps_used = conditioned_trajectories(
-        model, k, horizon, lookahead, reps, seed, chunk_size
+        model, k, horizon, lookahead, reps, seed
     )
     ok = ~over
     total_w = float(np.sum(survive_w))
@@ -516,8 +513,14 @@ def qprocess_run(
         final_pmf=None,
         overflow_mass=overflow_mass,
         reps=reps_used,
-        seed_info=streams.seed_provenance(seed, "qprocess-ws", chunk_size),
+        seed_info=streams.seed_provenance(seed, _trajectory_purpose(k, horizon)),
     )
+
+
+def _trajectory_purpose(k: int, horizon: int) -> str:
+    """Stream purpose of ``conditioned_trajectories``, which WS
+    ``qprocess_run`` also reports."""
+    return f"qtraj-k{k}-h{horizon}"
 
 
 def conditioned_trajectories(
@@ -527,7 +530,6 @@ def conditioned_trajectories(
     lookahead: int,
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Population trajectories Z_0..Z_horizon given survival at horizon+lookahead.
 
@@ -541,7 +543,7 @@ def conditioned_trajectories(
         return _dressed_trajectories(model, k, horizon, batch, rng, POPULATION_CAP)
 
     (survive_w, traj, over), reps_used, _eff = run_conditioned(
-        chunk, reps, seed, f"qtraj-k{k}-h{horizon}", chunk_size
+        chunk, reps, seed, _trajectory_purpose(k, horizon)
     )
     return traj, survive_w, over, reps_used
 
@@ -597,7 +599,6 @@ def env_posterior(
     n: int,
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EnvPosterior:
     """Posterior of the first p environment components given survival at n+p.
 
@@ -633,7 +634,7 @@ def env_posterior(
         return _any_survive(q, k), idx[:, :p].copy()
 
     (survive_w, prefix), reps_used, eff = run_conditioned(
-        chunk, reps, seed, f"envpost-p{p}-n{n}", chunk_size
+        chunk, reps, seed, f"envpost-p{p}-n{n}"
     )
     per_position = []
     for pos in range(p):

@@ -29,6 +29,8 @@ from .simcore import (
     METHOD_TILTED,
     EstimateWithCI,
     _centered_tilt,
+    method_name,
+    method_plan,
     run_conditioned,
 )
 from .stats import mean_and_se, ratio_and_se
@@ -113,7 +115,6 @@ def ln_tail(
     reps: int,
     method: str = METHOD_ENV_EXACT,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EstimateWithCI:
     """P(running minimum of the log-mean walk >= -x) by Monte Carlo.
 
@@ -123,18 +124,17 @@ def ln_tail(
     """
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}", field="x")
-    if method not in (METHOD_ENV_EXACT, METHOD_TILTED):
-        raise ValidationError(f"unknown method {method!r}", field="method")
-    plan = _centered_tilt(model) if method == METHOD_TILTED else None
+    plan = method_plan(method, lambda: _centered_tilt(model))
+    purpose = f"lntail-n{n}"
 
     def chunk(rng, count, start):
         paths, w = _walk_paths(model, n, rng, count, plan)
         return (w * (paths.min(axis=1) >= -x),)
 
-    (vals,) = streams.run_chunks(chunk, reps, seed, f"lntail-n{n}", chunk_size)
+    (vals,) = streams.run_chunks(chunk, reps, seed, purpose)
     value, se = mean_and_se(vals)
     return EstimateWithCI(
-        value, se, reps, method, streams.seed_provenance(seed, f"lntail-n{n}", chunk_size)
+        value, se, reps, method_name(plan), streams.seed_provenance(seed, purpose)
     )
 
 
@@ -218,7 +218,6 @@ def occupation_tail(
     x: float,
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EstimateWithCI:
     """P(occupation of band k above the minimum >= l | minimum >= -x).
 
@@ -230,16 +229,15 @@ def occupation_tail(
     if l < 0:
         raise ValidationError(f"l must be >= 0, got {l}", field="l")
     plan = _centered_tilt(model)
+    purpose = f"occ-n{n}"
 
     def chunk(rng, count, start):
         paths, w = _walk_paths(model, n, rng, count, plan)
         return w * (paths.min(axis=1) >= -x), (level_bands(paths) == k).sum(axis=1)
 
-    (cond, occ), total, _eff = run_conditioned(chunk, reps, seed, f"occ-n{n}", chunk_size)
+    (cond, occ), total, _eff = run_conditioned(chunk, reps, seed, purpose)
     value, se = ratio_and_se(cond * (occ >= l), cond)
-    return EstimateWithCI(
-        value, se, total, METHOD_TILTED, streams.seed_provenance(seed, f"occ-n{n}", chunk_size)
-    )
+    return EstimateWithCI(value, se, total, METHOD_TILTED, streams.seed_provenance(seed, purpose))
 
 
 @dataclass(frozen=True)
@@ -253,13 +251,14 @@ class ReflectedSumReport:
     passed: bool
 
 
+# the (n, x) grid the bound must hold on, and the thresholds searched
+REFLECTED_HORIZONS = (5, 10, 15, 20)
+REFLECTED_LEVELS = (0.0, 1.0, 2.0)
+REFLECTED_BETAS = tuple(float(2**j) for j in range(0, 17))
+
+
 def reflected_sum_check(
-    model: EnvironmentModel,
-    n_values: tuple[int, ...] = (5, 10, 15, 20),
-    x_values: tuple[float, ...] = (0.0, 1.0, 2.0),
-    reps: int = 20000,
-    seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
+    model: EnvironmentModel, reps: int = 20000, seed: int = 0
 ) -> ReflectedSumReport:
     """Search the geometric grid for a uniform reflected-sum bound.
 
@@ -275,31 +274,30 @@ def reflected_sum_check(
             f"(regime {report.regime}, exponent {report.alpha:.4g})",
             field="model",
         )
-    grid = tuple(float(2**j) for j in range(0, 17))
     plan = _centered_tilt(model)
     curve: dict[tuple[int, float, float], tuple[float, float]] = {}
-    for n in n_values:
+    for n in REFLECTED_HORIZONS:
 
         def chunk(rng, count, start):
             paths, w = _walk_paths(model, n, rng, count, plan)
             mins = paths.min(axis=1)
             return mins, w, np.exp(mins[:, None] - paths).sum(axis=1)
 
-        mins, w, reflected = streams.run_chunks(chunk, reps, seed, f"reflected-n{n}", chunk_size)
-        for x in x_values:
+        mins, w, reflected = streams.run_chunks(chunk, reps, seed, f"reflected-n{n}")
+        for x in REFLECTED_LEVELS:
             cond = w * (mins >= -x)
-            for beta in grid:
+            for beta in REFLECTED_BETAS:
                 num = cond * (reflected <= beta)
-                curve[(n, float(x), beta)] = ratio_and_se(num, cond)
+                curve[(n, x, beta)] = ratio_and_se(num, cond)
     beta_hat = None
-    for beta in grid:
+    for beta in REFLECTED_BETAS:
         if all(
-            curve[(n, float(x), beta)][0] >= 0.25 for n in n_values for x in x_values
+            curve[(n, x, beta)][0] >= 0.25 for n in REFLECTED_HORIZONS for x in REFLECTED_LEVELS
         ):
             beta_hat = beta
             break
     return ReflectedSumReport(
-        beta_hat=beta_hat, grid=grid, curve=curve, passed=beta_hat is not None
+        beta_hat=beta_hat, grid=REFLECTED_BETAS, curve=curve, passed=beta_hat is not None
     )
 
 

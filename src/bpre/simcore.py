@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -159,6 +160,23 @@ def conditioning_tilt(model: EnvironmentModel) -> TiltPlan | None:
     return tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 
 
+def method_plan(method: str, tilted: Callable[[], TiltPlan]) -> TiltPlan | None:
+    """The draw plan of an estimator's ``method``: none for env-exact,
+    ``tilted()`` for tilted-IS. With no plan every weight is exactly 1.0, so
+    one weighted mean serves both methods."""
+    if method not in (METHOD_ENV_EXACT, METHOD_TILTED):
+        raise ValidationError(
+            f"method must be {METHOD_ENV_EXACT!r} or {METHOD_TILTED!r}, got {method!r}",
+            field="method",
+        )
+    return tilted() if method == METHOD_TILTED else None
+
+
+def method_name(plan: TiltPlan | None) -> str:
+    """The method label of draws made under ``plan``."""
+    return METHOD_ENV_EXACT if plan is None else METHOD_TILTED
+
+
 def draw_env_samples(
     model: EnvironmentModel,
     n: int,
@@ -166,7 +184,6 @@ def draw_env_samples(
     seed: int,
     purpose: str,
     plan: TiltPlan | None = None,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EnvSamples:
     """Monte Carlo environments with exact quenched survival per replicate,
     drawn under the tilt ``plan`` when one is given."""
@@ -176,13 +193,13 @@ def draw_env_samples(
         log_q = log_survival_profile(model, batch.idx)[:, 0].copy()
         return np.exp(log_q), log_q, batch.w
 
-    q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose, chunk_size)
+    q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose)
     return EnvSamples(
         q=q,
         log_q=log_q,
         w=w,
-        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
-        seed_info=streams.seed_provenance(seed, purpose, chunk_size),
+        method=method_name(plan),
+        seed_info=streams.seed_provenance(seed, purpose),
     )
 
 
@@ -199,23 +216,11 @@ def annealed_survival(
     reps: int,
     method: str = METHOD_ENV_EXACT,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EstimateWithCI:
     """Probability that a population started from k particles is alive at n."""
-    if method == METHOD_ENV_EXACT:
-        samples = draw_env_samples(model, n, reps, seed, "annealed", chunk_size=chunk_size)
-        vals = _any_survive(samples.q, k)
-    elif method == METHOD_TILTED:
-        samples = draw_env_samples(
-            model, n, reps, seed, "annealed", _centered_tilt(model), chunk_size
-        )
-        vals = samples.w * _any_survive(samples.q, k)
-    else:
-        raise ValidationError(
-            f"method must be {METHOD_ENV_EXACT!r} or {METHOD_TILTED!r}, got {method!r}",
-            field="method",
-        )
-    value, se = mean_and_se(vals)
+    plan = method_plan(method, lambda: _centered_tilt(model))
+    samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
+    value, se = mean_and_se(samples.w * _any_survive(samples.q, k))
     return EstimateWithCI(value, se, reps, samples.method, samples.seed_info)
 
 
@@ -226,7 +231,6 @@ def joint_survival(
     reps: int,
     method: str = METHOD_ENV_EXACT,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EstimateWithCI:
     """Probability that all k initial lineages are simultaneously alive at n.
 
@@ -234,21 +238,9 @@ def joint_survival(
     w * q**k are bounded by exp(k * (L_n - S_n)) <= 1, so the importance
     sampling stays well behaved in every regime.
     """
-    if method == METHOD_ENV_EXACT:
-        samples = draw_env_samples(model, n, reps, seed, "joint", chunk_size=chunk_size)
-        vals = np.exp(k * samples.log_q)
-    elif method == METHOD_TILTED:
-        theta, _rate, _case = solve_gamma_tilde(model, k)
-        samples = draw_env_samples(
-            model, n, reps, seed, "joint", tilt_plan(model, theta), chunk_size
-        )
-        vals = samples.w * np.exp(k * samples.log_q)
-    else:
-        raise ValidationError(
-            f"method must be {METHOD_ENV_EXACT!r} or {METHOD_TILTED!r}, got {method!r}",
-            field="method",
-        )
-    value, se = mean_and_se(vals)
+    plan = method_plan(method, lambda: tilt_plan(model, solve_gamma_tilde(model, k)[0]))
+    samples = draw_env_samples(model, n, reps, seed, "joint", plan)
+    value, se = mean_and_se(samples.w * np.exp(k * samples.log_q))
     return EstimateWithCI(value, se, reps, samples.method, samples.seed_info)
 
 
@@ -272,7 +264,6 @@ def inclusion_exclusion_check(
     n: int,
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> InclusionExclusionReport:
     """Check 1-(1-q)**k = sum_i (-1)**(i+1) C(k,i) q**i path by path.
 
@@ -283,7 +274,7 @@ def inclusion_exclusion_check(
         raise ValidationError(
             f"alternating sums amplify noise; k must be <= 6, got {k}", field="k"
         )
-    samples = draw_env_samples(model, n, reps, seed, "incl-excl", chunk_size=chunk_size)
+    samples = draw_env_samples(model, n, reps, seed, "incl-excl")
     q = samples.q
     direct = 1.0 - (1.0 - q) ** k
     alternating = np.zeros_like(q)
@@ -321,10 +312,6 @@ class AlphaKTable:
                 return row
         raise KeyError((k, n))
 
-    def final_ratio(self, k: int) -> AlphaKEstimate:
-        n_max = max(row.n for row in self.rows)
-        return self.at(k, n_max)
-
 
 def alpha_k_curve(
     model: EnvironmentModel,
@@ -332,7 +319,6 @@ def alpha_k_curve(
     n_list: list[int],
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> AlphaKTable:
     """Survival-probability ratios P_k(alive at n) / P_1(alive at n).
 
@@ -345,7 +331,7 @@ def alpha_k_curve(
     rows = []
     seed_info = ""
     for n in n_list:
-        samples = draw_env_samples(model, n, reps, seed, f"alphak-n{n}", chunk_size=chunk_size)
+        samples = draw_env_samples(model, n, reps, seed, f"alphak-n{n}")
         seed_info = samples.seed_info
         den = samples.q
         den_mean, den_se = mean_and_se(den)
@@ -393,7 +379,7 @@ class ConditionedEnvSamples:
     seed_info: str
 
 
-def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str, chunk_size: int):
+def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str):
     """Escalation loop shared by every estimator that conditions on an event.
 
     ``chunk_fn`` follows the ``streams.run_chunks`` contract and returns the
@@ -409,8 +395,8 @@ def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str, chunk_size: in
     target = reps
     while True:
         count = target - total
-        rounds.append(streams.run_chunks(chunk_fn, count, seed, purpose, chunk_size, next_chunk))
-        next_chunk += -(-count // chunk_size)
+        rounds.append(streams.run_chunks(chunk_fn, count, seed, purpose, next_chunk))
+        next_chunk += -(-count // streams.CHUNK_SIZE)
         total = target
         eff = kish_neff(np.concatenate([fields[0] for fields in rounds]))
         if eff >= MIN_EFFECTIVE_EVENTS or total >= reps * ESCALATION_CAP:
@@ -428,7 +414,6 @@ def draw_conditioned_env(
     reps: int,
     seed: int,
     purpose: str,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> ConditionedEnvSamples:
     """Environments for conditioning on survival from k particles, drawn
     under ``conditioning_tilt`` and escalated by ``run_conditioned``."""
@@ -439,15 +424,15 @@ def draw_conditioned_env(
         q = np.exp(log_survival_profile(model, batch.idx)[:, 0])
         return batch.w * _any_survive(q, k), q, batch.w
 
-    (survive_w, q, w), total, eff = run_conditioned(chunk, reps, seed, purpose, chunk_size)
+    (survive_w, q, w), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
         q=q,
         w=w,
         survive_w=survive_w,
-        method=METHOD_ENV_EXACT if plan is None else METHOD_TILTED,
+        method=method_name(plan),
         reps_used=total,
         effective_events=eff,
-        seed_info=streams.seed_provenance(seed, purpose, chunk_size),
+        seed_info=streams.seed_provenance(seed, purpose),
     )
 
 
@@ -473,7 +458,6 @@ def conditional_lineage_counts(
     n: int,
     reps: int,
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> LineageCountDistribution:
     """Distribution of surviving initial lineages given some lineage survives.
 
@@ -481,7 +465,7 @@ def conditional_lineage_counts(
     conditional pmf is a ratio of mixture-of-binomial means; no lineage
     simulation is involved.
     """
-    cond = draw_conditioned_env(model, k, n, reps, seed, f"lincount-k{k}-n{n}", chunk_size)
+    cond = draw_conditioned_env(model, k, n, reps, seed, f"lincount-k{k}-n{n}")
     q, w = cond.q, cond.w
     pmf: dict[int, tuple[float, float]] = {}
     for j in range(1, k + 1):
@@ -537,10 +521,9 @@ def conditional_env_survival(
     reps: int,
     eps_grid: list[float],
     seed: int = 0,
-    chunk_size: int = streams.DEFAULT_CHUNK,
 ) -> EnvSurvivalCurve:
     """P(quenched survival >= eps | some lineage survives), per eps."""
-    cond = draw_conditioned_env(model, k, n, reps, seed, f"envsel-k{k}-n{n}", chunk_size)
+    cond = draw_conditioned_env(model, k, n, reps, seed, f"envsel-k{k}-n{n}")
     points: dict[float, tuple[float, float]] = {}
     for eps in eps_grid:
         num = cond.survive_w * (cond.q >= eps)

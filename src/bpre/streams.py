@@ -1,10 +1,10 @@
 """Reproducible random streams for replicate-parallel estimation.
 
 Streams are derived from a counter-based generator (Philox) keyed by
-(seed, purpose, chunk index). Replicates are processed in fixed-size chunks,
-each chunk owning an independent stream, so results depend only on the
-(seed, reps, chunk_size) triple and never on how chunks are distributed
-over workers.
+(seed, purpose, chunk index). Replicates are processed in chunks of the fixed
+size ``CHUNK_SIZE`` (4096, printed in every ``seed_provenance`` string), each
+chunk owning an independent stream, so results depend only on the config and
+seed and never on how chunks are distributed over workers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-DEFAULT_CHUNK = 4096
+CHUNK_SIZE = 4096
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 
@@ -34,11 +34,11 @@ def stream(seed: int, purpose: str, chunk_index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-def seed_provenance(seed: int, purpose: str, chunk_size: int = DEFAULT_CHUNK) -> str:
-    return f"philox seed={seed} purpose={purpose} chunk_size={chunk_size}"
+def seed_provenance(seed: int, purpose: str) -> str:
+    return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE}"
 
 
-def chunk_bounds(reps: int, chunk_size: int = DEFAULT_CHUNK) -> Iterator[tuple[int, int, int]]:
+def chunk_bounds(reps: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, int, int]]:
     """Yield (chunk_index, start, stop) covering range(reps)."""
     index = 0
     start = 0
@@ -63,7 +63,6 @@ def run_chunks(
     reps: int,
     seed: int,
     purpose: str,
-    chunk_size: int = DEFAULT_CHUNK,
     first_chunk: int = 0,
 ) -> list[np.ndarray]:
     """Map ``fn(rng, count, start)`` over chunks and concatenate its outputs.
@@ -73,7 +72,7 @@ def run_chunks(
     of the worker count. Chunk streams are numbered from ``first_chunk``, so
     a later call can continue the streams of an earlier one.
     """
-    bounds = list(chunk_bounds(reps, chunk_size))
+    bounds = list(chunk_bounds(reps))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 
     def work(entry):

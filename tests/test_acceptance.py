@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion runs at its pinned tolerance and prints
 one pass/fail line."""
 
+import itertools
+
 import pytest
 
 from bpre.acceptance import CRITERIA, EXTENDED, run_criterion, run_suite
@@ -36,6 +38,19 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
     monkeypatch.setattr(acc, "closed_form_log_survival", lambda env: real(env) + 1e-6)
     result = acc.criterion_1(acc.DEFAULT_SEED)
     assert not result.passed
+
+
+def test_budget_overrun_fails(monkeypatch):
+    # every clock reading is 100 s after the last, so C4's check appears to
+    # take 100 s against its 1 s budget
+    import bpre.acceptance as acc
+
+    ticks = itertools.count(0.0, 100.0)
+    monkeypatch.setattr(acc.time, "perf_counter", lambda: next(ticks))
+    result = acc.criterion_4(acc.DEFAULT_SEED)
+    assert result.seconds > result.budget_seconds
+    assert not result.passed
+    assert result.line.startswith("FAIL [C4]")
 
 
 def test_fast_suite_summary():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from bpre import streams
 from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, main, run
 from bpre.config import KNOWN_OPS, config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref
@@ -189,6 +190,31 @@ class TestCliEndToEnd:
         assert code == EXIT_VALIDATION
         assert "params.k" in err_text
 
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("seed", {"seed": 1.7}),
+            ("seed", {"seed": True}),
+            ("reps", {"seed": 1, "reps": 2.5}),
+            ("reps", {"seed": 1, "reps": "abc"}),
+            ("params.x", {"seed": 1, "params": {"x": True}}),
+            ("params.eps_grid", {"seed": 1, "op": "envsel", "params": {"eps_grid": [0.1, True]}}),
+        ],
+        ids=["seed-1.7", "seed-true", "reps-2.5", "reps-abc", "x-true", "eps_grid-true"],
+    )
+    def test_inexact_number_is_validation_exit(self, field, raw, capsys, tmp_path):
+        # 1.7 must not run as seed 1, nor true as 1 or 1.0
+        raw = {"op": "rwalk-tail", "model": "ws-ref", **raw}
+        with pytest.raises(ValidationError) as err:
+            run(config_from_dict(raw))
+        assert err.value.field == field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, out, err_text = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert field in err_text
+
     def test_quenched_rejects_format_flag(self, capsys, tmp_path):
         # quenched has no records, so there is nothing to write as CSV
         env_path = tmp_path / "env.json"
@@ -235,6 +261,54 @@ def test_subcommand_help_renders(command, capsys):
         main([*command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: bpre {' '.join(command)}")
+
+
+def _seed_infos(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "seed_info":
+                yield value
+            else:
+                yield from _seed_infos(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _seed_infos(value)
+
+
+@pytest.mark.parametrize(
+    "op, model, params",
+    [
+        ("survival", "ws-ref", {}),
+        ("survival", "ws-ref", {"method": "tilted-IS"}),
+        ("jointsurv", "ws-ref", {"method": "tilted-IS"}),
+        ("lineages", "ws-ref", {}),
+        ("envsel", "ws-ref", {}),
+        ("rwalk-tail", "ws-ref", {}),
+        ("rwalk-occupation", "ws-ref", {}),
+        ("yaglom", "ss-ref", {"n": 8}),
+        ("qprocess", "ss-ref", {"horizon": 5}),
+        ("qprocess", "ws-ref", {"horizon": 5}),
+    ],
+    ids=["survival", "survival-tilted", "jointsurv-tilted", "lineages", "envsel", "rwalk-tail",
+         "rwalk-occupation", "yaglom-ss", "qprocess-ss", "qprocess-ws"],
+)
+def test_reported_stream_purpose_was_drawn(op, model, params, monkeypatch):
+    drawn = set()
+    original = streams.stream
+
+    def recording(seed, purpose, chunk_index=0):
+        drawn.add((seed, purpose))
+        return original(seed, purpose, chunk_index)
+
+    monkeypatch.setattr(streams, "stream", recording)
+    report = run(config_from_dict(
+        {"op": op, "model": model, "seed": 4, "reps": 500, "params": params}
+    ))
+    infos = list(_seed_infos(report["result"]))
+    assert infos
+    for info in infos:
+        fields = dict(token.split("=", 1) for token in info.split()[1:])
+        assert (int(fields["seed"]), fields["purpose"]) in drawn, info
 
 
 def test_console_entry_point_runs():

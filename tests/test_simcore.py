@@ -247,9 +247,9 @@ class TestEscalation:
             hits = (rng.random(count) < 0.035).astype(float)
             return hits, rng.random(count)
 
-        fields, total, eff = run_conditioned(chunk, 4096, 3, "escalate", 4096)
+        fields, total, eff = run_conditioned(chunk, 4096, 3, "escalate")
         assert total == 8192
-        single = streams.run_chunks(chunk, 8192, 3, "escalate", 4096)
+        single = streams.run_chunks(chunk, 8192, 3, "escalate")
         for merged, direct in zip(fields, single):
             np.testing.assert_array_equal(merged, direct)
         assert eff == fields[0].sum()
