@@ -31,7 +31,7 @@ from .errors import ValidationError
 from .lfexact import (
     closed_form_log_survival,
     lf_minorant,
-    log_survival_profile,
+    log_survival,
     quenched_survival,
 )
 from .limits import functional_residual, qprocess_kernel, qprocess_run, yaglom
@@ -120,7 +120,7 @@ def _minimum_bound_gap(n: int, reps: int, seed: int, prefix: str) -> float:
 
         def chunk(rng, count, start):
             batch = draw_env_batch(model, n, rng, count)
-            log_q = log_survival_profile(model, batch.idx)[:, 0]
+            log_q = log_survival(model, batch.idx)
             return (np.exp(log_q) - np.exp(np.cumsum(batch.steps, axis=1).min(axis=1)),)
 
         (gap,) = streams.run_chunks(chunk, reps, seed, f"{prefix}-{tag}")
@@ -135,8 +135,8 @@ def _dominance_gap(model: EnvironmentModel, n: int, reps: int, seed: int, purpos
 
     def chunk(rng, count, start):
         idx = draw_env_batch(model, n, rng, count).idx
-        base = np.exp(log_survival_profile(model, idx)[:, 0])
-        return (np.exp(log_survival_profile(tilde, idx)[:, 0]) - base,)
+        base = np.exp(log_survival(model, idx))
+        return (np.exp(log_survival(tilde, idx)) - base,)
 
     (gap,) = streams.run_chunks(chunk, reps, seed, purpose)
     return float(gap.max())

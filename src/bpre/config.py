@@ -178,6 +178,9 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
     fmt = raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ValidationError(f"format must be 'json' or 'csv', got {fmt!r}", field="format")
+    out = raw.get("out")
+    if out is not None and not (isinstance(out, str) and out):
+        raise ValidationError(f"out must be a non-empty file path, got {out!r}", field="out")
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ValidationError("params must be an object", field="params")
@@ -187,7 +190,7 @@ def config_from_dict(raw: Any) -> ExperimentConfig:
         params=params,
         seed=seed,
         reps=reps,
-        out=raw.get("out"),
+        out=out,
         format=fmt,
     )
     config.model  # fail fast on malformed models before any work starts

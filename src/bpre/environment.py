@@ -24,6 +24,7 @@ from .offspring import (
     lf_from_moments,
     moments,
 )
+from .streams import categorical
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,14 @@ def draw_env_batch(
     plan: TiltPlan | None = None,
 ) -> EnvBatch:
     """Draw ``count`` iid environments of n generations, tilted when ``plan``
-    is given; every Monte Carlo estimator draws its environments here."""
+    is given; every Monte Carlo estimator draws its environments here.
+
+    Component indices come from ``streams.categorical``: one uniform per
+    generation, compared against the cumulative mixture weights, giving the
+    indices ``rng.choice`` would give on the same stream.
+    """
     p = model.weights if plan is None else plan.weights
-    idx = rng.choice(len(model.components), size=(count, n), p=np.asarray(p))
+    idx = categorical(rng, p, (count, n))
     if plan is None:
         w = np.ones(count)
     else:

@@ -176,36 +176,56 @@ def log_survival_profile(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray
     ``idx`` has shape (replicates, n), generations left to right. Entry
     [r, i] of the (replicates, n+1) result is the log probability that one
     individual at generation i has a descendant at generation n: column n
-    is 0 and column 0 is the log survival probability. Linear-fractional
-    models step every row at once; other models step, per generation, the
-    rows that share a component.
+    is 0 and column 0 is the log survival probability.
     """
-    if model.all_linear_fractional:
-        return _lf_chunk(model, idx)
     count, n = idx.shape
     lu = np.zeros((n + 1, count))
-    for i in range(n - 1, -1, -1):
-        col = idx[:, i]
-        for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
-            rows = col == comp
-            lu[i, rows] = _log_step_batch(law, log_m, lu[i + 1, rows])
+    for i, row in _backward_steps(model, idx):
+        lu[i] = row
     return lu.T
+
+
+def log_survival(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
+    """Column 0 of ``log_survival_profile``, the log survival probability of
+    each replicate, without keeping the profile of earlier generations."""
+    lu = np.zeros(len(idx))
+    for _, lu in _backward_steps(model, idx):
+        pass
+    return lu
+
+
+def _backward_steps(model: EnvironmentModel, idx: np.ndarray):
+    """Yield (i, log u of every replicate at generation i) for i = n-1 down
+    to 0, starting from log u = 0 at generation n.
+
+    Linear-fractional models step every row at once; other models step, per
+    generation, the rows that share a component.
+    """
+    lu = np.zeros(len(idx))
+    if model.all_linear_fractional:
+        log_m = model.log_means
+        c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+
+        def step(col, lu):
+            return _lf_step(lu, log_m[col], c[col])
+
+    else:
+
+        def step(col, lu):
+            out = np.empty_like(lu)
+            for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
+                rows = col == comp
+                out[rows] = _log_step_batch(law, log_m, lu[rows])
+            return out
+
+    for i in range(idx.shape[1] - 1, -1, -1):
+        lu = step(idx[:, i], lu)
+        yield i, lu
 
 
 def _lf_step(lu, log_m, c):
     """Linear-fractional step in log space; c = B / (1 - B)."""
     return lu + log_m - np.log1p(c * np.exp(lu))
-
-
-def _lf_chunk(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
-    log_m = model.log_means
-    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
-    count, n = idx.shape
-    lu = np.zeros((n + 1, count))
-    for i in range(n - 1, -1, -1):
-        col = idx[:, i]
-        lu[i] = _lf_step(lu[i + 1], log_m[col], c[col])
-    return lu.T
 
 
 def _log_step_batch(law: OffspringLaw, log_m: float, lu: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import log_survival_profile
+from .lfexact import log_survival, log_survival_profile
 from .offspring import FiniteSupport, LinearFractional, pgf
 from .regime import classify
 from .simcore import (
@@ -440,7 +440,7 @@ def _chain_step(model, gamma, y, rng):
     """
     is_lf, a, b = _lf_arrays(model)
     pick_p = model.weights * model.means / gamma
-    comp = rng.choice(len(a), size=len(y), p=pick_p / pick_p.sum())
+    comp = streams.categorical(rng, pick_p / pick_p.sum(), len(y))
     out = np.empty_like(y)
     lf = is_lf[comp]
     if lf.any():
@@ -451,7 +451,7 @@ def _chain_step(model, gamma, y, rng):
         sizes = np.arange(len(probs))
         biased = sizes * probs
         plain = _fs_totals(rng, y[rows] - 1, probs, sizes)
-        out[rows] = plain + rng.choice(len(probs), size=len(plain), p=biased / biased.sum())
+        out[rows] = plain + streams.categorical(rng, biased / biased.sum(), len(plain))
     return out
 
 
@@ -630,7 +630,7 @@ def env_posterior(
 
     def chunk(rng, count, start):
         idx = draw_env_batch(model, n + p, rng, count).idx
-        q = np.exp(log_survival_profile(model, idx)[:, 0])
+        q = np.exp(log_survival(model, idx))
         return _any_survive(q, k), idx[:, :p].copy()
 
     (survive_w, prefix), reps_used, eff = run_conditioned(

@@ -30,7 +30,7 @@ from .errors import (
     PopulationCapError,
     ValidationError,
 )
-from .lfexact import log_survival_profile
+from .lfexact import log_survival
 from .offspring import sample_many
 from .regime import classify, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
@@ -190,7 +190,7 @@ def draw_env_samples(
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        log_q = log_survival_profile(model, batch.idx)[:, 0].copy()
+        log_q = log_survival(model, batch.idx)
         return np.exp(log_q), log_q, batch.w
 
     q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose)
@@ -421,7 +421,7 @@ def draw_conditioned_env(
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        q = np.exp(log_survival_profile(model, batch.idx)[:, 0])
+        q = np.exp(log_survival(model, batch.idx))
         return batch.w * _any_survive(q, k), q, batch.w
 
     (survive_w, q, w), total, eff = run_conditioned(chunk, reps, seed, purpose)

@@ -34,6 +34,24 @@ def stream(seed: int, purpose: str, chunk_index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
+def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
+    """Indices in range(len(p)) drawn with probabilities ``p``.
+
+    Bit-identical to ``rng.choice(len(p), size=shape, p=p)``: the same
+    uniforms are compared against the same normalised CDF. Each index counts
+    the inner edges at or below its uniform, as ``searchsorted(side="right")``
+    does, so an edge at 0 (a zero-probability first entry) always counts. The
+    last edge is 1 and no uniform reaches it.
+    """
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    idx = (u >= cdf[0]).astype(np.intp)
+    for edge in cdf[1:-1]:
+        idx += u >= edge
+    return idx
+
+
 def seed_provenance(seed: int, purpose: str) -> str:
     return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE}"
 

@@ -112,6 +112,28 @@ class TestCliEndToEnd:
         assert code == EXIT_VALIDATION
         assert "seed" in err
 
+    @pytest.mark.parametrize("out", [True, 7, "", ["r.json"]], ids=["true", "7", "empty", "list"])
+    def test_out_must_be_a_path(self, out):
+        raw = {"op": "regime", "model": "ss-ref", "seed": 1, "out": out}
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(raw)
+        assert err.value.field == "out"
+
+    @pytest.mark.parametrize("out", [True, 7], ids=["true", "7"])
+    def test_non_path_out_is_validation_exit(self, out, tmp_path):
+        # in a child process: before the check, true opened and closed fd 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"op": "regime", "model": "ss-ref", "seed": 1, "out": out}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bpre.cli", "run", "--config", str(cfg_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stdout == ""
+        assert "out" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_quenched_config_is_validation_exit(self, capsys, tmp_path):
         # the quenched subcommand takes an environment file, not a model
         cfg_path = tmp_path / "cfg.json"

@@ -19,6 +19,7 @@ from bpre.lfexact import (
     closed_form_log_survival,
     iterate_F,
     lf_minorant,
+    log_survival,
     log_survival_env,
     log_survival_profile,
     minorant_env,
@@ -216,3 +217,11 @@ class TestVectorizedKernel:
                 assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0)
             env = EnvSequence([laws[j] for j in batch.idx[r]])
             assert profile[r, 0] == pytest.approx(log_survival_env(env), rel=1e-12)
+
+    @pytest.mark.parametrize("model", [ws_ref(), FS_MIXTURE], ids=["lf", "fs"])
+    @pytest.mark.parametrize("n, count", [(120, 64), (0, 5), (7, 0)])
+    def test_survival_is_profile_column_zero_bitwise(self, model, n, count):
+        idx = draw_env_batch(model, n, stream(58, "t"), count).idx
+        log_q = log_survival(model, idx)
+        assert log_q.shape == (count,)
+        assert log_q.tobytes() == log_survival_profile(model, idx)[:, 0].tobytes()

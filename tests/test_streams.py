@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from bpre.environment import EnvironmentModel, draw_env_batch, tilt_plan
+from bpre.offspring import FiniteSupport, geometric_lf, sample, sample_many
+from bpre.streams import categorical, stream
+
+
+def lf_model(means):
+    k = len(means)
+    return EnvironmentModel([(geometric_lf(m), 1.0 / k) for m in means])
+
+
+MODELS = {
+    2: lf_model([0.5, 1.5]),
+    3: lf_model([0.3, 0.9, 2.0]),
+    5: lf_model([0.2, 0.5, 0.8, 1.3, 2.5]),
+}
+SHAPES = [(300, 40), (0, 40), (300, 0), (0, 0)]
+
+
+def assert_same_draws(p, shape, seed):
+    """categorical and rng.choice give the same indices and leave their
+    streams in the same state."""
+    mine, ref = stream(seed, "cat"), stream(seed, "cat")
+    got = categorical(mine, p, shape)
+    want = ref.choice(len(p), size=shape, p=p)
+    assert got.shape == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+    assert mine.random() == ref.random()
+
+
+class TestCategorical:
+    @pytest.mark.parametrize("k", sorted(MODELS))
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=["full", "count0", "n0", "empty"])
+    def test_env_batch_matches_choice(self, k, theta, shape):
+        model = MODELS[k]
+        plan = None if theta is None else tilt_plan(model, theta)
+        p = model.weights if plan is None else plan.weights
+        count, n = shape
+        batch = draw_env_batch(model, n, stream(11, "cat"), count, plan)
+        want = stream(11, "cat").choice(k, size=shape, p=p)
+        assert batch.idx.shape == shape
+        np.testing.assert_array_equal(batch.idx, want)
+        assert_same_draws(p, shape, 12)
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.0, 0.4, 0.6], [0.3, 0.0, 0.7], [0.25, 0.75, 0.0], [0.0, 0.1, 0.0, 0.5, 0.4]],
+        ids=["first", "middle", "last", "k5"],
+    )
+    @pytest.mark.parametrize("shape", SHAPES + [(), (1000,)])
+    def test_zero_probability_entries_match_choice(self, p, shape):
+        assert_same_draws(np.array(p), shape, 13)
+        assert np.all(categorical(stream(13, "cat"), np.array(p), (2000,)) != p.index(0.0))
+
+    def test_offspring_samplers_match_choice(self):
+        law = FiniteSupport((0.0, 0.5, 0.2, 0.3))
+        probs = np.array(law.probs)
+        draws = sample_many(law, 500, stream(14, "cat"))
+        assert draws.dtype == np.int64
+        np.testing.assert_array_equal(draws, stream(14, "cat").choice(4, size=500, p=probs))
+        assert sample(law, stream(15, "cat")) == stream(15, "cat").choice(4, p=probs)
