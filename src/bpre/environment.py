@@ -123,13 +123,15 @@ class EnvBatch:
     """A chunk of Monte Carlo environments, one row per replicate."""
 
     model: EnvironmentModel
-    idx: np.ndarray  # (count, n) component indices, generation order left to right
+    idx: np.ndarray  # (count, n) component indices (uint8 up to K = 256), generation order left to right
     w: np.ndarray  # (count,) importance weights back to the base model
 
     @property
     def steps(self) -> np.ndarray:
         """(count, n) log-mean walk steps."""
-        return self.model.log_means[self.idx]
+        # numpy gathers through intp indices on its fast path; through narrow
+        # indices it casts element by element, which costs more than widening
+        return self.model.log_means[self.idx.astype(np.intp)]
 
 
 def draw_env_batch(
@@ -144,14 +146,17 @@ def draw_env_batch(
 
     Component indices come from ``streams.categorical``: one uniform per
     generation, compared against the cumulative mixture weights, giving the
-    indices ``rng.choice`` would give on the same stream.
+    indices ``rng.choice`` would give on the same stream. The tilt weight's
+    S_n is sum_k log m_k * (count of component k in the row).
     """
     p = model.weights if plan is None else plan.weights
     idx = categorical(rng, p, (count, n))
     if plan is None:
         w = np.ones(count)
     else:
-        s_n = model.log_means[idx].sum(axis=1)
+        rest = [np.count_nonzero(idx == k, axis=1) for k in range(1, len(p))]
+        counts = [n - sum(rest, np.zeros(count, dtype=np.intp))] + rest
+        s_n = sum(log_m * c for log_m, c in zip(model.log_means, counts))
         w = np.exp(n * math.log(plan.rate) - plan.theta * s_n)
     return EnvBatch(model=model, idx=idx, w=w)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -168,6 +169,16 @@ def minorant_env(env: EnvSequence) -> EnvSequence:
 # of its environment. One kernel computes it for a whole chunk of
 # replicates, in log space so that tiny survival probabilities keep their
 # relative precision.
+#
+# Linear-fractional maps are closed under composition: u -> m*u/(1+c*u)
+# after u -> M*u/(1+C*u) is u -> m*M*u/(1+(C+c*M)*u). So for an all-LF
+# model the recursion steps a block of b generations at once, with the
+# composite (log M, C) looked up by the block's components read as a
+# base-K number. b is the largest block with K**b <= BLOCK_TABLE_SIZE (at
+# most MAX_BLOCK); other models step one generation at a time.
+
+BLOCK_TABLE_SIZE = 256
+MAX_BLOCK = 8
 
 
 def log_survival_profile(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
@@ -180,8 +191,11 @@ def log_survival_profile(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray
     """
     count, n = idx.shape
     lu = np.zeros((n + 1, count))
-    for i, row in _backward_steps(model, idx):
-        lu[i] = row
+    step = _block_steps(model)[0]
+    for lo, hi, row in _backward_steps(model, idx):
+        lu[lo] = row
+        for i in range(hi - 1, lo, -1):
+            lu[i] = step(idx[:, i], lu[i + 1])
     return lu.T
 
 
@@ -189,38 +203,92 @@ def log_survival(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
     """Column 0 of ``log_survival_profile``, the log survival probability of
     each replicate, without keeping the profile of earlier generations."""
     lu = np.zeros(len(idx))
-    for _, lu in _backward_steps(model, idx):
+    for _, _, lu in _backward_steps(model, idx):
         pass
     return lu
 
 
 def _backward_steps(model: EnvironmentModel, idx: np.ndarray):
-    """Yield (i, log u of every replicate at generation i) for i = n-1 down
-    to 0, starting from log u = 0 at generation n.
+    """Yield (lo, hi, log u of every replicate at generation lo) for the
+    blocks [lo, hi) of generations from last to first, starting from log u
+    = 0 at generation n.
 
-    Linear-fractional models step every row at once; other models step, per
-    generation, the rows that share a component.
+    Blocks have the model's block length b, except a last block of n mod b
+    generations.
     """
-    lu = np.zeros(len(idx))
+    count, n = idx.shape
+    steps = _block_steps(model)
+    b = len(steps)
+    k = len(model.laws)
+    full = n - n % b
+    lu = np.zeros(count)
+    if full < n:
+        lu = steps[n - full - 1](_block_codes(idx[:, full:], k), lu)
+        yield full, n, lu
+    codes = _block_codes(idx[:, :full].reshape(count, full // b, b), k)
+    for lo in range(full - b, -1, -b):
+        lu = steps[-1](codes[:, lo // b], lu)
+        yield lo, lo + b, lu
+
+
+def _block_codes(blocks: np.ndarray, k: int) -> np.ndarray:
+    """Components of each block (last axis) read as a base-k number, first
+    generation most significant. Codes stay below BLOCK_TABLE_SIZE, so they
+    keep the indices' dtype."""
+    code = blocks[..., 0]
+    for t in range(1, blocks.shape[-1]):
+        code = code * k + blocks[..., t]
+    return code
+
+
+def _block_steps(model: EnvironmentModel) -> list:
+    """steps[j](codes, lu) moves log u back over a block of j + 1
+    generations; steps[0] takes component indices."""
     if model.all_linear_fractional:
-        log_m = model.log_means
-        c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+        return [partial(_lf_table_step, log_m, c) for log_m, c in _lf_tables(model)]
 
-        def step(col, lu):
-            return _lf_step(lu, log_m[col], c[col])
+    def step(col, lu):
+        out = np.empty_like(lu)
+        for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
+            rows = col == comp
+            out[rows] = _log_step_batch(law, log_m, lu[rows])
+        return out
 
-    else:
+    return [step]
 
-        def step(col, lu):
-            out = np.empty_like(lu)
-            for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
-                rows = col == comp
-                out[rows] = _log_step_batch(law, log_m, lu[rows])
-            return out
 
-    for i in range(idx.shape[1] - 1, -1, -1):
-        lu = step(idx[:, i], lu)
-        yield i, lu
+@lru_cache(maxsize=8)
+def _lf_tables(model: EnvironmentModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Composite (log M, C) of every block of 1, ..., b generations of an
+    all-LF model, indexed by block code; the first is the per-law (log m,
+    c = B / (1 - B)). Cached per model, so the arrays are read-only.
+
+    A valid law has m <= 1 / (1 - B) + 1e-12 / (1 - B)**2 < 1e20 and c < 2**53,
+    so C stays below 8 * 2**53 * 1e140 and never overflows.
+    """
+    k = len(model.laws)
+    b = 1
+    while b < MAX_BLOCK and k ** (b + 1) <= BLOCK_TABLE_SIZE:
+        b += 1
+    log_m = model.log_means.copy()
+    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+    tables = [(log_m, c)]
+    for _ in range(b - 1):
+        inner_m, inner_c = tables[-1]
+        tables.append(
+            (
+                (log_m[:, None] + inner_m).ravel(),
+                (inner_c + c[:, None] * np.exp(inner_m)).ravel(),
+            )
+        )
+    for table in tables:
+        for a in table:
+            a.flags.writeable = False
+    return tuple(tables)
+
+
+def _lf_table_step(log_m, c, code, lu):
+    return _lf_step(lu, log_m.take(code), c.take(code))
 
 
 def _lf_step(lu, log_m, c):

@@ -41,12 +41,13 @@ def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
     uniforms are compared against the same normalised CDF. Each index counts
     the inner edges at or below its uniform, as ``searchsorted(side="right")``
     does, so an edge at 0 (a zero-probability first entry) always counts. The
-    last edge is 1 and no uniform reaches it.
+    last edge is 1 and no uniform reaches it. Indices have the narrowest
+    unsigned dtype that holds len(p) - 1 (uint8 up to 256 entries).
     """
     cdf = np.asarray(p, dtype=float).cumsum()
     cdf /= cdf[-1]
     u = rng.random(shape)
-    idx = (u >= cdf[0]).astype(np.intp)
+    idx = (u >= cdf[0]).astype(np.min_scalar_type(len(cdf) - 1))
     for edge in cdf[1:-1]:
         idx += u >= edge
     return idx

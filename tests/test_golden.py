@@ -22,17 +22,17 @@ def pin(estimate):
 
 def test_tilted_annealed_survival():
     est = annealed_survival(ws_ref(), 1, 100, 8192, "tilted-IS", seed=3)
-    assert pin(est) == ("0x1.ed4fefde01edap-17", "0x1.6a90d9baedcdbp-21")
+    assert pin(est) == ("0x1.ed4fefde01ee7p-17", "0x1.6a90d9baedce3p-21")
 
 
 def test_tilted_joint_survival():
     est = joint_survival(ws_ref(), 4, 16, 8192, "tilted-IS", seed=3)
-    assert pin(est) == ("0x1.34949e54dba46p-10", "0x1.4010535b80db3p-15")
+    assert pin(est) == ("0x1.34949e54dba45p-10", "0x1.4010535b80db3p-15")
 
 
 def test_yaglom_atom():
     value, se = yaglom(ws_ref(), 1, 16, 4096, seed=3).pmf[1]
-    assert (value.hex(), se.hex()) == ("0x1.47018991bf3aap-4", "0x1.04160ac2702e9p-7")
+    assert (value.hex(), se.hex()) == ("0x1.47018991bf3abp-4", "0x1.04160ac2702eap-7")
 
 
 def test_finite_support_qprocess():

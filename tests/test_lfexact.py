@@ -35,6 +35,7 @@ from bpre.offspring import (
 from bpre.rwalk import WalkPath, walk_stats
 from bpre.simcore import evolve_lineages
 from bpre.streams import stream
+from test_streams import MODELS
 
 LF = LinearFractional(0.25, 0.5)  # critical geometric: f(s) = 1/(2-s)
 
@@ -178,6 +179,23 @@ FS_MIXTURE = EnvironmentModel(
 MIXED_FAMILY = EnvironmentModel(
     [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
 )
+# A valid law has A <= 1 - B (up to 1e-12), so its mean A / (1 - B)**2 is at
+# most about 1 / (1 - B); the first law here has B = 1 - 2**-52, mean 2**51
+# and P(Z > 0) = 1/2.
+B_TOP = 1.0 - 2.0**-52
+EXTREME_LF = EnvironmentModel(
+    [(LinearFractional((1.0 - B_TOP) / 2.0, B_TOP), 0.5), (LinearFractional(0.125, 0.5), 0.5)]
+)
+# Block edges for every block length the LF kernel picks (8, 5 and 3 at
+# K = 2, 3 and 5; 1 at K = 300) and the horizons the estimators use.
+HORIZONS = [0, 1, 7, 8, 9, 16, 100, 400]
+KERNEL_MODELS = {
+    "lf": ws_ref(),
+    "fs": FS_MIXTURE,
+    "mixed": MIXED_FAMILY,
+    **{f"lf{k}": model for k, model in MODELS.items()},
+    "lf-extreme": EXTREME_LF,
+}
 
 
 class TestVectorizedKernel:
@@ -199,27 +217,33 @@ class TestVectorizedKernel:
         np.testing.assert_array_equal(batch.steps, model.log_means[batch.idx])
         np.testing.assert_array_equal(batch.w, np.ones(20))
 
-    @pytest.mark.parametrize(
-        "model", [ws_ref(), FS_MIXTURE, MIXED_FAMILY], ids=["lf", "fs", "mixed"]
-    )
+    @pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS.keys())
     def test_profile_matches_scalar_steps_everywhere(self, model):
-        # horizon long enough to reach the small-u branch of the FS step
-        n, count = 400, 30
-        batch = draw_env_batch(model, n, stream(57, "t"), count)
-        profile = log_survival_profile(model, batch.idx)
-        assert profile.shape == (count, n + 1)
+        # the longest horizon reaches the small-u branch of the FS step
+        count = 30
         laws = model.laws
-        for r in range(count):
-            lu = 0.0
-            assert profile[r, n] == 0.0
-            for i in range(n - 1, -1, -1):
-                lu = log_survival_step(laws[batch.idx[r, i]], lu)
-                assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0)
-            env = EnvSequence([laws[j] for j in batch.idx[r]])
-            assert profile[r, 0] == pytest.approx(log_survival_env(env), rel=1e-12)
+        for n in HORIZONS:
+            batch = draw_env_batch(model, n, stream(57, "t"), count)
+            profile = log_survival_profile(model, batch.idx)
+            log_q = log_survival(model, batch.idx)
+            assert profile.shape == (count, n + 1)
+            for r in range(count):
+                lu = 0.0
+                assert profile[r, n] == 0.0
+                for i in range(n - 1, -1, -1):
+                    lu = log_survival_step(laws[batch.idx[r, i]], lu)
+                    assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0), (n, r, i)
+                env = EnvSequence([laws[j] for j in batch.idx[r]])
+                assert profile[r, 0] == pytest.approx(log_survival_env(env), rel=1e-12), (n, r)
+                if model.all_linear_fractional:
+                    # the closed form subtracts terms of size |S_n|, so it
+                    # is exact to 1e-12 of the larger of |log q| and |S_n|
+                    exact = closed_form_log_survival(env)
+                    scale = max(abs(exact), abs(batch.steps[r].sum()))
+                    assert abs(log_q[r] - exact) <= 1e-12 * scale, (n, r)
 
-    @pytest.mark.parametrize("model", [ws_ref(), FS_MIXTURE], ids=["lf", "fs"])
-    @pytest.mark.parametrize("n, count", [(120, 64), (0, 5), (7, 0)])
+    @pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS.keys())
+    @pytest.mark.parametrize("n, count", [(120, 64), (0, 5), (7, 0), (9, 64), (1, 64)])
     def test_survival_is_profile_column_zero_bitwise(self, model, n, count):
         idx = draw_env_batch(model, n, stream(58, "t"), count).idx
         log_q = log_survival(model, idx)

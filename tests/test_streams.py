@@ -12,9 +12,11 @@ def lf_model(means):
 
 
 MODELS = {
+    1: lf_model([0.7]),
     2: lf_model([0.5, 1.5]),
     3: lf_model([0.3, 0.9, 2.0]),
     5: lf_model([0.2, 0.5, 0.8, 1.3, 2.5]),
+    300: lf_model(np.linspace(0.2, 2.5, 300)),  # past 256 entries: uint16 indices
 }
 SHAPES = [(300, 40), (0, 40), (300, 0), (0, 0)]
 
@@ -25,6 +27,7 @@ def assert_same_draws(p, shape, seed):
     mine, ref = stream(seed, "cat"), stream(seed, "cat")
     got = categorical(mine, p, shape)
     want = ref.choice(len(p), size=shape, p=p)
+    assert got.dtype == (np.uint8 if len(p) <= 256 else np.uint16)
     assert got.shape == np.shape(want)
     np.testing.assert_array_equal(got, want)
     assert mine.random() == ref.random()
@@ -42,6 +45,7 @@ class TestCategorical:
         batch = draw_env_batch(model, n, stream(11, "cat"), count, plan)
         want = stream(11, "cat").choice(k, size=shape, p=p)
         assert batch.idx.shape == shape
+        assert batch.idx.dtype == (np.uint8 if k <= 256 else np.uint16)
         np.testing.assert_array_equal(batch.idx, want)
         assert_same_draws(p, shape, 12)
 
@@ -61,4 +65,6 @@ class TestCategorical:
         draws = sample_many(law, 500, stream(14, "cat"))
         assert draws.dtype == np.int64
         np.testing.assert_array_equal(draws, stream(14, "cat").choice(4, size=500, p=probs))
-        assert sample(law, stream(15, "cat")) == stream(15, "cat").choice(4, p=probs)
+        one = sample(law, stream(15, "cat"))
+        assert type(one) is int
+        assert one == stream(15, "cat").choice(4, p=probs)
