@@ -57,12 +57,16 @@ def law_from_config(spec: Any, path: str = "law") -> OffspringLaw:
         body = spec["lf"]
         if not isinstance(body, dict) or set(body) != {"A", "B"}:
             raise ValidationError("lf law needs exactly fields A and B", field=path)
-        return LinearFractional(float(body["A"]), float(body["B"]))
+        return LinearFractional(
+            *(convert(strict_float, body[name], f"{path}.lf.{name}") for name in ("A", "B"))
+        )
     if "fs" in spec:
         body = spec["fs"]
         if not isinstance(body, list):
             raise ValidationError("fs law needs a probability list", field=path)
-        return FiniteSupport(body)
+        return FiniteSupport(
+            [convert(strict_float, v, f"{path}.fs[{j}]") for j, v in enumerate(body)]
+        )
     raise ValidationError(f"unknown law family {set(spec)}", field=path)
 
 
@@ -92,7 +96,7 @@ def model_from_config(spec: Any, path: str = "model") -> EnvironmentModel:
         comps.append(
             (
                 law_from_config(entry["law"], path=f"{path}.components[{i}].law"),
-                float(entry["weight"]),
+                convert(strict_float, entry["weight"], f"{path}.components[{i}].weight"),
             )
         )
     return EnvironmentModel(comps)

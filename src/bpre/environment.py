@@ -197,38 +197,30 @@ def tilt(model: EnvironmentModel, theta: float) -> tuple[EnvironmentModel, float
 # is then reproduced exactly in double precision.
 
 
-def ss_ref(f2_scale: float | None = None) -> EnvironmentModel:
+def ss_ref() -> EnvironmentModel:
     """Strongly subcritical reference: means {1/2, 1/4}, weights (1/2, 1/2)."""
-    return _two_point_lf_model([0.5, 0.25], [0.5, 0.5], f2_scale)
+    return _two_point_lf_model([0.5, 0.25], [0.5, 0.5])
 
 
-def is_ref(f2_scale: float | None = None) -> EnvironmentModel:
+def is_ref() -> EnvironmentModel:
     """Intermediate subcritical reference: means {2, 1/4}, weights (1/5, 4/5).
 
     The mean of m*log(m) vanishes exactly for this mixture.
     """
-    return _two_point_lf_model([2.0, 0.25], [0.2, 0.8], f2_scale)
+    return _two_point_lf_model([2.0, 0.25], [0.2, 0.8])
 
 
-def ws_ref(f2_scale: float | None = None) -> EnvironmentModel:
+def ws_ref() -> EnvironmentModel:
     """Weakly subcritical reference: means {e**-2, e}, weights (1/2, 1/2).
 
     Log means sit on the unit lattice, which the exact random-walk oracle
     relies on.
     """
-    means = [math.exp(-2.0), math.e]
-    if f2_scale is None:
-        laws = [geometric_lf(m) for m in means]
-    else:
-        laws = [lf_from_moments(m, f2_scale * m * m) for m in means]
-    return EnvironmentModel([(laws[0], 0.5), (laws[1], 0.5)])
+    return EnvironmentModel([(geometric_lf(m), 0.5) for m in (math.exp(-2.0), math.e)])
 
 
-def _two_point_lf_model(means, weights, f2_scale):
-    if f2_scale is None:
-        laws = [lf_from_moments(m, 2.0 * m) for m in means]  # B = 1/2 exactly
-    else:
-        laws = [lf_from_moments(m, f2_scale * m * m) for m in means]
+def _two_point_lf_model(means, weights):
+    laws = [lf_from_moments(m, 2.0 * m) for m in means]  # B = 1/2 exactly
     return EnvironmentModel(list(zip(laws, weights)))
 
 

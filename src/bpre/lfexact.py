@@ -56,8 +56,10 @@ def closed_form_log_survival(env: EnvSequence) -> float:
 
     Uses the closed form 1 - F_n(0) = P_n / (1 + sum_j c_j * Q_j) with
     P_n the product of all means, c_j = f_j''(1) / (2 f_j'(1)) and Q_j the
-    product of the means after generation j. Everything is kept in log
-    space; the denominator goes through log-sum-exp.
+    product of the means after generation j. With S_j the sum of the log
+    means through generation j this is
+    log q = -logsumexp(-S_n, log c_j - S_j), which never subtracts two
+    terms of size S_n.
     """
     laws = tuple(env)
     logs = {}  # per distinct law: (log m, log c)
@@ -73,13 +75,13 @@ def closed_form_log_survival(env: EnvSequence) -> float:
     if not laws:
         return 0.0
     log_m, log_c = np.array([logs[law] for law in laws]).T.copy()
-    # suffix[j] = sum of log means strictly after generation j
-    suffix = np.concatenate([np.cumsum(log_m[::-1])[::-1][1:], [0.0]])
-    terms = np.concatenate([[0.0], log_c + suffix])
+    partial = np.cumsum(log_m)
+    if partial[-1] == -math.inf:  # a zero-mean generation
+        return -math.inf
+    terms = np.concatenate([[-partial[-1]], log_c - partial])
     terms = terms[terms > -math.inf]
-    log_den = terms.max() + math.log(np.exp(terms - terms.max()).sum())
-    total = float(np.sum(log_m))
-    return total - float(log_den)
+    top = terms.max()
+    return -float(top + math.log(np.exp(terms - top).sum()))
 
 
 @dataclass(frozen=True)

@@ -24,22 +24,18 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import streams
-from .environment import EnvironmentModel, draw_env, draw_env_batch
+from .environment import EnvironmentModel, draw_env
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import log_survival, log_survival_profile
 from .offspring import FiniteSupport, LinearFractional, pgf
 from .regime import classify
 from .simcore import (
-    METHOD_ENV_EXACT,
     METHOD_EXACT,
-    _any_survive,
-    conditioning_tilt,
+    ConditionedEnvSamples,
+    draw_conditioned_env,
     evolve_lineages,
-    method_name,
-    run_conditioned,
 )
 from .stats import (
     ratio_and_se,
@@ -191,7 +187,7 @@ def conditioned_binomial_positive(k: int, q: np.ndarray, rng) -> np.ndarray:
 # --- conditioned environment + skeleton sampling ------------------------------
 
 
-def _evolve_skeleton(model, idx, lu, z0, rng, cap) -> tuple[np.ndarray, np.ndarray]:
+def _evolve_skeleton(model, idx, lu, z0, rng) -> tuple[np.ndarray, np.ndarray]:
     """Evolve prolific counts generation by generation for a whole chunk.
 
     ``lu`` is the chunk's log survival profile. Returns (final counts,
@@ -204,7 +200,7 @@ def _evolve_skeleton(model, idx, lu, z0, rng, cap) -> tuple[np.ndarray, np.ndarr
         if not z.any():
             break
         z, _ = _generation(model, idx[:, i], lu[:, i + 1], None, z, None, rng)
-        over = z > cap
+        over = z > POPULATION_CAP
         overflow |= over
         z[over] = 0
     return z, overflow
@@ -240,18 +236,13 @@ def yaglom(
     population is an exact skeleton sample, and the replicate carries weight
     (importance weight) x P(survival | environment).
     """
-    plan = conditioning_tilt(model)
-    purpose = f"yaglom-k{k}-n{n}"
 
-    def chunk(rng, count, start):
-        batch = draw_env_batch(model, n, rng, count, plan)
-        lu = log_survival_profile(model, batch.idx)
-        q = np.exp(lu[:, 0])
-        n_alive = conditioned_binomial_positive(k, q, rng)
-        z, over = _evolve_skeleton(model, batch.idx, lu, n_alive, rng, POPULATION_CAP)
-        return batch.w * _any_survive(q, k), z, over
+    def then(batch, lu, rng):
+        n_alive = conditioned_binomial_positive(k, np.exp(lu[:, 0]), rng)
+        return _evolve_skeleton(model, batch.idx, lu, n_alive, rng)
 
-    (survive_w, z, overflow), reps_used, eff = run_conditioned(chunk, reps, seed, purpose)
+    cond = draw_conditioned_env(model, k, n, reps, seed, f"yaglom-k{k}-n{n}", then)
+    (z, overflow), survive_w = cond.drawn, cond.survive_w
     total_w = float(np.sum(survive_w))
     ok = ~overflow
     ok_fraction = float(np.sum(survive_w[ok])) / total_w if total_w > 0 else 0.0
@@ -275,10 +266,10 @@ def yaglom(
         s_grid=S_GRID,
         pgf_values=tuple(pgf_values),
         tail_mass=tail_mass,
-        effective_events=eff,
-        reps_used=reps_used,
-        method=method_name(plan),
-        seed_info=streams.seed_provenance(seed, purpose),
+        effective_events=cond.effective_events,
+        reps_used=cond.reps_used,
+        method=cond.method,
+        seed_info=cond.seed_info,
     )
 
 
@@ -496,9 +487,8 @@ def qprocess_run(
             seed_info=streams.seed_provenance(seed, purpose),
         )
     # WS: finite-horizon conditioned simulation
-    traj, survive_w, over, reps_used = conditioned_trajectories(
-        model, k, horizon, lookahead, reps, seed
-    )
+    cond = conditioned_trajectories(model, k, horizon, lookahead, reps, seed)
+    (traj, over), survive_w = cond.drawn, cond.survive_w
     ok = ~over
     total_w = float(np.sum(survive_w))
     medians = tuple(
@@ -512,15 +502,9 @@ def qprocess_run(
         medians=medians,
         final_pmf=None,
         overflow_mass=overflow_mass,
-        reps=reps_used,
-        seed_info=streams.seed_provenance(seed, _trajectory_purpose(k, horizon)),
+        reps=cond.reps_used,
+        seed_info=cond.seed_info,
     )
-
-
-def _trajectory_purpose(k: int, horizon: int) -> str:
-    """Stream purpose of ``conditioned_trajectories``, which WS
-    ``qprocess_run`` also reports."""
-    return f"qtraj-k{k}-h{horizon}"
 
 
 def conditioned_trajectories(
@@ -530,50 +514,42 @@ def conditioned_trajectories(
     lookahead: int,
     reps: int,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> ConditionedEnvSamples:
     """Population trajectories Z_0..Z_horizon given survival at horizon+lookahead.
 
-    Returns (trajectories, weights, overflow mask, replicates used); weighted
-    statistics of the rows approximate the conditioned law.
+    Returns the conditioned draw with ``drawn`` = (trajectories, overflow
+    mask); statistics of the rows weighted by ``survive_w`` approximate the
+    conditioned law.
     """
-    plan = conditioning_tilt(model)
-
-    def chunk(rng, count, start):
-        batch = draw_env_batch(model, horizon + lookahead, rng, count, plan)
-        return _dressed_trajectories(model, k, horizon, batch, rng, POPULATION_CAP)
-
-    (survive_w, traj, over), reps_used, _eff = run_conditioned(
-        chunk, reps, seed, _trajectory_purpose(k, horizon)
+    return draw_conditioned_env(
+        model, k, horizon + lookahead, reps, seed, f"qtraj-k{k}-h{horizon}",
+        lambda batch, lu, rng: _dressed_trajectories(model, k, horizon, batch.idx, lu, rng),
     )
-    return traj, survive_w, over, reps_used
 
 
-def _dressed_trajectories(model, k, record, batch, rng, cap):
+def _dressed_trajectories(model, k, record, idx, lu, rng):
     """Full conditioned population trajectories (prolific + doomed parts).
 
     Prolific individuals carry the skeleton; each prolific parent also
     spawns doomed children, and doomed subtrees evolve under the
-    extinction-conditioned offspring law. Records Z_0..Z_record; returns
-    (conditioning weights, trajectories, overflow mask).
+    extinction-conditioned offspring law. ``lu`` is the log survival profile
+    of the environments ``idx``. Records Z_0..Z_record; returns
+    (trajectories, overflow mask).
     """
-    idx = batch.idx
     count = len(idx)
-    lu = log_survival_profile(model, idx)
-    q = np.exp(lu[:, 0])
-    survive_w = batch.w * _any_survive(q, k)
-    prolific = conditioned_binomial_positive(k, q, rng)
+    prolific = conditioned_binomial_positive(k, np.exp(lu[:, 0]), rng)
     doomed = k - prolific
     overflow = np.zeros(count, dtype=bool)
     traj = np.zeros((count, record + 1), dtype=np.int64)
     traj[:, 0] = k
     for i in range(record):
         prolific, doomed = _generation(model, idx[:, i], lu[:, i + 1], lu[:, i], prolific, doomed, rng)
-        over = prolific + doomed > cap
+        over = prolific + doomed > POPULATION_CAP
         overflow |= over
         prolific[over] = 0
         doomed[over] = 0
         traj[:, i + 1] = prolific + doomed
-    return survive_w, traj, overflow
+    return traj, overflow
 
 
 # --- environment posterior ------------------------------------------------------
@@ -590,6 +566,7 @@ class EnvPosterior:
     effective_events: float
     reps_used: int
     method: str
+    seed_info: str | None  # None for the one-step exact case, which draws nothing
 
 
 def env_posterior(
@@ -602,9 +579,10 @@ def env_posterior(
 ) -> EnvPosterior:
     """Posterior of the first p environment components given survival at n+p.
 
-    Each drawn path is weighted by its exact survival probability from k
-    particles; the estimate is a weighted frequency. The p = 1, n = 0 case
-    is a one-step exact computation (no sampling).
+    Paths come from ``draw_conditioned_env``, each weighted by its exact
+    survival probability from k particles (times its importance weight where
+    the draw is tilted); the estimate is a weighted frequency. The p = 1,
+    n = 0 case is a one-step exact computation (no sampling).
     """
     if p < 1 or p > 5:
         raise ValidationError(f"prefix length must be in 1..5, got {p}", field="p")
@@ -626,16 +604,13 @@ def env_posterior(
             effective_events=math.inf,
             reps_used=0,
             method=METHOD_EXACT,
+            seed_info=None,
         )
-
-    def chunk(rng, count, start):
-        idx = draw_env_batch(model, n + p, rng, count).idx
-        q = np.exp(log_survival(model, idx))
-        return _any_survive(q, k), idx[:, :p].copy()
-
-    (survive_w, prefix), reps_used, eff = run_conditioned(
-        chunk, reps, seed, f"envpost-p{p}-n{n}"
+    cond = draw_conditioned_env(
+        model, k, n + p, reps, seed, f"envpost-p{p}-n{n}",
+        lambda batch, lu, rng: (batch.idx[:, :p].copy(),),
     )
+    (prefix,), survive_w = cond.drawn, cond.survive_w
     per_position = []
     for pos in range(p):
         dist: dict[int, tuple[float, float]] = {}
@@ -655,7 +630,8 @@ def env_posterior(
         per_position=tuple(per_position),
         joint=joint,
         prior=prior,
-        effective_events=eff,
-        reps_used=reps_used,
-        method=METHOD_ENV_EXACT,
+        effective_events=cond.effective_events,
+        reps_used=cond.reps_used,
+        method=cond.method,
+        seed_info=cond.seed_info,
     )

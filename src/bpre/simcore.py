@@ -17,6 +17,7 @@ import numpy as np
 
 from . import streams
 from .environment import (
+    EnvBatch,
     EnvSequence,
     EnvironmentModel,
     TiltPlan,
@@ -30,7 +31,7 @@ from .errors import (
     PopulationCapError,
     ValidationError,
 )
-from .lfexact import log_survival
+from .lfexact import log_survival, log_survival_profile
 from .offspring import sample_many
 from .regime import classify, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
@@ -150,14 +151,6 @@ def _centered_tilt(model: EnvironmentModel) -> TiltPlan:
             "tilted importance sampling is unusable for this model"
         )
     return tilt_plan(model, report.alpha)
-
-
-def conditioning_tilt(model: EnvironmentModel) -> TiltPlan | None:
-    """Draw plan for conditioning on survival: tilted at the minimizing
-    exponent in the intermediate and weakly subcritical regimes (the tilted
-    walk is centered there), plain draws in the strongly subcritical one."""
-    report = classify(model)
-    return tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 
 
 def method_plan(method: str, tilted: Callable[[], TiltPlan]) -> TiltPlan | None:
@@ -367,7 +360,8 @@ class ConditionedEnvSamples:
 
     ``survive_w`` is the per-replicate product (importance weight) x
     P(some lineage survives | environment); every conditional expectation is
-    a ratio of weighted means against it.
+    a ratio of weighted means against it. ``drawn`` holds the per-replicate
+    arrays of the ``then`` callback of ``draw_conditioned_env``, if any.
     """
 
     q: np.ndarray
@@ -377,6 +371,7 @@ class ConditionedEnvSamples:
     reps_used: int
     effective_events: float
     seed_info: str
+    drawn: tuple[np.ndarray, ...] = ()
 
 
 def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str):
@@ -414,17 +409,32 @@ def draw_conditioned_env(
     reps: int,
     seed: int,
     purpose: str,
+    then: Callable[[EnvBatch, np.ndarray, np.random.Generator], tuple] | None = None,
 ) -> ConditionedEnvSamples:
-    """Environments for conditioning on survival from k particles, drawn
-    under ``conditioning_tilt`` and escalated by ``run_conditioned``."""
-    plan = conditioning_tilt(model)
+    """Environments conditioned on survival from k particles: the draw of
+    every estimator that conditions on survival.
+
+    Draws are tilted at the minimizing exponent in the intermediate and
+    weakly subcritical regimes (the tilted walk is centered there) and plain
+    in the strongly subcritical one, and ``run_conditioned`` escalates them.
+    ``then(batch, lu, rng)``, when given, receives each chunk's environments,
+    their log survival profile and the chunk's stream, and returns further
+    per-replicate arrays drawn after the environments; they come back in
+    ``drawn``.
+    """
+    report = classify(model)
+    plan = tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        q = np.exp(log_survival(model, batch.idx))
-        return batch.w * _any_survive(q, k), q, batch.w
+        if then is None:
+            q = np.exp(log_survival(model, batch.idx))
+            return batch.w * _any_survive(q, k), q, batch.w
+        lu = log_survival_profile(model, batch.idx)
+        q = np.exp(lu[:, 0])
+        return (batch.w * _any_survive(q, k), q, batch.w, *then(batch, lu, rng))
 
-    (survive_w, q, w), total, eff = run_conditioned(chunk, reps, seed, purpose)
+    (survive_w, q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
         q=q,
         w=w,
@@ -433,6 +443,7 @@ def draw_conditioned_env(
         reps_used=total,
         effective_events=eff,
         seed_info=streams.seed_provenance(seed, purpose),
+        drawn=tuple(drawn),
     )
 
 

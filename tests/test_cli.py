@@ -237,6 +237,33 @@ class TestCliEndToEnd:
         assert out == ""
         assert field in err_text
 
+    @pytest.mark.parametrize(
+        "field, component",
+        [
+            ("components[0].weight", {"law": {"fs": [0.5, 0.5]}, "weight": True}),
+            ("components[0].weight", {"law": {"fs": [0.5, 0.5]}, "weight": {"a": 1}}),
+            ("components[0].law.fs[0]", {"law": {"fs": [True, False]}, "weight": 1.0}),
+            ("components[0].law.fs[1]", {"law": {"fs": [0.5, "x"]}, "weight": 1.0}),
+            ("components[0].law.lf.A", {"law": {"lf": {"A": [1], "B": 0.5}}, "weight": 1.0}),
+        ],
+        ids=["weight-true", "weight-object", "fs-bools", "fs-text", "A-list"],
+    )
+    def test_non_number_in_model_is_validation_exit(self, field, component, capsys, tmp_path):
+        # true must not run as 1.0, and a list or text must not end in a traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"op": "regime", "model": {"components": [component]}, "seed": 1}
+        ))
+        code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"model.{field}" in err
+        if ".law." in field:
+            env_path = tmp_path / "env.json"
+            env_path.write_text(json.dumps([component["law"]]))
+            code, out, err = run_cli(["quenched", "--env", str(env_path)], capsys)
+            assert (code, out) == (EXIT_VALIDATION, "")
+            assert "env[0]." + field.split(".law.")[1] in err
+
     def test_quenched_rejects_format_flag(self, capsys, tmp_path):
         # quenched has no records, so there is nothing to write as CSV
         env_path = tmp_path / "env.json"
@@ -310,9 +337,10 @@ def _seed_infos(obj):
         ("yaglom", "ss-ref", {"n": 8}),
         ("qprocess", "ss-ref", {"horizon": 5}),
         ("qprocess", "ws-ref", {"horizon": 5}),
+        ("envpost", "ws-ref", {}),
     ],
     ids=["survival", "survival-tilted", "jointsurv-tilted", "lineages", "envsel", "rwalk-tail",
-         "rwalk-occupation", "yaglom-ss", "qprocess-ss", "qprocess-ws"],
+         "rwalk-occupation", "yaglom-ss", "qprocess-ss", "qprocess-ws", "envpost"],
 )
 def test_reported_stream_purpose_was_drawn(op, model, params, monkeypatch):
     drawn = set()

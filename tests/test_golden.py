@@ -6,10 +6,15 @@ a change that alters either (how many variates a draw takes, the order of a
 sum) must update the pins and say so in CHANGES.md.
 """
 
-from bpre.environment import EnvironmentModel, ws_ref
-from bpre.limits import qprocess_run, yaglom
+from bpre.environment import EnvironmentModel, ss_ref, ws_ref
+from bpre.limits import env_posterior, qprocess_run, yaglom
 from bpre.offspring import FiniteSupport
-from bpre.simcore import annealed_survival, joint_survival
+from bpre.simcore import (
+    annealed_survival,
+    conditional_env_survival,
+    conditional_lineage_counts,
+    joint_survival,
+)
 
 FS_SS = EnvironmentModel(
     [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.7, 0.2, 0.1)), 0.5)]
@@ -41,3 +46,25 @@ def test_finite_support_qprocess():
     assert [m.hex() for m in run.medians] == [x.hex() for x in (1.0, 2.0, 2.0, 2.0, 2.0, 2.0)]
     value, se = run.final_pmf[2]
     assert (value.hex(), se.hex()) == ("0x1.8bf258bf258bfp-2", "0x1.9c05c40bdffecp-7")
+
+
+def test_ws_qprocess_medians():
+    run = qprocess_run(ws_ref(), 2, 6, 2048, seed=3)
+    assert run.reps == 2048
+    assert run.medians == (2.0, 6.0, 13.0, 25.0, 35.0, 46.0, 76.0)
+
+
+def test_lineage_count_atom():
+    value, se = conditional_lineage_counts(ws_ref(), 3, 12, 4096, seed=3).pmf[2]
+    assert (value.hex(), se.hex()) == ("0x1.e9bc0ad99ef7cp-3", "0x1.bcd135cef71d9p-9")
+
+
+def test_env_survival_point():
+    curve = conditional_env_survival(ws_ref(), 2, 12, 4096, [0.01, 0.1], seed=3)
+    value, se = curve.points[0.1]
+    assert (value.hex(), se.hex()) == ("0x1.7a480f0e9ca65p-1", "0x1.0f6b55dd6fb65p-7")
+
+
+def test_untilted_env_posterior_atom():
+    value, se = env_posterior(ss_ref(), 2, 2, 6, 4096, seed=3).per_position[1][1]
+    assert (value.hex(), se.hex()) == ("0x1.4251499fc0aefp-2", "0x1.313fc3ed1efedp-7")

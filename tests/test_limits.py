@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from bpre.environment import EnvironmentModel, EnvSequence, draw_env, is_ref, ss_ref, ws_ref
 from bpre.errors import ValidationError
-from bpre.lfexact import log_survival_profile, quenched_survival
+from bpre.lfexact import log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
     _component_pmf,
     _convolve_power,
@@ -239,7 +240,8 @@ class TestQProcessRun:
         # exact one-step kernel vs finite-lookahead conditioned trajectories;
         # from k = 2 a doomed initial parent also has children
         row = qprocess_kernel(model, k, state_cap=64).probs
-        traj, w, over, _ = conditioned_trajectories(model, k, 1, 15, 3 * 10**4, seed=16)
+        cond = conditioned_trajectories(model, k, 1, 15, 3 * 10**4, seed=16)
+        (traj, over), w = cond.drawn, cond.survive_w
         ok = ~over
         emp = weighted_pmf(traj[ok, 1], w[ok])
         neff = kish_neff(w[ok])
@@ -253,7 +255,8 @@ class TestQProcessRun:
         # Z_1, Z_2 given survival at generation 3 from k = 2, against whole
         # simulated populations: doomed parents reproduce with x well below 1
         k, n, kept = 2, 3, []
-        traj, w, _, _ = conditioned_trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
+        cond = conditioned_trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
+        (traj, _), w = cond.drawn, cond.survive_w
         rng = stream(28, "t")
         while len(kept) < 6000:
             pops = evolve_lineages(draw_env(model, n, rng), k, rng)
@@ -314,6 +317,27 @@ class TestEnvPosterior:
             marg0[key[0]] += p
         for c in range(2):
             assert marg0[c] == pytest.approx(post.per_position[0][c][0], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "model, k, p, n, seed",
+        [(ws_ref(), 1, 1, 15, 23), (is_ref(), 2, 2, 10, 24)],
+        ids=["ws-ref", "is-ref"],
+    )
+    def test_matches_enumeration(self, model, k, p, n, seed):
+        # every one of the K**(n+p) environments, weighted by its
+        # probability times P(some of k lineages survives | environment)
+        reps = 40_000
+        idx = np.array(list(itertools.product(range(2), repeat=n + p)), dtype=np.uint8)
+        q = np.exp(log_survival(model, idx))
+        weight = model.weights[idx].prod(axis=1) * (1.0 - (1.0 - q) ** k)
+        post = env_posterior(model, k, p, n, reps, seed=seed)
+        assert post.method == "tilted-IS"
+        assert post.effective_events >= 0.25 * reps
+        for pos in range(p):
+            for comp in range(2):
+                exact = weight[idx[:, pos] == comp].sum() / weight.sum()
+                val, se = post.per_position[pos][comp]
+                assert abs(val - exact) < 4 * se
 
     def test_validation(self):
         with pytest.raises(ValidationError):
