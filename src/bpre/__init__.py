@@ -46,14 +46,12 @@ from .offspring import (
 from .regime import RegimeReport, classify, solve_alpha, solve_gamma_tilde
 from .simcore import (
     EstimateWithCI,
-    LineageTrajectory,
     alpha_k_curve,
     annealed_survival,
     conditional_env_survival,
     conditional_lineage_counts,
     inclusion_exclusion_check,
     joint_survival,
-    simulate_lineages,
 )
 from .rwalk import (
     WalkPath,

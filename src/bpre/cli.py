@@ -8,8 +8,7 @@ scale: on a 2-core machine, ``BPRE_THREADS=2`` took a tilted
 1.4-1.6 s and ``yaglom(ws-ref, k=1, n=16, 16384 replicates)`` from 0.09 s
 to 0.07 s.
 
-Exit codes: 0 success, 2 validation error, 3 conditioning starvation,
-4 population cap exceeded.
+Exit codes: 0 success, 2 validation error, 3 conditioning starvation.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -38,7 +38,7 @@ from .config import (
     strict_float as _float,
     strict_int as _int,
 )
-from .errors import BpreError, ConditioningStarvationError, PopulationCapError, ValidationError
+from .errors import BpreError, ConditioningStarvationError, ValidationError
 from .lfexact import quenched_survival
 from .limits import env_posterior, qprocess_kernel, qprocess_run, yaglom
 from .regime import classify
@@ -54,7 +54,6 @@ from .simcore import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STARVATION = 3
-EXIT_POPULATION_CAP = 4
 
 # one flat record per estimate: handlers give the first five, run adds the rest
 RECORD_FIELDS = ("estimand", "value", "std_error", "reps", "method", "model_hash", "seed")
@@ -75,6 +74,18 @@ def _jsonify(obj: Any) -> Any:
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
+    return obj
+
+
+def _null_non_finite(obj: Any) -> Any:
+    """``obj`` with every NaN or infinite float written as None, which strict
+    JSON parsers accept."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
     return obj
 
 
@@ -288,7 +299,8 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
             writer.writeheader()
             writer.writerows(report["records"])
         else:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            text = json.dumps(_null_non_finite(report), indent=2, sort_keys=True, allow_nan=False)
+            fh.write(text + "\n")
 
 
 # parsed arguments that are config fields, not operation parameters
@@ -431,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConditioningStarvationError as exc:
         print(f"conditioning starved: {exc}", file=sys.stderr)
         return EXIT_STARVATION
-    except PopulationCapError as exc:
-        print(f"population cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_POPULATION_CAP
     except BpreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import streams
-from .environment import EnvironmentModel, draw_env
+from .environment import EnvironmentModel, draw_env_batch
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
@@ -283,26 +283,22 @@ def conditioned_population_by_rejection(
     """Brute-force oracle: simulate whole populations, keep survivors.
 
     Only usable at short horizons where survival is not rare; validates the
-    skeleton sampler.
+    skeleton sampler. Chunk i draws ``streams.CHUNK_SIZE`` environments and
+    populations from stream (seed, "yaglom-reject", i); the first
+    ``accepted`` survivors in chunk order are kept.
     """
-    out = []
-    attempts = 0
-    index = 0
-    while len(out) < accepted:
+    kept = [np.zeros(0, dtype=np.int64)]
+    found = index = 0
+    while found < accepted:
+        if index * streams.CHUNK_SIZE >= REJECTION_MAX_ATTEMPTS:
+            raise ConditioningStarvationError(float(found), float(accepted))
         rng = streams.stream(seed, "yaglom-reject", index)
+        batch = draw_env_batch(model, n, rng, streams.CHUNK_SIZE)
+        totals = evolve_lineages(model, batch.idx, k, rng)[:, -1].sum(axis=1)
+        kept.append(totals[totals > 0])
+        found += len(kept[-1])
         index += 1
-        for _ in range(4096):
-            attempts += 1
-            if attempts > REJECTION_MAX_ATTEMPTS:
-                raise ConditioningStarvationError(float(len(out)), float(accepted))
-            env = draw_env(model, n, rng)
-            pops = evolve_lineages(env, k, rng)
-            total = int(pops[-1].sum())
-            if total > 0:
-                out.append(total)
-                if len(out) >= accepted:
-                    break
-    return np.array(out, dtype=np.int64)
+    return np.concatenate(kept)[:accepted]
 
 
 def functional_residual(

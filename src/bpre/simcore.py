@@ -18,10 +18,8 @@ import numpy as np
 from . import streams
 from .environment import (
     EnvBatch,
-    EnvSequence,
     EnvironmentModel,
     TiltPlan,
-    draw_env,
     draw_env_batch,
     tilt_plan,
 )
@@ -59,67 +57,40 @@ class EstimateWithCI:
             raise ValidationError("standard error must be >= 0", field="std_error")
 
 
-@dataclass(frozen=True)
-class LineageTrajectory:
-    """One simulated run: k lineages evolved under a shared environment."""
-
-    env: EnvSequence
-    pops: np.ndarray  # (n+1, k) per-lineage population sizes
-
-    @property
-    def n(self) -> int:
-        return self.pops.shape[0] - 1
-
-    @property
-    def k(self) -> int:
-        return self.pops.shape[1]
-
-    @property
-    def lineages_alive(self) -> int:
-        return int(np.count_nonzero(self.pops[-1]))
-
-    @property
-    def total_alive(self) -> int:
-        return int(self.pops[-1].sum())
-
-
 def evolve_lineages(
-    env: EnvSequence,
+    model: EnvironmentModel,
+    idx: np.ndarray,
     k: int,
-    stream: np.random.Generator,
+    rng: np.random.Generator,
     population_cap: int = DEFAULT_POPULATION_CAP,
 ) -> np.ndarray:
-    """Evolve k independent lineages under a fixed environment sequence."""
+    """Evolve k lineages under each row of ``idx``, the (replicates, n)
+    component indices of ``draw_env_batch``; returns the (replicates, n+1, k)
+    per-lineage population sizes.
+
+    Every individual's offspring is drawn on its own (one ``sample_many``
+    call per component and generation, over the individuals of the rows
+    that drew it), so this stays a brute-force reference for the aggregate
+    samplers. Raises ``PopulationCapError`` when some replicate's total
+    exceeds ``population_cap``.
+    """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}", field="k")
-    n = len(env)
-    pops = np.zeros((n + 1, k), dtype=np.int64)
-    pops[0] = 1
-    current = pops[0].copy()
-    for i, law in enumerate(env):
-        total = int(current.sum())
-        if total == 0:
-            break
-        draws = sample_many(law, total, stream)
-        owners = np.repeat(np.arange(k), current)
-        current = np.bincount(owners, weights=draws, minlength=k).astype(np.int64)
-        if current.sum() > population_cap:
+    reps, n = idx.shape
+    pops = np.zeros((reps, n + 1, k), dtype=np.int64)
+    pops[:, 0] = 1
+    for i in range(n):
+        # one entry per individual: its lineage, r * k + j for lineage j of replicate r
+        owners = np.repeat(np.arange(reps * k), pops[:, i].ravel())
+        comp = idx[owners // k, i]
+        children = np.zeros(len(owners))
+        for c in np.unique(comp):
+            group = comp == c
+            children[group] = sample_many(model.laws[c], np.count_nonzero(group), rng)
+        pops[:, i + 1] = np.bincount(owners, weights=children, minlength=reps * k).reshape(reps, k)
+        if np.any(pops[:, i + 1].sum(axis=1) > population_cap):
             raise PopulationCapError(population_cap, i + 1)
-        pops[i + 1] = current
     return pops
-
-
-def simulate_lineages(
-    model: EnvironmentModel,
-    k: int,
-    n: int,
-    stream: np.random.Generator,
-    population_cap: int = DEFAULT_POPULATION_CAP,
-) -> LineageTrajectory:
-    """Draw one environment, then evolve k lineages under it."""
-    env = draw_env(model, n, stream)
-    pops = evolve_lineages(env, k, stream, population_cap)
-    return LineageTrajectory(env=env, pops=pops)
 
 
 # --- environment sampling with optional exponential tilt --------------------
@@ -279,7 +250,7 @@ def inclusion_exclusion_check(
         reps=reps,
         direct_mean=float(np.mean(direct)),
         alternating_mean=float(np.mean(alternating)),
-        max_pathwise_diff=float(np.max(np.abs(direct - alternating))) if reps else 0.0,
+        max_pathwise_diff=float(np.max(np.abs(direct - alternating))),
     )
 
 
@@ -501,15 +472,14 @@ def lineage_counts_by_simulation(
     seed: int = 0,
 ) -> dict[int, int]:
     """Brute-force oracle: surviving-lineage counts from full population runs."""
-    counts: dict[int, int] = {}
-    for index, start, stop in streams.chunk_bounds(reps, 1024):
-        rng = streams.stream(seed, "lincount-sim", index)
-        for _ in range(stop - start):
-            traj = simulate_lineages(model, k, n, rng)
-            alive = traj.lineages_alive
-            if alive > 0:
-                counts[alive] = counts.get(alive, 0) + 1
-    return counts
+
+    def chunk(rng, count, start):
+        batch = draw_env_batch(model, n, rng, count)
+        return (np.count_nonzero(evolve_lineages(model, batch.idx, k, rng)[:, -1], axis=1),)
+
+    (alive,) = streams.run_chunks(chunk, reps, seed, "lincount-sim")
+    values, counts = np.unique(alive[alive > 0], return_counts=True)
+    return {int(j): int(c) for j, c in zip(values, counts)}
 
 
 @dataclass(frozen=True)

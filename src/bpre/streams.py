@@ -16,6 +16,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 CHUNK_SIZE = 4096
 
 THREADS_ENV_VAR = "BPRE_THREADS"
@@ -57,15 +59,10 @@ def seed_provenance(seed: int, purpose: str) -> str:
     return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE}"
 
 
-def chunk_bounds(reps: int, chunk_size: int = CHUNK_SIZE) -> Iterator[tuple[int, int, int]]:
+def chunk_bounds(reps: int) -> Iterator[tuple[int, int, int]]:
     """Yield (chunk_index, start, stop) covering range(reps)."""
-    index = 0
-    start = 0
-    while start < reps:
-        stop = min(start + chunk_size, reps)
-        yield index, start, stop
-        index += 1
-        start = stop
+    for index, start in enumerate(range(0, reps, CHUNK_SIZE)):
+        yield index, start, min(start + CHUNK_SIZE, reps)
 
 
 def thread_count() -> int:
@@ -91,6 +88,8 @@ def run_chunks(
     of the worker count. Chunk streams are numbered from ``first_chunk``, so
     a later call can continue the streams of an earlier one.
     """
+    if reps < 1:
+        raise ValidationError(f"replicate count must be >= 1, got {reps}", field="reps")
     bounds = list(chunk_bounds(reps))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -81,6 +82,22 @@ class TestCliEndToEnd:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"]["gamma"] == pytest.approx(0.375)
+
+    def test_json_report_is_strict_json(self, capsys):
+        # the one-step exact posterior has infinitely many effective events
+        args = ["envpost", "--model", "ws-ref", "--k", "1", "--p", "1", "--n", "0", "--seed", "1"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["result"]["effective_events"] is None
+        config = config_from_dict(
+            {"op": "envpost", "model": "ws-ref", "seed": 1, "params": {"k": 1, "p": 1, "n": 0}}
+        )
+        assert run(config)["result"]["effective_events"] == math.inf
 
     def test_survival_csv_columns(self, capsys, tmp_path):
         out_file = tmp_path / "est.csv"

@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used by that module."""
+"""Every top-level import of a package module is used by that module, and
+the brute-force oracles stay independent of the samplers they check."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,46 @@ def test_no_unused_top_level_import(path):
 def test_check_sees_an_unused_import():
     source = "import os\nfrom math import pi as tau, e\nimport numpy.linalg\nprint(e)\n"
     assert unused_imports(source) == ["os", "tau", "numpy"]
+
+
+# the aggregate population sampler of ``limits`` and the conditioned draw it runs on
+AGGREGATE_SAMPLER = (
+    "_generation",
+    "_lf_totals",
+    "_fs_totals",
+    "_neg_binomial",
+    "_evolve_skeleton",
+    "_dressed_trajectories",
+    "draw_conditioned_env",
+)
+ORACLES = [
+    ("simcore", "evolve_lineages"),
+    ("simcore", "lineage_counts_by_simulation"),
+    ("limits", "conditioned_population_by_rejection"),
+]
+
+
+def module_functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((Path(bpre.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def names_in(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+@pytest.mark.parametrize("module, oracle", ORACLES, ids=[name for _, name in ORACLES])
+def test_oracle_names_no_aggregate_sampler_helper(module, oracle):
+    assert names_in(module_functions(module)[oracle]).isdisjoint(AGGREGATE_SAMPLER)
+
+
+def test_aggregate_sampler_helpers_exist():
+    # a renamed helper would make the independence check pass vacuously
+    defined = set(module_functions("limits")) | set(module_functions("simcore"))
+    assert set(AGGREGATE_SAMPLER) <= defined

@@ -160,15 +160,12 @@ class TestMinorant:
 
 class TestQuenchedAgainstSimulation:
     def test_lineage_monte_carlo_matches_quenched(self):
-        env = draw_env(ss_ref(), 6, stream(41, "t"))
-        p = quenched_survival(env).p
-        rng = stream(42, "t")
+        model = ss_ref()
+        row = draw_env_batch(model, 6, stream(41, "t"), 1).idx
+        p = quenched_survival(EnvSequence([model.laws[c] for c in row[0]])).p
         reps = 10**5
-        alive = 0
-        for _ in range(reps):
-            pops = evolve_lineages(env, 1, rng)
-            alive += int(pops[-1].sum() > 0)
-        frac = alive / reps
+        pops = evolve_lineages(model, np.tile(row, (reps, 1)), 1, stream(42, "t"))
+        frac = np.count_nonzero(pops[:, -1, 0]) / reps
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(frac - p) < 4 * se
 

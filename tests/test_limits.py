@@ -4,8 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from bpre.environment import EnvironmentModel, EnvSequence, draw_env, is_ref, ss_ref, ws_ref
-from bpre.errors import ValidationError
+from bpre.environment import (
+    EnvironmentModel,
+    EnvSequence,
+    draw_env,
+    draw_env_batch,
+    is_ref,
+    ss_ref,
+    ws_ref,
+)
+from bpre import limits, streams
+from bpre.errors import ConditioningStarvationError, ValidationError
 from bpre.lfexact import log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
     _component_pmf,
@@ -126,6 +135,14 @@ class TestYaglom:
         tv = pmf_tv_distance(est.pmf, rej_pmf)
         budget = pmf_tv_budget(est.pmf, rej_pmf, est.effective_events, float(len(rej)))
         assert tv <= 4 * budget
+
+    def test_rejection_oracle_edges(self, monkeypatch):
+        none = conditioned_population_by_rejection(ss_ref(), 2, 5, 0, seed=8)
+        assert none.dtype == np.int64 and len(none) == 0
+        extinct = EnvironmentModel([(FiniteSupport([1.0]), 1.0)])
+        monkeypatch.setattr(limits, "REJECTION_MAX_ATTEMPTS", 3 * streams.CHUNK_SIZE)
+        with pytest.raises(ConditioningStarvationError):
+            conditioned_population_by_rejection(extinct, 1, 2, 10, seed=8)
 
     def test_long_ws_horizon_keeps_its_mass(self):
         est = yaglom(ws_ref(), 1, 50, 20000, seed=1)
@@ -254,15 +271,15 @@ class TestQProcessRun:
     def test_trajectories_match_rejection(self, model):
         # Z_1, Z_2 given survival at generation 3 from k = 2, against whole
         # simulated populations: doomed parents reproduce with x well below 1
-        k, n, kept = 2, 3, []
+        k, n = 2, 3
         cond = conditioned_trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
         (traj, _), w = cond.drawn, cond.survive_w
         rng = stream(28, "t")
-        while len(kept) < 6000:
-            pops = evolve_lineages(draw_env(model, n, rng), k, rng)
-            if pops[-1].sum() > 0:
-                kept.append(pops[1:3].sum(axis=1))
-        kept = np.array(kept)
+        pops = evolve_lineages(model, draw_env_batch(model, n, rng, 3 * 10**4).idx, k, rng)
+        sizes = pops.sum(axis=2)
+        kept = sizes[sizes[:, -1] > 0, 1:3]
+        assert len(kept) >= 6000
+        kept = kept[:6000]
         for gen in (1, 2):
             est = weighted_pmf(traj[:, gen], w)
             rej = weighted_pmf(kept[:, gen - 1], np.ones(len(kept)))

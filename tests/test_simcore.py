@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from bpre import streams
-from bpre.environment import EnvironmentModel, EnvSequence, is_ref, ss_ref, ws_ref
+from bpre.environment import EnvironmentModel, draw_env_batch, is_ref, ss_ref, ws_ref
 from bpre.errors import (
     ConditioningStarvationError,
     DegenerateTiltError,
     PopulationCapError,
     ValidationError,
 )
+from bpre.limits import env_posterior, qprocess_run, yaglom
 from bpre.offspring import FiniteSupport, LinearFractional
+from bpre.rwalk import ln_tail
 from bpre.simcore import (
     alpha_k_curve,
     annealed_survival,
@@ -24,7 +26,6 @@ from bpre.simcore import (
     joint_survival,
     lineage_counts_by_simulation,
     run_conditioned,
-    simulate_lineages,
 )
 from bpre.stats import chi_square_pvalue
 from bpre.streams import stream
@@ -35,9 +36,11 @@ BERNOULLI_MODEL = EnvironmentModel([(FiniteSupport([0.5, 0.5]), 1.0)])
 
 class TestSimulateLineages:
     def test_time_zero(self):
-        traj = simulate_lineages(ss_ref(), 1, 0, stream(1, "t"))
-        assert traj.total_alive == 1
-        assert traj.lineages_alive == 1
+        rng = stream(1, "t")
+        pops = evolve_lineages(ss_ref(), draw_env_batch(ss_ref(), 0, rng, 1).idx, 1, rng)
+        assert pops.shape == (1, 1, 1)
+        assert pops[0, -1].sum() == 1
+        assert np.count_nonzero(pops[0, -1]) == 1
 
     def test_bernoulli_survival_probability(self):
         # each lineage survives iff every generation draws a 1: prob 2**-10
@@ -45,30 +48,60 @@ class TestSimulateLineages:
         p_one = 2.0**-n
         expected = 1.0 - (1.0 - p_one) ** k
         rng = stream(2, "t")
-        hits = 0
-        for _ in range(reps):
-            traj = simulate_lineages(BERNOULLI_MODEL, k, n, rng)
-            hits += traj.lineages_alive >= 1
+        idx = draw_env_batch(BERNOULLI_MODEL, n, rng, reps).idx
+        pops = evolve_lineages(BERNOULLI_MODEL, idx, k, rng)
+        hits = np.count_nonzero(pops[:, -1].sum(axis=1) > 0)
         se = math.sqrt(expected * (1 - expected) / reps)
         assert abs(hits / reps - expected) < 4 * se
 
     def test_joint_survival_constant_env(self):
         # both of 2 lineages alive after 2 critical-geometric generations: 1/9
-        env = EnvSequence([LF, LF])
         reps = 20000
-        rng = stream(3, "t")
-        hits = 0
-        for _ in range(reps):
-            pops = evolve_lineages(env, 2, rng)
-            hits += int((pops[-1] > 0).all())
+        idx = np.zeros((reps, 2), dtype=np.uint8)  # the environment (LF, LF) in every row
+        pops = evolve_lineages(EnvironmentModel([(LF, 1.0)]), idx, 2, stream(3, "t"))
+        hits = np.count_nonzero((pops[:, -1] > 0).all(axis=1))
         expected = 1.0 / 9.0
         se = math.sqrt(expected * (1 - expected) / reps)
         assert abs(hits / reps - expected) < 4 * se
 
     def test_population_cap(self):
         hot = EnvironmentModel([(LinearFractional(0.5, 0.5), 1.0)])  # mean 2
+        idx = np.zeros((1, 40), dtype=np.uint8)
         with pytest.raises(PopulationCapError):
-            simulate_lineages(hot, 64, 40, stream(4, "t"), population_cap=10**4)
+            evolve_lineages(hot, idx, 64, stream(4, "t"), population_cap=10**4)
+
+    def test_population_cap_is_per_replicate(self):
+        # every individual has exactly 2 children: each row holds 2**10 at n = 10,
+        # and the 64 rows together hold 2**16
+        doubling = EnvironmentModel([(FiniteSupport([0.0, 0.0, 1.0]), 1.0)])
+        idx = np.zeros((64, 10), dtype=np.uint8)
+        pops = evolve_lineages(doubling, idx, 1, stream(5, "t"), population_cap=2**10)
+        assert (pops[:, -1, 0] == 2**10).all()
+        with pytest.raises(PopulationCapError) as err:
+            evolve_lineages(doubling, idx, 1, stream(5, "t"), population_cap=2**10 - 1)
+        assert err.value.generation == 10
+
+
+MONTE_CARLO_AT_ZERO_REPS = {
+    "annealed": lambda: annealed_survival(ss_ref(), 1, 5, 0),
+    "joint": lambda: joint_survival(ss_ref(), 2, 5, 0),
+    "incl-excl": lambda: inclusion_exclusion_check(ss_ref(), 2, 5, 0),
+    "alphak": lambda: alpha_k_curve(ss_ref(), [1, 2], [5], 0),
+    "lincount": lambda: conditional_lineage_counts(ss_ref(), 2, 5, 0),
+    "lincount-sim": lambda: lineage_counts_by_simulation(ss_ref(), 2, 5, 0),
+    "envsel": lambda: conditional_env_survival(ss_ref(), 2, 5, 0, [0.1]),
+    "yaglom": lambda: yaglom(ss_ref(), 1, 5, 0),
+    "qprocess": lambda: qprocess_run(ws_ref(), 1, 5, 0),
+    "envpost": lambda: env_posterior(ws_ref(), 1, 1, 3, 0),
+    "ln-tail": lambda: ln_tail(ws_ref(), 5, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("estimate", MONTE_CARLO_AT_ZERO_REPS.values(), ids=MONTE_CARLO_AT_ZERO_REPS)
+def test_zero_replicates_is_validation_error(estimate):
+    with pytest.raises(ValidationError) as err:
+        estimate()
+    assert err.value.field == "reps"
 
 
 class TestAnnealedSurvival:
