@@ -120,7 +120,7 @@ def _minimum_bound_gap(n: int, reps: int, seed: int, prefix: str) -> float:
 
         def chunk(rng, count, start):
             batch = draw_env_batch(model, n, rng, count)
-            log_q = log_survival(model, batch.idx)
+            log_q = log_survival(model, batch)
             return (np.exp(log_q) - np.exp(np.cumsum(batch.steps, axis=1).min(axis=1)),)
 
         (gap,) = streams.run_chunks(chunk, reps, seed, f"{prefix}-{tag}")
@@ -134,9 +134,9 @@ def _dominance_gap(model: EnvironmentModel, n: int, reps: int, seed: int, purpos
     tilde = EnvironmentModel([(lf_minorant(law), w) for law, w in model.components])
 
     def chunk(rng, count, start):
-        idx = draw_env_batch(model, n, rng, count).idx
-        base = np.exp(log_survival(model, idx))
-        return (np.exp(log_survival(tilde, idx)) - base,)
+        batch = draw_env_batch(model, n, rng, count)
+        base = np.exp(log_survival(model, batch))
+        return (np.exp(log_survival(tilde, batch)) - base,)
 
     (gap,) = streams.run_chunks(chunk, reps, seed, purpose)
     return float(gap.max())

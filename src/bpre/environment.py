@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .offspring import (
     lf_from_moments,
     moments,
 )
-from .streams import categorical
 
 
 @dataclass(frozen=True)
@@ -118,13 +117,114 @@ def tilt_plan(model: EnvironmentModel, theta: float) -> TiltPlan:
     return TiltPlan(theta=theta, rate=z, weights=tilted.weights)
 
 
+# --- block codes ------------------------------------------------------------
+#
+# Monte Carlo environments are drawn and stored b generations at a time: the
+# components of a block, read as a base-K number with the first generation
+# most significant, form its code. b is the largest block with
+# K**b <= BLOCK_TABLE_SIZE, at most MAX_BLOCK, and 1 when K exceeds
+# BLOCK_TABLE_SIZE; a last block of n mod b generations is shorter. Each code
+# is one draw from the product law of its block, through a Walker/Vose alias
+# table, and the LF survival kernel steps a whole block by the same code.
+
+BLOCK_TABLE_SIZE = 256
+MAX_BLOCK = 8
+
+
+def block_length(k: int) -> int:
+    """Generations per block code of a model with k components."""
+    b = 1
+    while b < MAX_BLOCK and k ** (b + 1) <= BLOCK_TABLE_SIZE:
+        b += 1
+    return b
+
+
+def _block_values(values, length: int, combine: np.ufunc) -> np.ndarray:
+    """combine(values[c_1], ..., values[c_length]) of every block of
+    ``length`` components, indexed by block code."""
+    out = values = np.asarray(values)
+    for _ in range(length - 1):
+        out = combine.outer(out, values).ravel()
+    return out
+
+
+@lru_cache(maxsize=64)
+def _alias_table(p: tuple[float, ...], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table of one block code of ``length`` generations
+    drawn iid from ``p``.
+
+    A uniform u picks cell j = floor(u * N) of the N codes, and then code
+    pick[2j + 1] (j itself) when u * N < edge[j] = j + P(keep j), else its
+    alias pick[2j].
+    """
+    probs = _block_values(p, length, np.multiply)
+    size = len(probs)
+    mass = list(probs * (size / probs.sum()))
+    keep = np.ones(size)
+    alias = np.arange(size)
+    small = [j for j in range(size) if mass[j] < 1.0]
+    large = [j for j in range(size) if mass[j] >= 1.0]
+    while small and large:
+        j, big = small.pop(), large.pop()
+        keep[j], alias[j] = mass[j], big
+        mass[big] = (mass[big] + mass[j]) - 1.0
+        (small if mass[big] < 1.0 else large).append(big)
+    # cells left over in either list hold mass 1 up to rounding and keep themselves
+    pick = np.stack([alias, np.arange(size)], axis=1).ravel()
+    return _read_only(np.arange(size) + keep), _read_only(pick.astype(np.min_scalar_type(size - 1)))
+
+
+def _draw_codes(rng: np.random.Generator, p, length: int, shape) -> np.ndarray:
+    """Block codes of ``length`` generations from ``p``, one uniform each."""
+    edge, pick = _alias_table(tuple(p), length)
+    # u < 1 has 53 bits, so u * N rounds below N and cell stays in range
+    x = rng.random(shape) * len(edge)
+    cell = x.astype(np.intp)
+    return pick.take((cell << 1) | (x < edge.take(cell)))
+
+
+@lru_cache(maxsize=16)
+def _digits(k: int, length: int) -> np.ndarray:
+    """(k**length, length) components of every block code (uint8 up to K = 256)."""
+    codes = np.arange(k**length)[:, None]
+    places = k ** np.arange(length - 1, -1, -1)
+    return _read_only((codes // places % k).astype(np.min_scalar_type(k - 1)))
+
+
+@lru_cache(maxsize=16)
+def _block_log_means(log_means: tuple[float, ...], length: int) -> np.ndarray:
+    """S of each block code: the sum of its generations' log means."""
+    return _read_only(_block_values(log_means, length, np.add))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached table read-only; chunks on several threads share it."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EnvBatch:
-    """A chunk of Monte Carlo environments, one row per replicate."""
+    """A chunk of Monte Carlo environments, one row per replicate, stored
+    as block codes (see ``block_length``)."""
 
     model: EnvironmentModel
-    idx: np.ndarray  # (count, n) component indices (uint8 up to K = 256), generation order left to right
+    n: int
+    codes: np.ndarray  # (count, ceil(n / b)) block codes, generation order left to right
     w: np.ndarray  # (count,) importance weights back to the base model
+
+    @cached_property
+    def idx(self) -> np.ndarray:
+        """(count, n) component indices (uint8 up to K = 256), unpacked from
+        the codes on first read."""
+        k = len(self.model.laws)
+        b = block_length(k)
+        full = self.n // b
+        count = len(self.codes)
+        parts = [_digits(k, b)[self.codes[:, :full]].reshape(count, full * b)]
+        if full * b < self.n:
+            parts.append(_digits(k, self.n - full * b)[self.codes[:, full]])
+        return np.concatenate(parts, axis=1)
 
     @property
     def steps(self) -> np.ndarray:
@@ -132,6 +232,19 @@ class EnvBatch:
         # numpy gathers through intp indices on its fast path; through narrow
         # indices it casts element by element, which costs more than widening
         return self.model.log_means[self.idx.astype(np.intp)]
+
+
+def pack_env(model: EnvironmentModel, idx) -> EnvBatch:
+    """EnvBatch of the given (count, n) component indices, with unit
+    weights: hand-built environments in the form the kernels read."""
+    idx = np.asarray(idx)
+    count, n = idx.shape
+    k = len(model.laws)
+    b = block_length(k)
+    codes = np.zeros((count, -(-n // b)), dtype=np.intp)
+    for i in range(n):
+        codes[:, i // b] = codes[:, i // b] * k + idx[:, i]
+    return EnvBatch(model, n, codes.astype(np.min_scalar_type(k**b - 1)), np.ones(count))
 
 
 def draw_env_batch(
@@ -144,21 +257,25 @@ def draw_env_batch(
     """Draw ``count`` iid environments of n generations, tilted when ``plan``
     is given; every Monte Carlo estimator draws its environments here.
 
-    Component indices come from ``streams.categorical``: one uniform per
-    generation, compared against the cumulative mixture weights, giving the
-    indices ``rng.choice`` would give on the same stream. The tilt weight's
-    S_n is sum_k log m_k * (count of component k in the row).
+    Each block code takes one uniform. They are laid out block by block,
+    the first block of every row before the second: the (ceil(n / b),
+    count) array that ``codes`` transposes. The tilt weight's S_n sums the
+    per-code log means of a row.
     """
     p = model.weights if plan is None else plan.weights
-    idx = categorical(rng, p, (count, n))
+    b = block_length(len(p))
+    full, rest = divmod(n, b)
+    blocks = [(b, _draw_codes(rng, p, b, (full, count)))]
+    if rest:
+        blocks.append((rest, _draw_codes(rng, p, rest, (1, count))))
+    codes = np.concatenate([c for _, c in blocks]) if rest else blocks[0][1]
     if plan is None:
         w = np.ones(count)
     else:
-        rest = [np.count_nonzero(idx == k, axis=1) for k in range(1, len(p))]
-        counts = [n - sum(rest, np.zeros(count, dtype=np.intp))] + rest
-        s_n = sum(log_m * c for log_m, c in zip(model.log_means, counts))
+        log_means = tuple(model.log_means)
+        s_n = sum(_block_log_means(log_means, length).take(c).sum(axis=0) for length, c in blocks)
         w = np.exp(n * math.log(plan.rate) - plan.theta * s_n)
-    return EnvBatch(model=model, idx=idx, w=w)
+    return EnvBatch(model=model, n=n, codes=codes.T, w=w)
 
 
 def env_expectation(model: EnvironmentModel, g: Callable[[OffspringLaw], float]) -> float:

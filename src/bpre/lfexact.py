@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .environment import EnvSequence, EnvironmentModel
+from .environment import EnvBatch, EnvSequence, EnvironmentModel, block_length, pack_env
 from .errors import CrossCheckError, ValidationError
 from .offspring import (
     _LOG_TINY,
@@ -174,78 +174,71 @@ def minorant_env(env: EnvSequence) -> EnvSequence:
 #
 # Linear-fractional maps are closed under composition: u -> m*u/(1+c*u)
 # after u -> M*u/(1+C*u) is u -> m*M*u/(1+(C+c*M)*u). So for an all-LF
-# model the recursion steps a block of b generations at once, with the
-# composite (log M, C) looked up by the block's components read as a
-# base-K number. b is the largest block with K**b <= BLOCK_TABLE_SIZE (at
-# most MAX_BLOCK); other models step one generation at a time.
-
-BLOCK_TABLE_SIZE = 256
-MAX_BLOCK = 8
+# model the recursion steps a block of generations at once, with the
+# composite (log M, C) looked up by the block code of the environment draw
+# (``environment.block_length``); other models step one generation at a
+# time.
 
 
-def log_survival_profile(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
-    """Log survival profiles for environments given as component indices.
+def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
+    """Log survival profiles of a batch of environments.
 
-    ``idx`` has shape (replicates, n), generations left to right. Entry
-    [r, i] of the (replicates, n+1) result is the log probability that one
-    individual at generation i has a descendant at generation n: column n
-    is 0 and column 0 is the log survival probability.
+    ``env`` is an ``EnvBatch``, or (replicates, n) component indices with
+    generations left to right. Entry [r, i] of the (replicates, n+1) result
+    is the log probability that one individual at generation i has a
+    descendant at generation n: column n is 0 and column 0 is the log
+    survival probability.
     """
-    count, n = idx.shape
-    lu = np.zeros((n + 1, count))
+    batch = _as_batch(model, env)
+    lu = np.zeros((batch.n + 1, len(batch.codes)))
     step = _block_steps(model)[0]
-    for lo, hi, row in _backward_steps(model, idx):
+    for lo, hi, row in _backward_steps(model, batch):
         lu[lo] = row
         for i in range(hi - 1, lo, -1):
-            lu[i] = step(idx[:, i], lu[i + 1])
+            lu[i] = step(batch.idx[:, i], lu[i + 1])
     return lu.T
 
 
-def log_survival(model: EnvironmentModel, idx: np.ndarray) -> np.ndarray:
+def log_survival(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
     """Column 0 of ``log_survival_profile``, the log survival probability of
     each replicate, without keeping the profile of earlier generations."""
-    lu = np.zeros(len(idx))
-    for _, _, lu in _backward_steps(model, idx):
+    batch = _as_batch(model, env)
+    lu = np.zeros(len(batch.codes))
+    for _, _, lu in _backward_steps(model, batch):
         pass
     return lu
 
 
-def _backward_steps(model: EnvironmentModel, idx: np.ndarray):
+def _as_batch(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> EnvBatch:
+    return env if isinstance(env, EnvBatch) else pack_env(model, env)
+
+
+def _backward_steps(model: EnvironmentModel, batch: EnvBatch):
     """Yield (lo, hi, log u of every replicate at generation lo) for the
     blocks [lo, hi) of generations from last to first, starting from log u
     = 0 at generation n.
 
-    Blocks have the model's block length b, except a last block of n mod b
-    generations.
+    An all-LF model steps by the batch's block codes, the others by one
+    component index per generation.
     """
-    count, n = idx.shape
+    n = batch.n
     steps = _block_steps(model)
     b = len(steps)
-    k = len(model.laws)
+    codes = batch.codes if model.all_linear_fractional else batch.idx
     full = n - n % b
-    lu = np.zeros(count)
+    lu = np.zeros(len(codes))
     if full < n:
-        lu = steps[n - full - 1](_block_codes(idx[:, full:], k), lu)
+        lu = steps[n - full - 1](codes[:, -1], lu)
         yield full, n, lu
-    codes = _block_codes(idx[:, :full].reshape(count, full // b, b), k)
     for lo in range(full - b, -1, -b):
         lu = steps[-1](codes[:, lo // b], lu)
         yield lo, lo + b, lu
 
 
-def _block_codes(blocks: np.ndarray, k: int) -> np.ndarray:
-    """Components of each block (last axis) read as a base-k number, first
-    generation most significant. Codes stay below BLOCK_TABLE_SIZE, so they
-    keep the indices' dtype."""
-    code = blocks[..., 0]
-    for t in range(1, blocks.shape[-1]):
-        code = code * k + blocks[..., t]
-    return code
-
-
 def _block_steps(model: EnvironmentModel) -> list:
     """steps[j](codes, lu) moves log u back over a block of j + 1
-    generations; steps[0] takes component indices."""
+    generations; steps[0] takes component indices, and is the only step of
+    a model that is not all-LF."""
     if model.all_linear_fractional:
         return [partial(_lf_table_step, log_m, c) for log_m, c in _lf_tables(model)]
 
@@ -268,10 +261,7 @@ def _lf_tables(model: EnvironmentModel) -> tuple[tuple[np.ndarray, np.ndarray], 
     A valid law has m <= 1 / (1 - B) + 1e-12 / (1 - B)**2 < 1e20 and c < 2**53,
     so C stays below 8 * 2**53 * 1e140 and never overflows.
     """
-    k = len(model.laws)
-    b = 1
-    while b < MAX_BLOCK and k ** (b + 1) <= BLOCK_TABLE_SIZE:
-        b += 1
+    b = block_length(len(model.laws))
     log_m = model.log_means.copy()
     c = np.array([law.B / (1.0 - law.B) for law in model.laws])
     tables = [(log_m, c)]

@@ -154,7 +154,7 @@ def draw_env_samples(
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        log_q = log_survival(model, batch.idx)
+        log_q = log_survival(model, batch)
         return np.exp(log_q), log_q, batch.w
 
     q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose)
@@ -380,7 +380,7 @@ def draw_conditioned_env(
     reps: int,
     seed: int,
     purpose: str,
-    then: Callable[[EnvBatch, np.ndarray, np.random.Generator], tuple] | None = None,
+    then: Callable[[EnvBatch, Callable[[], np.ndarray], np.random.Generator], tuple] | None = None,
 ) -> ConditionedEnvSamples:
     """Environments conditioned on survival from k particles: the draw of
     every estimator that conditions on survival.
@@ -388,22 +388,28 @@ def draw_conditioned_env(
     Draws are tilted at the minimizing exponent in the intermediate and
     weakly subcritical regimes (the tilted walk is centered there) and plain
     in the strongly subcritical one, and ``run_conditioned`` escalates them.
-    ``then(batch, lu, rng)``, when given, receives each chunk's environments,
-    their log survival profile and the chunk's stream, and returns further
-    per-replicate arrays drawn after the environments; they come back in
-    ``drawn``.
+    ``then(batch, profile, rng)``, when given, receives each chunk's
+    environments, a function that returns their log survival profile and
+    the chunk's stream, and returns further per-replicate arrays drawn after
+    the environments; they come back in ``drawn``. The profile is computed
+    only when ``then`` asks for it; otherwise the survival-only kernel runs.
     """
     report = classify(model)
     plan = tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        if then is None:
-            q = np.exp(log_survival(model, batch.idx))
-            return batch.w * _any_survive(q, k), q, batch.w
-        lu = log_survival_profile(model, batch.idx)
-        q = np.exp(lu[:, 0])
-        return (batch.w * _any_survive(q, k), q, batch.w, *then(batch, lu, rng))
+        profiles = []
+
+        def profile():
+            if not profiles:
+                profiles.append(log_survival_profile(model, batch))
+            return profiles[0]
+
+        drawn = () if then is None else then(batch, profile, rng)
+        # column 0 of the profile has the same bits as log_survival
+        q = np.exp(profiles[0][:, 0] if profiles else log_survival(model, batch))
+        return (batch.w * _any_survive(q, k), q, batch.w, *drawn)
 
     (survive_w, q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(

@@ -2,9 +2,10 @@
 
 Streams are derived from a counter-based generator (Philox) keyed by
 (seed, purpose, chunk index). Replicates are processed in chunks of the fixed
-size ``CHUNK_SIZE`` (4096, printed in every ``seed_provenance`` string), each
-chunk owning an independent stream, so results depend only on the config and
-seed and never on how chunks are distributed over workers.
+size ``CHUNK_SIZE`` (4096, printed in every ``seed_provenance`` string with
+the stream layout), each chunk owning an independent stream, so results
+depend only on the config and seed and never on how chunks are distributed
+over workers.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK_SIZE = 4096
+# Version of the way draws are laid out on the streams, printed in every
+# ``seed_provenance`` string; 2 draws environments one block code per uniform.
+STREAM_LAYOUT = 2
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 
@@ -56,7 +60,7 @@ def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
 
 
 def seed_provenance(seed: int, purpose: str) -> str:
-    return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE}"
+    return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE} layout={STREAM_LAYOUT}"
 
 
 def chunk_bounds(reps: int) -> Iterator[tuple[int, int, int]]:

@@ -7,16 +7,23 @@ from hypothesis import strategies as st
 
 from bpre.environment import (
     EnvironmentModel,
+    _alias_table,
+    block_length,
     builtin_model,
     draw_env,
+    draw_env_batch,
     env_expectation,
     is_ref,
+    pack_env,
     ss_ref,
     tilt,
+    tilt_plan,
     ws_ref,
 )
 from bpre.errors import ValidationError
-from bpre.offspring import LinearFractional, moments
+from bpre.lfexact import log_survival
+from bpre.offspring import LinearFractional, geometric_lf, moments
+from bpre.stats import chi_square_pvalue
 from bpre.streams import stream
 
 
@@ -114,3 +121,133 @@ def test_weight_validation():
         EnvironmentModel(
             [(LinearFractional(0.125, 0.5), 0.0), (LinearFractional(0.125, 0.5), 1.0)]
         )
+
+
+# --- block-code draws -----------------------------------------------------------
+#
+# draw_env_batch draws one code per block of b generations through an alias
+# table of the block's product law. The expected laws below are rebuilt from
+# the component weights with numpy's own digit arithmetic.
+
+
+def lf_model(means, weights):
+    return EnvironmentModel([(geometric_lf(m), w) for m, w in zip(means, weights)])
+
+
+BLOCK_MODELS = {
+    1: lf_model([0.7], [1.0]),
+    2: lf_model([0.5, 1.5], [0.7, 0.3]),
+    3: lf_model([0.3, 0.9, 2.0], [0.5, 0.3, 0.2]),
+    5: lf_model([0.2, 0.5, 0.8, 1.3, 2.5], [0.1, 0.15, 0.2, 0.25, 0.3]),
+    300: lf_model(np.linspace(0.2, 2.5, 300), np.full(300, 1.0 / 300)),
+}
+
+
+def component_law(model, theta):
+    return model.weights if theta is None else tilt_plan(model, theta).weights
+
+
+def product_law(p, length):
+    """P(code) of ``length`` iid components, first generation most significant."""
+    digits = np.unravel_index(np.arange(len(p) ** length), (len(p),) * length)
+    return np.prod([p[d] for d in digits], axis=0)
+
+
+def unpack(codes, k, length):
+    """(count, length) components of each code."""
+    return np.stack(np.unravel_index(codes.astype(np.intp), (k,) * length), axis=-1)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("k, b", [(1, 8), (2, 8), (3, 5), (5, 3), (16, 2), (17, 1), (300, 1)])
+    def test_block_length(self, k, b):
+        assert block_length(k) == b
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    def test_alias_table_holds_the_product_law(self, k, theta):
+        # each cell j keeps itself with probability keep_j and otherwise
+        # passes to its alias; the mass each code receives is its law
+        p = component_law(BLOCK_MODELS[k], theta)
+        for length in range(1, block_length(k) + 1):
+            edge, pick = _alias_table(tuple(p), length)
+            size = len(edge)
+            keep = edge - np.arange(size)
+            got = np.bincount(pick[1::2], keep, size) + np.bincount(pick[::2], 1.0 - keep, size)
+            np.testing.assert_allclose(got / size, product_law(p, length), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    def test_code_counts_match_product_law(self, k, theta):
+        model = BLOCK_MODELS[k]
+        p = component_law(model, theta)
+        plan = None if theta is None else tilt_plan(model, theta)
+        b = block_length(k)
+        rest = b // 2 + 1  # a last, shorter block
+        batch = draw_env_batch(model, 2 * b + rest, stream(31, "blocks"), 20000, plan)
+        assert batch.codes.shape == (20000, 3)
+        for codes, length in ((batch.codes[:, :2], b), (batch.codes[:, 2], rest)):
+            observed = np.bincount(codes.ravel(), minlength=k**length)
+            expected = codes.size * product_law(p, length)
+            assert len(observed) == k**length
+            assert chi_square_pvalue(observed, expected) > 0.001
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    def test_unpacked_marginals_and_block_boundary(self, k, theta):
+        model = BLOCK_MODELS[k]
+        p = component_law(model, theta)
+        plan = None if theta is None else tilt_plan(model, theta)
+        b = block_length(k)
+        count, n = 20000, 2 * b + 1
+        batch = draw_env_batch(model, n, stream(32, "blocks"), count, plan)
+        want = np.concatenate(
+            [unpack(batch.codes[:, 0], k, b), unpack(batch.codes[:, 1], k, b), batch.codes[:, 2:]],
+            axis=1,
+        )
+        np.testing.assert_array_equal(batch.idx, want)
+        for i in range(n):
+            assert chi_square_pvalue(np.bincount(batch.idx[:, i], minlength=k), count * p) > 0.001
+        # generations b - 1 and b sit in different blocks and are independent
+        pair = batch.idx[:, b - 1].astype(np.intp) * k + batch.idx[:, b]
+        assert chi_square_pvalue(np.bincount(pair, minlength=k * k), count * product_law(p, 2)) > 0.001
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 300])
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_tilt_weights_match_unpacked_idx(self, k, n):
+        model = BLOCK_MODELS[k]
+        plan = tilt_plan(model, 0.7)
+        batch = draw_env_batch(model, n, stream(33, "blocks"), 500, plan)
+        s_n = model.log_means[batch.idx.astype(np.intp)].sum(axis=1)
+        want = plan.rate**n * np.exp(-plan.theta * s_n)
+        np.testing.assert_allclose(batch.w, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 300])
+    @pytest.mark.parametrize("count, n", [(50, 19), (0, 19), (50, 0), (0, 0)])
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    def test_edge_shapes(self, k, count, n, theta):
+        model = BLOCK_MODELS[k]
+        plan = None if theta is None else tilt_plan(model, theta)
+        batch = draw_env_batch(model, n, stream(34, "blocks"), count, plan)
+        b = block_length(k)
+        assert batch.n == n
+        assert batch.codes.shape == (count, -(-n // b))
+        assert batch.codes.dtype == (np.uint16 if k == 300 else np.uint8)
+        assert batch.idx.shape == (count, n)
+        assert batch.idx.dtype == batch.codes.dtype
+        assert batch.w.shape == (count,)
+        assert np.all(batch.idx < k)
+        if k == 1:
+            assert not batch.idx.any() and not batch.codes.any()
+        if k == 300:  # one generation per code
+            np.testing.assert_array_equal(batch.codes, batch.idx)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 300])
+    def test_pack_env_round_trip(self, k):
+        model = BLOCK_MODELS[k]
+        batch = draw_env_batch(model, 23, stream(35, "blocks"), 64)
+        packed = pack_env(model, batch.idx)
+        np.testing.assert_array_equal(packed.codes, batch.codes)
+        assert packed.codes.dtype == batch.codes.dtype
+        np.testing.assert_array_equal(packed.idx, batch.idx)
+        assert log_survival(model, batch.idx).tobytes() == log_survival(model, batch).tobytes()

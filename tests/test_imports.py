@@ -76,3 +76,16 @@ def test_aggregate_sampler_helpers_exist():
     # a renamed helper would make the independence check pass vacuously
     defined = set(module_functions("limits")) | set(module_functions("simcore"))
     assert set(AGGREGATE_SAMPLER) <= defined
+
+
+def test_environment_draws_block_codes_only():
+    # environments are drawn one block code per uniform through an alias
+    # table, never one categorical draw per generation, and no module
+    # re-packs per-generation indices into block codes
+    tree = ast.parse((Path(bpre.__file__).parent / "environment.py").read_text(encoding="utf-8"))
+    assert "categorical" not in names_in(tree)
+    for path in MODULES + [Path(bpre.__file__)]:
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+        assert "_block_codes" not in names_in(module) | defined
+    assert "_draw_codes" in names_in(module_functions("environment")["draw_env_batch"])

@@ -202,11 +202,15 @@ class TestConditionalLineageCounts:
         assert p10 < p5
 
     def test_matches_full_simulation(self):
-        # mixture-of-binomials shortcut vs brute-force lineage simulation
+        # mixture-of-binomials shortcut vs brute-force lineage simulation, on
+        # a WS model where P(N > 1 | alive) does not vanish: about 17 000
+        # surviving runs, 4600 with N = 2, so a P(N = 2) off by a tenth
+        # gives p < 1e-8
         k, n = 3, 6
-        dist = conditional_lineage_counts(ss_ref(), k, n, 2 * 10**5, seed=21)
-        counts = lineage_counts_by_simulation(ss_ref(), k, n, 10**4, seed=22)
+        dist = conditional_lineage_counts(ws_ref(), k, n, 2 * 10**5, seed=21)
+        counts = lineage_counts_by_simulation(ws_ref(), k, n, 10**5, seed=22)
         total = sum(counts.values())
+        assert total > 10**4 and counts[2] > 10**3
         observed = np.array([counts.get(j, 0) for j in range(1, k + 1)], dtype=float)
         expected = np.array([total * dist.pmf[j][0] for j in range(1, k + 1)])
         assert chi_square_pvalue(observed, expected) > 0.001
