@@ -121,7 +121,7 @@ def _minimum_bound_gap(n: int, reps: int, seed: int, prefix: str) -> float:
         def chunk(rng, count, start):
             batch = draw_env_batch(model, n, rng, count)
             log_q = log_survival(model, batch)
-            return (np.exp(log_q) - np.exp(np.cumsum(batch.steps, axis=1).min(axis=1)),)
+            return (np.exp(log_q) - np.exp(batch.walk_minimum()),)
 
         (gap,) = streams.run_chunks(chunk, reps, seed, f"{prefix}-{tag}")
         worst = max(worst, float(gap.max()))

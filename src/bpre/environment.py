@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -197,6 +197,13 @@ def _block_log_means(log_means: tuple[float, ...], length: int) -> np.ndarray:
     return _read_only(_block_values(log_means, length, np.add))
 
 
+@lru_cache(maxsize=16)
+def _block_steps(log_means: tuple[float, ...], length: int) -> np.ndarray:
+    """(length, K**length) log mean of each generation of each block code."""
+    digits = _digits(len(log_means), length).astype(np.intp)
+    return _read_only(np.array(log_means)[digits.T])
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark a cached table read-only; chunks on several threads share it."""
     a.flags.writeable = False
@@ -225,6 +232,31 @@ class EnvBatch:
         if full * b < self.n:
             parts.append(_digits(k, self.n - full * b)[self.codes[:, full]])
         return np.concatenate(parts, axis=1)
+
+    def partial_sums(self) -> Iterator[np.ndarray]:
+        """Yield the walk's partial sums S_1, ..., S_n of every replicate, one
+        (count,) array per generation, read from the codes block by block.
+
+        Each S_i is S_{i-1} plus the step of generation i, so it has the bits
+        of ``np.cumsum(self.steps, axis=1)[:, i - 1]``. The same array is
+        yielded every time, updated in place.
+        """
+        log_means = tuple(self.model.log_means)
+        b = block_length(len(log_means))
+        s = np.zeros(len(self.codes))
+        for j in range(self.codes.shape[1]):
+            code = self.codes[:, j].astype(np.intp)
+            for table in _block_steps(log_means, min(b, self.n - j * b)):
+                s += table.take(code)
+                yield s
+
+    def walk_minimum(self) -> np.ndarray:
+        """(count,) minimum of each replicate's walk over S_1..S_n; +inf
+        when n is 0."""
+        low = np.full(len(self.codes), np.inf)
+        for s in self.partial_sums():
+            np.minimum(low, s, out=low)
+        return low
 
     @property
     def steps(self) -> np.ndarray:
@@ -257,23 +289,25 @@ def draw_env_batch(
     """Draw ``count`` iid environments of n generations, tilted when ``plan``
     is given; every Monte Carlo estimator draws its environments here.
 
-    Each block code takes one uniform. They are laid out block by block,
-    the first block of every row before the second: the (ceil(n / b),
-    count) array that ``codes`` transposes. The tilt weight's S_n sums the
-    per-code log means of a row.
+    Each block code takes one uniform. They are drawn one block row at a
+    time, the first block of every replicate before the second, with the
+    short last block last: the (ceil(n / b), count) array that ``codes``
+    transposes. The tilt weight's S_n adds each row's per-code log means.
     """
     p = model.weights if plan is None else plan.weights
     b = block_length(len(p))
     full, rest = divmod(n, b)
-    blocks = [(b, _draw_codes(rng, p, b, (full, count)))]
-    if rest:
-        blocks.append((rest, _draw_codes(rng, p, rest, (1, count))))
-    codes = np.concatenate([c for _, c in blocks]) if rest else blocks[0][1]
+    lengths = [b] * full + ([rest] if rest else [])
+    codes = np.empty((len(lengths), count), dtype=np.min_scalar_type(len(p) ** b - 1))
+    s_n = None if plan is None else np.zeros(count)
+    log_means = tuple(model.log_means)
+    for row, length in zip(codes, lengths):
+        row[...] = _draw_codes(rng, p, length, count)
+        if s_n is not None:
+            s_n += _block_log_means(log_means, length).take(row)
     if plan is None:
         w = np.ones(count)
     else:
-        log_means = tuple(model.log_means)
-        s_n = sum(_block_log_means(log_means, length).take(c).sum(axis=0) for length, c in blocks)
         w = np.exp(n * math.log(plan.rate) - plan.theta * s_n)
     return EnvBatch(model=model, n=n, codes=codes.T, w=w)
 

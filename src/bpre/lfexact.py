@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,15 +169,16 @@ def minorant_env(env: EnvSequence) -> EnvSequence:
 #
 # Monte Carlo over environments needs, per replicate, the survival profile
 # of its environment. One kernel computes it for a whole chunk of
-# replicates, in log space so that tiny survival probabilities keep their
-# relative precision.
+# replicates, keeping the relative precision of tiny survival probabilities.
 #
-# Linear-fractional maps are closed under composition: u -> m*u/(1+c*u)
-# after u -> M*u/(1+C*u) is u -> m*M*u/(1+(C+c*M)*u). So for an all-LF
-# model the recursion steps a block of generations at once, with the
-# composite (log M, C) looked up by the block code of the environment draw
-# (``environment.block_length``); other models step one generation at a
-# time.
+# A linear-fractional step maps u to m*u/(1+c*u), so R = 1/u steps by the
+# affine map R -> R/m + c/m, and affine maps compose. For an all-LF model
+# the recursion steps a block of generations at once, with the composite
+# (1/M, C/M) looked up by the block code of the environment draw
+# (``environment.block_length``): a multiply and an add per block, and one
+# log per replicate at the end. Every replicate carries R as r * 2**E; when
+# the chunk's largest r passes the model's limit, each r is renormalised by
+# frexp. Other models step log u one generation at a time.
 
 
 def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
@@ -191,11 +192,20 @@ def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) ->
     """
     batch = _as_batch(model, env)
     lu = np.zeros((batch.n + 1, len(batch.codes)))
-    step = _block_steps(model)[0]
-    for lo, hi, row in _backward_steps(model, batch):
-        lu[lo] = row
+    lf = _lf_tables(model)
+    if lf is None:
+        for i, row in _log_steps(model, batch):
+            lu[i] = row
+        return lu.T
+    inv_m, c_m = lf.tables[0]
+    state = _Reciprocal(np.ones(len(batch.codes)))
+    for lo, hi, block_end in _lf_blocks(lf, batch):
+        # generations inside the block, stepped one at a time from its end
         for i in range(hi - 1, lo, -1):
-            lu[i] = step(batch.idx[:, i], lu[i + 1])
+            state = state.step(inv_m, c_m, batch.idx[:, i])
+            lu[i] = state.log_u()
+        lu[lo] = block_end.log_u()
+        state = block_end
     return lu.T
 
 
@@ -203,84 +213,133 @@ def log_survival(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndar
     """Column 0 of ``log_survival_profile``, the log survival probability of
     each replicate, without keeping the profile of earlier generations."""
     batch = _as_batch(model, env)
-    lu = np.zeros(len(batch.codes))
-    for _, _, lu in _backward_steps(model, batch):
+    lf = _lf_tables(model)
+    if lf is None:
+        lu = np.zeros(len(batch.codes))
+        for _, lu in _log_steps(model, batch):
+            pass
+        return lu
+    state = _Reciprocal(np.ones(len(batch.codes)))
+    for _, _, state in _lf_blocks(lf, batch):
         pass
-    return lu
+    return state.log_u()
 
 
 def _as_batch(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> EnvBatch:
     return env if isinstance(env, EnvBatch) else pack_env(model, env)
 
 
-def _backward_steps(model: EnvironmentModel, batch: EnvBatch):
-    """Yield (lo, hi, log u of every replicate at generation lo) for the
-    blocks [lo, hi) of generations from last to first, starting from log u
-    = 0 at generation n.
+@dataclass(frozen=True)
+class _LFTables:
+    tables: tuple[tuple[np.ndarray, np.ndarray], ...]  # (1/M, C/M) per block length
+    limit: float  # renormalise R once the largest r passes this
 
-    An all-LF model steps by the batch's block codes, the others by one
-    component index per generation.
+
+@lru_cache(maxsize=8)
+def _lf_tables(model: EnvironmentModel) -> _LFTables | None:
+    """Composite (1/M, C/M) of every block of 1, ..., b generations of an
+    all-LF model, indexed by block code; the first is the per-law (1/m, c/m)
+    with c = B / (1 - B). A block with a zero-mean generation has 1/M = inf
+    and C/M = 0, so its replicates end with R = inf and log u = -inf. Cached
+    per model, so the arrays are read-only.
+
+    With ``bound`` the largest 1/M + C/M of the other blocks, a step from
+    r <= limit = 2**1020 / bound stays finite (2**-E <= 1 since 1/u >= 1).
+    None for a model that is not all-LF, or whose bound passes 2**1000 (a
+    block mean below about 2**-1000); those step log u per generation.
     """
+    if not model.all_linear_fractional:
+        return None
+    m = model.means
+    zero = m == 0.0
+    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+    inv_m = np.divide(1.0, m, out=np.full(len(m), np.inf), where=~zero)
+    c_m = np.divide(c, m, out=np.zeros(len(m)), where=~zero)
+    tables = [(inv_m, c_m)]
+    dead = [zero]
+    bound = float((inv_m + c_m)[~zero].max(initial=0.0))
+    for _ in range(block_length(len(m)) - 1):
+        inner_inv, inner_c = tables[-1]
+        # inf * 0 happens in blocks zeroed below, overflow is caught by the bound
+        with np.errstate(invalid="ignore", over="ignore"):
+            outer_inv = (inv_m[:, None] * inner_inv).ravel()
+            outer_c = (c_m[:, None] + inv_m[:, None] * inner_c).ravel()
+        dead.append((zero[:, None] | dead[-1]).ravel())
+        outer_inv[dead[-1]] = np.inf
+        outer_c[dead[-1]] = 0.0
+        tables.append((outer_inv, outer_c))
+        bound = max(bound, float((outer_inv + outer_c)[~dead[-1]].max(initial=0.0)))
+    if not bound < 2.0**1000:
+        return None
+    for table in tables:
+        for a in table:
+            a.flags.writeable = False
+    return _LFTables(tuple(tables), min(2.0**1020 / bound, 2.0**1000))
+
+
+@dataclass(frozen=True)
+class _Reciprocal:
+    """R = 1/u of every replicate of a chunk, stored as r * 2**e; e and
+    scale = 2**-e stay None until the first renormalisation."""
+
+    r: np.ndarray
+    e: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    def step(self, inv_m: np.ndarray, c_m: np.ndarray, code: np.ndarray) -> "_Reciprocal":
+        """R -> R/M + C/M over the block of each replicate's code."""
+        r = inv_m.take(code)
+        r *= self.r
+        add = c_m.take(code)
+        if self.scale is not None:
+            add *= self.scale
+        r += add
+        return _Reciprocal(r, self.e, self.scale)
+
+    def renormalised(self, limit: float) -> "_Reciprocal":
+        if not self.r.max(initial=0.0) > limit:
+            return self
+        r, ex = np.frexp(self.r)
+        e = ex.astype(np.int64) if self.e is None else self.e + ex
+        return _Reciprocal(r, e, np.ldexp(1.0, -e))
+
+    def log_u(self) -> np.ndarray:
+        # 0.0 - x rather than -x: R = 1 gives log u = +0.0, as at generation n
+        if self.e is None:
+            return 0.0 - np.log(self.r)
+        return 0.0 - (np.log(self.r) + self.e * _LN2)
+
+
+_LN2 = math.log(2.0)
+
+
+def _lf_blocks(lf: _LFTables, batch: EnvBatch):
+    """Yield (lo, hi, R at generation lo) for the blocks [lo, hi) of
+    generations from last to first, starting from R = 1 at generation n."""
     n = batch.n
-    steps = _block_steps(model)
-    b = len(steps)
-    codes = batch.codes if model.all_linear_fractional else batch.idx
+    b = len(lf.tables)
     full = n - n % b
-    lu = np.zeros(len(codes))
-    if full < n:
-        lu = steps[n - full - 1](codes[:, -1], lu)
-        yield full, n, lu
-    for lo in range(full - b, -1, -b):
-        lu = steps[-1](codes[:, lo // b], lu)
-        yield lo, lo + b, lu
+    bounds = [(full, n)] if full < n else []
+    bounds += [(lo, lo + b) for lo in range(full - b, -1, -b)]
+    state = _Reciprocal(np.ones(len(batch.codes)))
+    for lo, hi in bounds:
+        inv_m, c_m = lf.tables[hi - lo - 1]
+        state = state.step(inv_m, c_m, batch.codes[:, lo // b]).renormalised(lf.limit)
+        yield lo, hi, state
 
 
-def _block_steps(model: EnvironmentModel) -> list:
-    """steps[j](codes, lu) moves log u back over a block of j + 1
-    generations; steps[0] takes component indices, and is the only step of
-    a model that is not all-LF."""
-    if model.all_linear_fractional:
-        return [partial(_lf_table_step, log_m, c) for log_m, c in _lf_tables(model)]
-
-    def step(col, lu):
+def _log_steps(model: EnvironmentModel, batch: EnvBatch):
+    """Yield (i, log u at generation i) for i from n - 1 down to 0, stepping
+    log u one generation at a time from 0 at generation n."""
+    lu = np.zeros(len(batch.codes))
+    for i in range(batch.n - 1, -1, -1):
+        col = batch.idx[:, i]
         out = np.empty_like(lu)
         for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
             rows = col == comp
             out[rows] = _log_step_batch(law, log_m, lu[rows])
-        return out
-
-    return [step]
-
-
-@lru_cache(maxsize=8)
-def _lf_tables(model: EnvironmentModel) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Composite (log M, C) of every block of 1, ..., b generations of an
-    all-LF model, indexed by block code; the first is the per-law (log m,
-    c = B / (1 - B)). Cached per model, so the arrays are read-only.
-
-    A valid law has m <= 1 / (1 - B) + 1e-12 / (1 - B)**2 < 1e20 and c < 2**53,
-    so C stays below 8 * 2**53 * 1e140 and never overflows.
-    """
-    b = block_length(len(model.laws))
-    log_m = model.log_means.copy()
-    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
-    tables = [(log_m, c)]
-    for _ in range(b - 1):
-        inner_m, inner_c = tables[-1]
-        tables.append(
-            (
-                (log_m[:, None] + inner_m).ravel(),
-                (inner_c + c[:, None] * np.exp(inner_m)).ravel(),
-            )
-        )
-    for table in tables:
-        for a in table:
-            a.flags.writeable = False
-    return tuple(tables)
-
-
-def _lf_table_step(log_m, c, code, lu):
-    return _lf_step(lu, log_m.take(code), c.take(code))
+        lu = out
+        yield i, lu
 
 
 def _lf_step(lu, log_m, c):

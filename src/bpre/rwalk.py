@@ -14,13 +14,14 @@ For tail events {min >= -x} with x >= 0 the two conventions agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .environment import EnvSequence, EnvironmentModel, TiltPlan, draw_env_batch
+from .environment import EnvSequence, EnvironmentModel, draw_env_batch
 from .errors import NonLatticeError, ValidationError
 from .offspring import moments
 from .regime import classify
@@ -92,20 +93,15 @@ def level_bands(paths: np.ndarray) -> np.ndarray:
     whose steps carry rounding error still puts a visit one level above the
     minimum in band 1.
     """
-    return np.floor(paths - paths.min(axis=-1, keepdims=True) + LATTICE_TOL).astype(np.int64)
+    return _band(paths, paths.min(axis=-1, keepdims=True)).astype(np.int64)
+
+
+def _band(s: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Band, as a float, of partial sums s above a walk minimum ``low``."""
+    return np.floor(s - low + LATTICE_TOL)
 
 
 # --- Monte Carlo tail of the running minimum ---------------------------------
-
-
-def _walk_paths(
-    model: EnvironmentModel, n: int, rng, count: int, plan: TiltPlan | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(count, n+1) walks including S_0 = 0, and their importance weights."""
-    batch = draw_env_batch(model, n, rng, count, plan)
-    paths = np.zeros((count, n + 1))
-    np.cumsum(batch.steps, axis=1, out=paths[:, 1:])
-    return paths, batch.w
 
 
 def ln_tail(
@@ -128,8 +124,8 @@ def ln_tail(
     purpose = f"lntail-n{n}"
 
     def chunk(rng, count, start):
-        paths, w = _walk_paths(model, n, rng, count, plan)
-        return (w * (paths.min(axis=1) >= -x),)
+        batch = draw_env_batch(model, n, rng, count, plan)
+        return (batch.w * (np.minimum(batch.walk_minimum(), 0.0) >= -x),)
 
     (vals,) = streams.run_chunks(chunk, reps, seed, purpose)
     value, se = mean_and_se(vals)
@@ -232,8 +228,12 @@ def occupation_tail(
     purpose = f"occ-n{n}"
 
     def chunk(rng, count, start):
-        paths, w = _walk_paths(model, n, rng, count, plan)
-        return w * (paths.min(axis=1) >= -x), (level_bands(paths) == k).sum(axis=1)
+        batch = draw_env_batch(model, n, rng, count, plan)
+        low = np.minimum(batch.walk_minimum(), 0.0)
+        visits = np.zeros(count, dtype=np.int64)
+        for s in itertools.chain([np.zeros(count)], batch.partial_sums()):  # S_0 = 0 counts
+            visits += _band(s, low) == k
+        return batch.w * (low >= -x), visits
 
     (cond, occ), total, _eff = run_conditioned(chunk, reps, seed, purpose)
     value, se = ratio_and_se(cond * (occ >= l), cond)
@@ -279,9 +279,12 @@ def reflected_sum_check(
     for n in REFLECTED_HORIZONS:
 
         def chunk(rng, count, start):
-            paths, w = _walk_paths(model, n, rng, count, plan)
-            mins = paths.min(axis=1)
-            return mins, w, np.exp(mins[:, None] - paths).sum(axis=1)
+            batch = draw_env_batch(model, n, rng, count, plan)
+            low = np.minimum(batch.walk_minimum(), 0.0)
+            reflected = np.exp(low)  # the S_0 = 0 term
+            for s in batch.partial_sums():
+                reflected += np.exp(low - s)
+            return low, batch.w, reflected
 
         mins, w, reflected = streams.run_chunks(chunk, reps, seed, f"reflected-n{n}")
         for x in REFLECTED_LEVELS:

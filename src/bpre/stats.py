@@ -10,6 +10,19 @@ import math
 
 import numpy as np
 
+# Below this size a sample is divided by its largest |x| before it is
+# squared, so that a standard error of tiny samples does not underflow to 0.
+TINY = 1e-150
+
+
+def _sample_std(x: np.ndarray) -> float:
+    """``np.std(x, ddof=1)``, computed on x / max|x| when every |x| is below
+    ``TINY`` and scaled back."""
+    top = max(float(x.max()), -float(x.min()))
+    if 0.0 < top < TINY:
+        return float(np.std(x / top, ddof=1)) * top
+    return float(np.std(x, ddof=1))
+
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error."""
@@ -17,7 +30,7 @@ def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     m = float(np.mean(samples)) if n else math.nan
     if n < 2:
         return m, 0.0
-    return m, float(np.std(samples, ddof=1) / math.sqrt(n))
+    return m, _sample_std(samples) / math.sqrt(n)
 
 
 def ratio_and_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
@@ -34,8 +47,7 @@ def ratio_and_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return r, 0.0
     resid = num - r * den
-    se = float(np.std(resid, ddof=1) / (math.sqrt(n) * abs(den_mean)))
-    return r, se
+    return r, _sample_std(resid) / (math.sqrt(n) * abs(den_mean))
 
 
 def ratio_combined_se(num: np.ndarray, den: np.ndarray, scale: float = 1.0) -> float:
@@ -46,9 +58,10 @@ def ratio_combined_se(num: np.ndarray, den: np.ndarray, scale: float = 1.0) -> f
     if n < 2:
         return 0.0
     den_mean = float(np.mean(den))
-    se_num = float(np.std(num, ddof=1) / math.sqrt(n))
-    se_den = float(np.std(den, ddof=1) / math.sqrt(n))
-    return math.sqrt(se_num**2 + (scale * se_den) ** 2) / abs(den_mean)
+    se_num = _sample_std(num) / math.sqrt(n)
+    se_den = _sample_std(den) / math.sqrt(n)
+    # hypot, unlike sqrt(a**2 + b**2), does not underflow for tiny SEs
+    return math.hypot(se_num, scale * se_den) / abs(den_mean)
 
 
 def kish_neff(weights: np.ndarray) -> float:

@@ -1,11 +1,11 @@
 """Reproducible random streams for replicate-parallel estimation.
 
-Streams are derived from a counter-based generator (Philox) keyed by
-(seed, purpose, chunk index). Replicates are processed in chunks of the fixed
-size ``CHUNK_SIZE`` (4096, printed in every ``seed_provenance`` string with
-the stream layout), each chunk owning an independent stream, so results
-depend only on the config and seed and never on how chunks are distributed
-over workers.
+Each stream is an SFC64 generator seeded by a ``SeedSequence`` keyed by
+(seed, purpose, chunk index), so streams of different keys are independent.
+Replicates are processed in chunks of the fixed size ``CHUNK_SIZE`` (4096,
+printed in every ``seed_provenance`` string with the generator and the
+stream layout), each chunk owning its own stream, so results depend only on
+the config and seed and never on how chunks are distributed over workers.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK_SIZE = 4096
+BIT_GENERATOR = np.random.SFC64
 # Version of the way draws are laid out on the streams, printed in every
-# ``seed_provenance`` string; 2 draws environments one block code per uniform.
-STREAM_LAYOUT = 2
+# ``seed_provenance`` string; 3 draws environments one block code per SFC64
+# uniform, one block row of the chunk at a time.
+STREAM_LAYOUT = 3
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 
@@ -37,7 +39,7 @@ def stream(seed: int, purpose: str, chunk_index: int = 0) -> np.random.Generator
     ss = np.random.SeedSequence(
         entropy=seed, spawn_key=(purpose_code(purpose), chunk_index)
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(BIT_GENERATOR(ss))
 
 
 def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
@@ -60,7 +62,8 @@ def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
 
 
 def seed_provenance(seed: int, purpose: str) -> str:
-    return f"philox seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE} layout={STREAM_LAYOUT}"
+    name = BIT_GENERATOR.__name__.lower()
+    return f"{name} seed={seed} purpose={purpose} chunk_size={CHUNK_SIZE} layout={STREAM_LAYOUT}"
 
 
 def chunk_bounds(reps: int) -> Iterator[tuple[int, int, int]]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bpre.environment import (
     EnvironmentModel,
     _alias_table,
+    _draw_codes,
     block_length,
     builtin_model,
     draw_env,
@@ -251,3 +252,31 @@ class TestBlockDraw:
         assert packed.codes.dtype == batch.codes.dtype
         np.testing.assert_array_equal(packed.idx, batch.idx)
         assert log_survival(model, batch.idx).tobytes() == log_survival(model, batch).tobytes()
+
+
+class TestRowDraw:
+    """draw_env_batch draws one block row at a time (stream layout 3)."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("count", [0, 1, 4096])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["b-1", "b", "b+1"])
+    @pytest.mark.parametrize("theta", [None, 0.7], ids=["base", "tilted"])
+    def test_rows_match_one_whole_shape_draw(self, k, count, extra, theta):
+        model = BLOCK_MODELS[k]
+        plan = None if theta is None else tilt_plan(model, theta)
+        p = component_law(model, theta)
+        b = block_length(k)
+        for n in {0, b + extra}:
+            rng = stream(36, "rows")
+            batch = draw_env_batch(model, n, rng, count, plan)
+            ref = stream(36, "rows")
+            full, rest = divmod(n, b)
+            parts = [_draw_codes(ref, p, b, (full, count))]
+            if rest:
+                parts.append(_draw_codes(ref, p, rest, (1, count)))
+            np.testing.assert_array_equal(batch.codes.T, np.concatenate(parts))
+            # a callback drawing after the batch starts where one uniform
+            # per code, in row order, leaves the stream
+            ref = stream(36, "rows")
+            ref.random(batch.codes.size)
+            np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from bpre.environment import (
     ws_ref,
 )
 from bpre.errors import ValidationError
+from bpre import lfexact
 from bpre.lfexact import (
+    _lf_tables,
     closed_form_log_survival,
     iterate_F,
     lf_minorant,
@@ -28,6 +31,7 @@ from bpre.lfexact import (
 from bpre.offspring import (
     FiniteSupport,
     LinearFractional,
+    geometric_lf,
     log_survival_step,
     moments,
     pgf,
@@ -243,3 +247,83 @@ class TestVectorizedKernel:
         log_q = log_survival(model, idx)
         assert log_q.shape == (count,)
         assert log_q.tobytes() == log_survival_profile(model, idx)[:, 0].tobytes()
+
+
+# a Bernoulli component (B = 0: c = 0) and a zero-mean component (A = 0)
+BERNOULLI_LF = EnvironmentModel([(LinearFractional(0.6, 0.0), 0.5), (LinearFractional(0.5, 0.25), 0.5)])
+ZERO_MEAN_LF = EnvironmentModel(
+    [(LinearFractional(0.0, 0.3), 0.02), (LinearFractional(0.0, 0.0), 0.02), (geometric_lf(1.5), 0.96)]
+)
+
+
+class TestReciprocalKernel:
+    """The all-LF kernel steps R = 1/u by its block tables (1/M, C/M)."""
+
+    @pytest.mark.parametrize("model", [ss_ref(), is_ref()], ids=["ss", "is"])
+    @pytest.mark.parametrize("n", [1200, 3000])
+    def test_long_horizons_match_closed_form(self, model, n):
+        batch = draw_env_batch(model, n, stream(61, "t"), 12)
+        log_q = log_survival(model, batch)
+        # R passes the renormalisation limit: log q < -log(limit)
+        assert log_q.min() < -math.log(_lf_tables(model).limit)
+        assert log_q.tobytes() == log_survival_profile(model, batch)[:, 0].tobytes()
+        for r in range(len(log_q)):
+            env = EnvSequence([model.laws[j] for j in batch.idx[r]])
+            for exact in (closed_form_log_survival(env), log_survival_env(env)):
+                assert abs(log_q[r] - exact) <= 1e-12 * abs(exact), (r, log_q[r], exact)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 40])
+    def test_bernoulli_component(self, n):
+        model = BERNOULLI_LF
+        batch = draw_env_batch(model, n, stream(62, "t"), 40)
+        profile = log_survival_profile(model, batch)
+        for r in range(40):
+            lu = 0.0
+            for i in range(n - 1, -1, -1):
+                lu = log_survival_step(model.laws[batch.idx[r, i]], lu)
+                assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0)
+        assert log_survival(model, batch).tobytes() == profile[:, 0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 40])
+    def test_zero_mean_component_gives_minus_inf(self, n):
+        model = ZERO_MEAN_LF
+        _lf_tables.cache_clear()  # build the tables under the checks below
+        batch = draw_env_batch(model, n, stream(63, "t"), 200)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            log_q = log_survival(model, batch)
+            profile = log_survival_profile(model, batch)
+        dead = batch.idx < 2
+        assert not np.isnan(profile).any()
+        for r in range(200):
+            for i in range(n + 1):
+                if dead[r, i:].any():
+                    assert profile[r, i] == -math.inf
+                else:
+                    env = EnvSequence([model.laws[j] for j in batch.idx[r, i:]])
+                    assert profile[r, i] == pytest.approx(log_survival_env(env), rel=1e-12, abs=0.0)
+        assert dead.any(axis=1).any() and not dead.any(axis=1).all()
+        assert log_q.tobytes() == profile[:, 0].tobytes()
+
+    def test_tiny_means_fall_back_to_log_steps(self):
+        # a block of 8 generations of mean 1e-40 has 1/M past 2**1000, so the
+        # model steps log u one generation at a time
+        model = EnvironmentModel([(LinearFractional(1e-40, 0.0), 0.5), (geometric_lf(1.5), 0.5)])
+        assert _lf_tables(model) is None
+        batch = draw_env_batch(model, 20, stream(65, "t"), 30)
+        log_q = log_survival(model, batch)
+        for r in range(30):
+            env = EnvSequence([model.laws[j] for j in batch.idx[r]])
+            assert log_q[r] == pytest.approx(log_survival_env(env), rel=1e-12)
+
+    def test_all_lf_models_take_no_log_domain_step(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("log-domain LF step on an all-LF model")
+
+        monkeypatch.setattr(lfexact, "_lf_step", fail)
+        for model in (ws_ref(), MODELS[300], EXTREME_LF, BERNOULLI_LF, ZERO_MEAN_LF):
+            batch = draw_env_batch(model, 19, stream(64, "t"), 50)
+            log_survival(model, batch)
+            log_survival_profile(model, batch)
+        with pytest.raises(AssertionError):
+            log_survival(MIXED_FAMILY, draw_env_batch(MIXED_FAMILY, 3, stream(64, "t"), 5))

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpre.environment import EnvironmentModel, draw_env, ss_ref, ws_ref
+from bpre.environment import (
+    EnvironmentModel,
+    block_length,
+    draw_env,
+    draw_env_batch,
+    ss_ref,
+    tilt_plan,
+    ws_ref,
+)
 from bpre.errors import NonLatticeError, ValidationError
 from bpre.lfexact import quenched_survival
 from bpre.offspring import geometric_lf
@@ -22,6 +30,7 @@ from bpre.rwalk import (
     walk_stats,
 )
 from bpre.streams import stream
+from test_streams import MODELS
 
 
 def unit_lattice_model(p_up=1.0 / 3.0):
@@ -220,3 +229,40 @@ class TestSurvivalLink:
         fwd = WalkPath.from_env(env).steps
         rev = reversed_walk(env).steps
         assert rev == tuple(reversed(fwd))
+
+
+class TestWalkMinimum:
+    """EnvBatch.walk_minimum and partial_sums read the walk from the block
+    codes with the bits of a cumsum over the unpacked steps."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_matches_cumsum_bitwise(self, k, tilted):
+        model = MODELS[k]
+        b = block_length(k)
+        plan = tilt_plan(model, 0.5) if tilted else None
+        for n in (1, b - 1, 2 * b + 1, 5 * b + 2):
+            batch = draw_env_batch(model, n, stream(71, "walk"), 300, plan)
+            paths = np.cumsum(batch.steps, axis=1)
+            sums = np.array([s.copy() for s in batch.partial_sums()]).T
+            assert sums.tobytes() == paths.tobytes()
+            assert batch.walk_minimum().tobytes() == paths.min(axis=1).tobytes()
+
+    def test_empty_walk(self):
+        batch = draw_env_batch(ws_ref(), 0, stream(72, "walk"), 4)
+        assert list(batch.partial_sums()) == []
+        assert np.all(batch.walk_minimum() == np.inf)
+
+
+def test_occupation_benchmark_case_matches_lattice():
+    # ws-ref steps are -2 and +1 (up to rounding) with probability 1/2:
+    # P(band-0 visits >= 3 | min >= -1) at n = 16 from all 2**16 paths
+    n = 16
+    steps = np.array(list(itertools.product((-2, 1), repeat=n)))
+    s = np.concatenate([np.zeros((len(steps), 1), dtype=int), np.cumsum(steps, axis=1)], axis=1)
+    low = s.min(axis=1)
+    kept = low >= -1
+    hits = kept & ((s == low[:, None]).sum(axis=1) >= 3)
+    exact = hits.sum() / kept.sum()
+    est = occupation_tail(ws_ref(), n, 0, 3, 1.0, 20000, seed=1)
+    assert abs(est.value - exact) < 4 * est.std_error

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bpre.stats import weighted_pmf
+from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_pmf
 
 
 def _loop_weighted_pmf(values, weights):
@@ -43,3 +43,15 @@ def test_weighted_pmf_point_mass():
 
 def test_weighted_pmf_zero_weight_is_empty():
     assert weighted_pmf(np.array([1, 2]), np.zeros(2)) == {}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_standard_errors_of_tiny_samples_do_not_underflow(seed):
+    rng = np.random.default_rng(seed)
+    num = rng.exponential(size=1000) * (rng.random(1000) < 0.3)
+    den = num + rng.exponential(size=1000)
+    tiny = 1e-200
+    assert mean_and_se(num * tiny)[1] == pytest.approx(tiny * mean_and_se(num)[1], rel=1e-12)
+    assert ratio_and_se(num * tiny, den * tiny)[1] == pytest.approx(ratio_and_se(num, den)[1], rel=1e-12)
+    combined = ratio_combined_se(num * tiny, den * tiny, scale=3.0)
+    assert combined == pytest.approx(ratio_combined_se(num, den, scale=3.0), rel=1e-12)

@@ -4,7 +4,7 @@ from scipy.stats import chi2_contingency
 
 from bpre.environment import EnvironmentModel, draw_env_batch, tilt_plan
 from bpre.offspring import FiniteSupport, geometric_lf, sample, sample_many
-from bpre.streams import categorical, stream
+from bpre.streams import STREAM_LAYOUT, categorical, seed_provenance, stream
 
 
 def lf_model(means):
@@ -76,3 +76,10 @@ class TestCategorical:
         one = sample(law, stream(15, "cat"))
         assert type(one) is int
         assert one == stream(15, "cat").choice(4, p=probs)
+
+
+def test_provenance_names_the_generator_streams_use():
+    info = seed_provenance(5, "annealed")
+    assert info.split()[0] == type(stream(5, "annealed").bit_generator).__name__.lower()
+    assert info == f"sfc64 seed=5 purpose=annealed chunk_size=4096 layout={STREAM_LAYOUT}"
+    assert STREAM_LAYOUT == 3
