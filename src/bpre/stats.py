@@ -10,18 +10,16 @@ import math
 
 import numpy as np
 
-# Below this size a sample is divided by its largest |x| before it is
-# squared, so that a standard error of tiny samples does not underflow to 0.
-TINY = 1e-150
-
-
 def _sample_std(x: np.ndarray) -> float:
-    """``np.std(x, ddof=1)``, computed on x / max|x| when every |x| is below
-    ``TINY`` and scaled back."""
-    top = max(float(x.max()), -float(x.min()))
-    if 0.0 < top < TINY:
-        return float(np.std(x / top, ddof=1)) * top
-    return float(np.std(x, ddof=1))
+    """``np.std(x, ddof=1)``, with the deviations scaled before they are
+    squared by the power of two that puts the largest |x| in [0.5, 1). The
+    scaling is exact, so the result has the bits of ``np.std`` unless the
+    squares would underflow or overflow, where it stays accurate."""
+    e = math.frexp(max(float(x.max()), -float(x.min())))[1]
+    dev = x - x.mean()
+    np.ldexp(dev, -e, out=dev)
+    dev *= dev
+    return math.ldexp(math.sqrt(dev.sum() / (len(x) - 1)), e)
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -45,13 +45,16 @@ def test_weighted_pmf_zero_weight_is_empty():
     assert weighted_pmf(np.array([1, 2]), np.zeros(2)) == {}
 
 
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
 @pytest.mark.parametrize("seed", range(3))
-def test_standard_errors_of_tiny_samples_do_not_underflow(seed):
+def test_standard_errors_of_tiny_and_huge_samples(seed, factor):
+    """SEs scale with the samples where squaring them under- or overflows,
+    and keep the bits of np.std on ordinary samples."""
     rng = np.random.default_rng(seed)
     num = rng.exponential(size=1000) * (rng.random(1000) < 0.3)
     den = num + rng.exponential(size=1000)
-    tiny = 1e-200
-    assert mean_and_se(num * tiny)[1] == pytest.approx(tiny * mean_and_se(num)[1], rel=1e-12)
-    assert ratio_and_se(num * tiny, den * tiny)[1] == pytest.approx(ratio_and_se(num, den)[1], rel=1e-12)
-    combined = ratio_combined_se(num * tiny, den * tiny, scale=3.0)
+    assert mean_and_se(num)[1] == float(np.std(num, ddof=1)) / math.sqrt(1000)
+    assert mean_and_se(num * factor)[1] == pytest.approx(factor * mean_and_se(num)[1], rel=1e-12)
+    assert ratio_and_se(num * factor, den * factor)[1] == pytest.approx(ratio_and_se(num, den)[1], rel=1e-12)
+    combined = ratio_combined_se(num * factor, den * factor, scale=3.0)
     assert combined == pytest.approx(ratio_combined_se(num, den, scale=3.0), rel=1e-12)
