@@ -73,10 +73,14 @@ class CriterionResult:
         )
 
 
+# every criterion by label, in definition order
+_REGISTRY: dict[str, Callable[[int], CriterionResult]] = {}
+
+
 def criterion(label: str, name: str, budget: float):
     """Make a check returning (passed, detail) a criterion: a function of the
-    seed returning the timed CriterionResult. A check that passes but runs
-    past its budget in seconds fails."""
+    seed returning the timed CriterionResult, registered under ``label``. A
+    check that passes but runs past its budget in seconds fails."""
 
     def wrap(check: Callable[[int], tuple[bool, str]]) -> Callable[[int], CriterionResult]:
         @functools.wraps(check)
@@ -87,6 +91,7 @@ def criterion(label: str, name: str, budget: float):
             within_budget = bool(passed) and elapsed < budget
             return CriterionResult(label, name, within_budget, detail, elapsed, budget)
 
+        _REGISTRY[label] = run
         return run
 
     return wrap
@@ -476,29 +481,9 @@ def extended_mixed_family_dominance(seed: int):
     return worst <= 1e-12, f"max (p_sub - p) = {worst:.2e}"
 
 
-CRITERIA: tuple[tuple[str, Callable[[int], CriterionResult]], ...] = (
-    ("C1", criterion_1),
-    ("C2", criterion_2),
-    ("C3", criterion_3),
-    ("C4", criterion_4),
-    ("C5", criterion_5),
-    ("C6", criterion_6),
-    ("C7", criterion_7),
-    ("C8", criterion_8),
-    ("C9", criterion_9),
-    ("C10", criterion_10),
-    ("C11", criterion_11),
-    ("C12", criterion_12),
-    ("C13", criterion_13),
-)
-
-EXTENDED: tuple[tuple[str, Callable[[int], CriterionResult]], ...] = (
-    ("F1", extended_minimum_bound),
-    ("F2", extended_closed_form),
-    ("F3", extended_min_tail_shape),
-    ("F4", extended_tilt_identities),
-    ("F5", extended_mixed_family_dominance),
-)
+# the core criteria are labelled C1..C13, the extended sweeps F1..F5
+CRITERIA = tuple((label, fn) for label, fn in _REGISTRY.items() if label.startswith("C"))
+EXTENDED = tuple((label, fn) for label, fn in _REGISTRY.items() if label.startswith("F"))
 
 
 @dataclass(frozen=True)
@@ -517,10 +502,9 @@ class SuiteReport:
 
 
 def run_criterion(label: str, seed: int = DEFAULT_SEED) -> CriterionResult:
-    for lab, fn in CRITERIA + EXTENDED:
-        if lab == label:
-            return fn(seed)
-    raise ValidationError(f"unknown criterion {label!r}", field="criterion")
+    if label not in _REGISTRY:
+        raise ValidationError(f"unknown criterion {label!r}", field="criterion")
+    return _REGISTRY[label](seed)
 
 
 def run_suite(

@@ -2,13 +2,11 @@
 
 Every stochastic subcommand requires an explicit seed; a (config, seed) pair
 pins every emitted number bit-for-bit, independent of the worker count.
-``BPRE_THREADS`` sets how many threads run the replicate chunks and does
-scale: on a 2-core machine, ``BPRE_THREADS=2`` took a tilted
-``annealed_survival`` on ws-ref (n = 100, 4e5 replicates) from 2.2 s to
-1.4-1.6 s and ``yaglom(ws-ref, k=1, n=16, 16384 replicates)`` from 0.09 s
-to 0.07 s.
+``BPRE_THREADS`` sets how many threads run the replicate chunks; README
+gives its measured scaling.
 
-Exit codes: 0 success, 2 validation error, 3 conditioning starvation.
+Exit codes: 0 success, 2 validation error (out-of-range k and n included),
+3 conditioning starvation.
 """
 
 from __future__ import annotations
@@ -105,15 +103,20 @@ def _floats(value: Any) -> list[float]:
 
 # --- operation handlers ------------------------------------------------------
 #
-# A handler's signature declares its operation: ``model`` and ``seed`` come
-# from the config; ``reps`` and the keywords after it are the operation's
-# parameters, their defaults are the only defaults, and their annotations
-# convert the values a config or a flag gives (a parameter whose default is
-# None also takes None). A handler returns the payload and rows of
+# A handler declares its operation. Its ``OP_HANDLERS`` key is the
+# subcommand (``rwalk-tail`` is ``bpre rwalk tail``) and the first line of its
+# docstring the subcommand's help. ``model`` and ``seed`` come from the
+# config; ``reps`` and the keywords after it are the operation's parameters,
+# their defaults are the only defaults, and their annotations convert the
+# values a config or a flag gives (a parameter whose default is None also
+# takes None). Each parameter is one flag, ``--`` plus its name with ``_``
+# written ``-``, save those in ``_FLAGS``, and ``--seed`` is required unless
+# the ``reps`` default is None. A handler returns the payload and rows of
 # (estimand, value, std_error, reps, method).
 
 
 def _op_regime(model, seed, reps=None, k: _int = 1):
+    """classify a model and solve its rate constants"""
     report = classify(model, k=k)
     return report, [
         ("gamma", report.gamma, 0.0, 0, "exact-enum"),
@@ -122,6 +125,7 @@ def _op_regime(model, seed, reps=None, k: _int = 1):
 
 
 def _op_survival(model, seed, reps=10**4, k: _int = 1, n: _int = 10, method: str = "env-exact"):
+    """annealed survival probability"""
     est = annealed_survival(model, k, n, reps, method=method, seed=seed)
     return {"k": k, "n": n, "estimate": est}, [
         (f"survival[k={k},n={n}]", est.value, est.std_error, est.replicates, est.method)
@@ -129,6 +133,7 @@ def _op_survival(model, seed, reps=10**4, k: _int = 1, n: _int = 10, method: str
 
 
 def _op_jointsurv(model, seed, reps=10**4, k: _int = 2, n: _int = 10, method: str = "env-exact"):
+    """all-lineages joint survival"""
     est = joint_survival(model, k, n, reps, method=method, seed=seed)
     return {"k": k, "n": n, "estimate": est}, [
         (f"joint_survival[k={k},n={n}]", est.value, est.std_error, est.replicates, est.method)
@@ -136,6 +141,7 @@ def _op_jointsurv(model, seed, reps=10**4, k: _int = 2, n: _int = 10, method: st
 
 
 def _op_alphak(model, seed, reps=10**4, k_list: _ints = (2,), n_list: _ints = (10, 20)):
+    """k-particle survival ratios"""
     table = alpha_k_curve(model, k_list, n_list, reps, seed=seed)
     return {"rows": table.rows}, [
         (f"alpha_k[k={r.k},n={r.n}]", r.value, r.std_error, reps, "env-exact") for r in table.rows
@@ -143,6 +149,7 @@ def _op_alphak(model, seed, reps=10**4, k_list: _ints = (2,), n_list: _ints = (1
 
 
 def _op_lineages(model, seed, reps=10**4, k: _int = 2, n: _int = 10):
+    """surviving-lineage counts given survival"""
     dist = conditional_lineage_counts(model, k, n, reps, seed=seed)
     return dist, [
         (f"P(N={j}|alive)[k={k},n={n}]", p, se, dist.reps_used, dist.method)
@@ -151,6 +158,7 @@ def _op_lineages(model, seed, reps=10**4, k: _int = 2, n: _int = 10):
 
 
 def _op_envsel(model, seed, reps=10**4, k: _int = 1, n: _int = 10, eps_grid: _floats = (0.01, 0.1)):
+    """conditional environment-survival curve"""
     curve = conditional_env_survival(model, k, n, reps, eps_grid, seed=seed)
     return curve, [
         (f"P(p>= {eps}|alive)[k={k},n={n}]", p, se, curve.reps_used, curve.method)
@@ -161,6 +169,7 @@ def _op_envsel(model, seed, reps=10**4, k: _int = 1, n: _int = 10, eps_grid: _fl
 def _op_rwalk_tail(
     model, seed, reps=10**4, n: _int = 16, x: _float = 0.0, method: str = "env-exact"
 ):
+    """P(running minimum >= -x)"""
     estimand = f"P(min>=-{x})[n={n}]"
     if method == "exact-enum":
         value = ln_tail_exact(model, n, x)
@@ -175,6 +184,7 @@ def _op_rwalk_tail(
 def _op_rwalk_occupation(
     model, seed, reps=10**4, n: _int = 20, band: _int = 0, count: _int = 2, x: _float = 1.0
 ):
+    """conditioned occupation tail"""
     est = occupation_tail(model, n, band, count, x, reps, seed=seed)
     return {"n": n, "band": band, "count": count, "x": x, "estimate": est}, [
         (f"P(occ[{band}]>={count}|min>=-{x})", est.value, est.std_error, est.replicates, est.method)
@@ -182,6 +192,7 @@ def _op_rwalk_occupation(
 
 
 def _op_rwalk_reflected(model, seed, reps=2 * 10**4):
+    """uniform reflected-sum threshold search"""
     report = reflected_sum_check(model, reps=reps, seed=seed)
     beta_hat = report.beta_hat if report.beta_hat is not None else float("nan")
     payload = {
@@ -193,6 +204,7 @@ def _op_rwalk_reflected(model, seed, reps=2 * 10**4):
 
 
 def _op_yaglom(model, seed, reps=10**4, k: _int = 1, n: _int = 20):
+    """conditioned population law at a horizon"""
     est = yaglom(model, k, n, reps, seed=seed)
     return est, [
         (f"P(Z={z}|alive)[k={k},n={n}]", p, se, est.reps_used, est.method)
@@ -203,6 +215,7 @@ def _op_yaglom(model, seed, reps=10**4, k: _int = 1, n: _int = 20):
 def _op_qprocess(
     model, seed, reps=4000, k: _int = 1, horizon: _int = 20, kernel_state: _int = None
 ):
+    """survival-conditioned chain"""
     if kernel_state is not None:
         row = qprocess_kernel(model, kernel_state)
         payload = {
@@ -218,6 +231,7 @@ def _op_qprocess(
 
 
 def _op_envpost(model, seed, reps=10**4, k: _int = 1, p: _int = 1, n: _int = 10):
+    """environment posterior given distant survival"""
     post = env_posterior(model, k, p, n, reps, seed=seed)
     return post, [
         (f"P(f[{pos}]=comp{comp}|alive)", val, se, post.reps_used, post.method)
@@ -244,16 +258,24 @@ OP_HANDLERS = {
 # handler arguments that are config fields, not operation parameters
 _CALL_ARGS = ("model", "seed", "reps")
 _SIGNATURES = {op: inspect.signature(fn, eval_str=True) for op, fn in OP_HANDLERS.items()}
+_PARAMS = {
+    op: [name for name in sig.parameters if name not in _CALL_ARGS]
+    for op, sig in _SIGNATURES.items()
+}
 
 
 def _bind(config: ExperimentConfig) -> inspect.BoundArguments:
     """The handler call for ``config``, every parameter converted.
 
-    Unknown parameter keys and values that do not convert are validation
-    errors, raised before any estimator runs.
+    An unknown op, unknown parameter keys and values that do not convert are
+    validation errors, raised before any estimator runs.
     """
-    sig = _SIGNATURES[config.op]
-    names = [name for name in sig.parameters if name not in _CALL_ARGS]
+    sig = _SIGNATURES.get(config.op) if isinstance(config.op, str) else None
+    if sig is None:
+        raise ValidationError(
+            f"op must be one of {list(OP_HANDLERS)}, got {config.op!r}", field="op"
+        )
+    names = _PARAMS[config.op]
     unknown = sorted(set(config.params) - set(names))
     if unknown:
         raise ValidationError(
@@ -305,18 +327,22 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
 
 # parsed arguments that are config fields, not operation parameters
 _CONFIG_FIELDS = ("model", "seed", "reps", "out", "format")
+# the flags whose names are not their parameter's
+_FLAGS = {"k_list": "--k", "n_list": "--n", "eps_grid": "--eps"}
 
 
-def _op_parser(sub, name: str, help: str, need_seed: bool = True) -> argparse.ArgumentParser:
-    """An operation's subparser: only the flags given reach the config, so
-    an omitted flag takes the handler's default."""
-    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+def _op_parser(sub, name: str, op: str) -> None:
+    """The subparser of ``op``, derived from its handler. Only the flags
+    given reach the config, so an omitted flag takes the handler's default."""
+    sig, doc = _SIGNATURES[op], OP_HANDLERS[op].__doc__.splitlines()[0]
+    parser = sub.add_parser(name, help=doc, description=doc, argument_default=argparse.SUPPRESS)
     parser.add_argument("--model", required=True, help="builtin name or path to a model JSON file")
-    parser.add_argument("--seed", type=int, required=need_seed)
+    parser.add_argument("--seed", type=int, required=sig.parameters["reps"].default is not None)
     parser.add_argument("--reps", type=int)
     parser.add_argument("--out")
     parser.add_argument("--format", choices=["json", "csv"])
-    return parser
+    for param in _PARAMS[op]:
+        parser.add_argument(_FLAGS.get(param, "--" + param.replace("_", "-")), dest=param)
 
 
 def _model_spec_from_arg(arg: str):
@@ -335,63 +361,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _op_parser(sub, "regime", "classify a model and solve its rate constants", need_seed=False)
-    p.add_argument("--k")
+    # an op "<group>-<name>" is the subcommand "<group> <name>"
+    groups: dict[str, list[str]] = {}
+    for op in OP_HANDLERS:
+        groups.setdefault(op.partition("-")[0], []).append(op)
+    for head, ops in groups.items():
+        if ops == [head]:
+            _op_parser(sub, head, head)
+            continue
+        names = [op.partition("-")[2] for op in ops]
+        group = sub.add_parser(head, help=", ".join(names))
+        group_sub = group.add_subparsers(dest="walk_command", required=True)
+        for name, op in zip(names, ops):
+            _op_parser(group_sub, name, op)
 
     p = sub.add_parser("quenched", help="exact survival for a fixed environment file")
     p.add_argument("--env", required=True, help="path to a JSON list of laws")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--out", default=None)
-
-    p = _op_parser(sub, "survival", "annealed survival probability")
-    p.add_argument("--k")
-    p.add_argument("--n")
-    p.add_argument("--method", choices=["env-exact", "tilted-IS"])
-
-    p = _op_parser(sub, "jointsurv", "all-lineages joint survival")
-    p.add_argument("--k")
-    p.add_argument("--n")
-    p.add_argument("--method", choices=["env-exact", "tilted-IS"])
-
-    p = _op_parser(sub, "alphak", "k-particle survival ratios")
-    p.add_argument("--k", dest="k_list", metavar="K1,K2,...")
-    p.add_argument("--n", dest="n_list", metavar="N1,N2,...")
-
-    p = _op_parser(sub, "lineages", "surviving-lineage counts given survival")
-    p.add_argument("--k")
-    p.add_argument("--n")
-
-    p = _op_parser(sub, "envsel", "conditional environment-survival curve")
-    p.add_argument("--k")
-    p.add_argument("--n")
-    p.add_argument("--eps", dest="eps_grid", metavar="EPS1,EPS2,...")
-
-    p = sub.add_parser("rwalk", help="log-mean random walk statistics")
-    walk_sub = p.add_subparsers(dest="walk_command", required=True)
-    w = _op_parser(walk_sub, "tail", "P(running minimum >= -x)")
-    w.add_argument("--n")
-    w.add_argument("--x")
-    w.add_argument("--method", choices=["env-exact", "tilted-IS", "exact-enum"])
-    w = _op_parser(walk_sub, "occupation", "conditioned occupation tail")
-    w.add_argument("--n")
-    w.add_argument("--band")
-    w.add_argument("--count")
-    w.add_argument("--x")
-    _op_parser(walk_sub, "reflected", "uniform reflected-sum threshold search")
-
-    p = _op_parser(sub, "yaglom", "conditioned population law at a horizon")
-    p.add_argument("--k")
-    p.add_argument("--n")
-
-    p = _op_parser(sub, "qprocess", "survival-conditioned chain")
-    p.add_argument("--k")
-    p.add_argument("--horizon")
-    p.add_argument("--kernel-state", dest="kernel_state")
-
-    p = _op_parser(sub, "envpost", "environment posterior given distant survival")
-    p.add_argument("--k")
-    p.add_argument("--p")
-    p.add_argument("--n")
 
     p = sub.add_parser("run", help="run an experiment config file")
     p.add_argument("--config", required=True)
@@ -422,8 +409,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     else:
         params = vars(args)
         op = params.pop("command")
-        if op == "rwalk":
-            op = f"rwalk-{params.pop('walk_command')}"
+        if "walk_command" in params:
+            op = f"{op}-{params.pop('walk_command')}"
         raw = {"op": op, "seed": 0}
         raw.update((key, params.pop(key)) for key in _CONFIG_FIELDS if key in params)
         raw["model"] = _model_spec_from_arg(raw["model"])

@@ -93,8 +93,6 @@ def draw_env(
     model: EnvironmentModel, n: int, stream: np.random.Generator
 ) -> EnvSequence:
     """Draw n iid generations from the component mixture."""
-    if n < 0:
-        raise ValidationError(f"generation count must be >= 0, got {n}", field="n")
     laws = model.laws
     return EnvSequence([laws[i] for i in draw_env_batch(model, n, stream, 1).idx[0]])
 
@@ -238,8 +236,8 @@ class EnvBatch:
         (count,) array per generation, read from the codes block by block.
 
         Each S_i is S_{i-1} plus the step of generation i, so it has the bits
-        of ``np.cumsum(self.steps, axis=1)[:, i - 1]``. The same array is
-        yielded every time, updated in place.
+        of ``np.cumsum(self.model.log_means[self.idx], axis=1)[:, i - 1]``.
+        The same array is yielded every time, updated in place.
         """
         log_means = tuple(self.model.log_means)
         b = block_length(len(log_means))
@@ -257,13 +255,6 @@ class EnvBatch:
         for s in self.partial_sums():
             np.minimum(low, s, out=low)
         return low
-
-    @property
-    def steps(self) -> np.ndarray:
-        """(count, n) log-mean walk steps."""
-        # numpy gathers through intp indices on its fast path; through narrow
-        # indices it casts element by element, which costs more than widening
-        return self.model.log_means[self.idx.astype(np.intp)]
 
 
 def pack_env(model: EnvironmentModel, idx) -> EnvBatch:
@@ -294,6 +285,8 @@ def draw_env_batch(
     short last block last: the (ceil(n / b), count) array that ``codes``
     transposes. The tilt weight's S_n adds each row's per-code log means.
     """
+    if n < 0:
+        raise ValidationError(f"generation count must be >= 0, got {n}", field="n")
     p = model.weights if plan is None else plan.weights
     b = block_length(len(p))
     full, rest = divmod(n, b)

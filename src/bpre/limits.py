@@ -34,6 +34,7 @@ from .regime import classify
 from .simcore import (
     METHOD_EXACT,
     ConditionedEnvSamples,
+    check_k,
     draw_conditioned_env,
     evolve_lineages,
 )
@@ -51,6 +52,8 @@ DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 POPULATION_CAP = 2**32
 S_GRID = tuple(float(s) for s in np.linspace(0.0, 1.0, 21))  # where yaglom reports its pgf
 REJECTION_MAX_ATTEMPTS = 10**7
+# generations past the horizon that the WS Q-process conditions on surviving
+QPROCESS_LOOKAHEAD = 10
 
 
 # --- conditioned offspring laws ----------------------------------------------
@@ -453,15 +456,17 @@ def qprocess_run(
     horizon: int,
     reps: int,
     seed: int = 0,
-    lookahead: int = 10,
 ) -> QProcessRun:
     """Simulate the chain conditioned to survive in the distant future.
 
     SS/IS: the exact one-step kernel drives the chain. WS: no exact kernel
-    exists, so trajectories are drawn conditioned on survival ``lookahead``
-    generations past the horizon (finite-horizon approximation, labeled as
-    such in the output).
+    exists, so trajectories are drawn conditioned on survival
+    ``QPROCESS_LOOKAHEAD`` generations past the horizon (finite-horizon
+    approximation, labeled as such in the output).
     """
+    check_k(k)
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0, got {horizon}", field="horizon")
     report = classify(model)
     if report.regime in ("SS", "IS"):
         gamma = report.e_m
@@ -488,7 +493,7 @@ def qprocess_run(
             seed_info=streams.seed_provenance(seed, purpose),
         )
     # WS: finite-horizon conditioned simulation
-    cond = conditioned_trajectories(model, k, horizon, lookahead, reps, seed)
+    cond = conditioned_trajectories(model, k, horizon, QPROCESS_LOOKAHEAD, reps, seed)
     (traj, over), survive_w = cond.drawn, cond.survive_w
     ok = ~over
     total_w = float(np.sum(survive_w))
@@ -498,7 +503,7 @@ def qprocess_run(
     overflow_mass = float(np.sum(survive_w[~ok])) / total_w if total_w > 0 else 0.0
     return QProcessRun(
         regime="WS",
-        method=f"finite-horizon-approximation(lookahead={lookahead})",
+        method=f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})",
         horizon=horizon,
         medians=medians,
         final_pmf=None,
@@ -587,8 +592,11 @@ def env_posterior(
     the draw is tilted); the estimate is a weighted frequency. The p = 1,
     n = 0 case is a one-step exact computation (no sampling).
     """
+    check_k(k)
     if p < 1 or p > 5:
         raise ValidationError(f"prefix length must be in 1..5, got {p}", field="p")
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}", field="n")
     if n + p > 25:
         raise ValidationError(f"n + p must be <= 25, got {n + p}", field="n")
     ncomp = len(model.components)

@@ -175,6 +175,8 @@ def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
     """
     if x < 0:
         raise ValidationError(f"x must be >= 0, got {x}", field="x")
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}", field="n")
     if n > MAX_DP_HORIZON:
         raise ValidationError(
             f"exact oracle capped at horizon {MAX_DP_HORIZON}, got {n}", field="n"

@@ -57,6 +57,12 @@ class EstimateWithCI:
             raise ValidationError("standard error must be >= 0", field="std_error")
 
 
+def check_k(k: int) -> None:
+    """Reject an initial particle count below 1."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}", field="k")
+
+
 def evolve_lineages(
     model: EnvironmentModel,
     idx: np.ndarray,
@@ -74,8 +80,7 @@ def evolve_lineages(
     samplers. Raises ``PopulationCapError`` when some replicate's total
     exceeds ``population_cap``.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}", field="k")
+    check_k(k)
     reps, n = idx.shape
     pops = np.zeros((reps, n + 1, k), dtype=np.int64)
     pops[:, 0] = 1
@@ -182,6 +187,7 @@ def annealed_survival(
     seed: int = 0,
 ) -> EstimateWithCI:
     """Probability that a population started from k particles is alive at n."""
+    check_k(k)
     plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
     value, se = mean_and_se(samples.w * _any_survive(samples.q, k))
@@ -202,6 +208,7 @@ def joint_survival(
     w * q**k are bounded by exp(k * (L_n - S_n)) <= 1, so the importance
     sampling stays well behaved in every regime.
     """
+    check_k(k)
     plan = method_plan(method, lambda: tilt_plan(model, solve_gamma_tilde(model, k)[0]))
     samples = draw_env_samples(model, n, reps, seed, "joint", plan)
     value, se = mean_and_se(samples.w * np.exp(k * samples.log_q))
@@ -292,6 +299,8 @@ def alpha_k_curve(
     """
     if sorted(n_list) != list(n_list):
         raise ValidationError("horizon list must be increasing", field="n_list")
+    for k in k_list:
+        check_k(k)
     rows = []
     seed_info = ""
     for n in n_list:
@@ -394,6 +403,7 @@ def draw_conditioned_env(
     the environments; they come back in ``drawn``. The profile is computed
     only when ``then`` asks for it; otherwise the survival-only kernel runs.
     """
+    check_k(k)
     report = classify(model)
     plan = tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
 

@@ -1,13 +1,15 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bpre import streams
-from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, main, run
-from bpre.config import KNOWN_OPS, config_from_dict, model_from_config, model_hash
+from bpre import cli, streams
+from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, build_parser, main, run
+from bpre.config import config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref
 from bpre.errors import ValidationError
 
@@ -23,13 +25,6 @@ class TestConfig:
         with pytest.raises(ValidationError) as err:
             config_from_dict({"op": "regime", "model": "ss-ref"})
         assert err.value.field == "seed"
-
-    def test_bad_op(self):
-        with pytest.raises(ValidationError):
-            config_from_dict({"op": "na", "model": "ss-ref", "seed": 1})
-
-    def test_every_known_op_has_a_handler(self):
-        assert set(OP_HANDLERS) == set(KNOWN_OPS)
 
     def test_roundtrip_through_echo(self):
         cfg = config_from_dict(
@@ -57,6 +52,13 @@ class TestConfig:
 
 
 class TestRun:
+    def test_bad_op(self):
+        # the op is checked when the config runs, against the handlers
+        for op in ("na", None, ["survival"]):
+            with pytest.raises(ValidationError) as err:
+                run(config_from_dict({"op": op, "model": "ss-ref", "seed": 1}))
+            assert err.value.field == "op"
+
     def test_regime_report_values(self):
         cfg = config_from_dict({"op": "regime", "model": "ss-ref", "seed": 1})
         report = run(cfg)
@@ -385,3 +387,114 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("command", ["survival", "jointsurv", "rwalk tail"])
+def test_unknown_method_is_validation_exit(command, capsys):
+    # the estimators name the known methods; the parser has no copy of them
+    args = [*command.split(), "--model", "ws-ref", "--method", "bogus", "--seed", "1"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "validation error: method" in err
+
+
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("n", "survival --n -1"),
+        ("k", "survival --k -1"),
+        ("k", "jointsurv --k -1"),
+        ("k", "alphak --k -1"),
+        ("n", "rwalk tail --n -1"),
+        ("n", "rwalk tail --n -1 --method exact-enum"),
+        ("n", "yaglom --n -1"),
+        ("k", "yaglom --k 0"),
+        ("n", "envpost --n -1"),
+        ("horizon", "qprocess --horizon -1"),
+        ("k", "qprocess --k 0"),
+        ("k", "qprocess --k 0 --model ss-ref"),
+        ("k", "envpost --k 0 --n 0 --p 1"),
+    ],
+)
+def test_out_of_range_k_or_horizon_is_validation_exit(field, args, capsys):
+    # each returned a probability outside [0, 1] or ended in a traceback
+    argv = args.split()
+    if "--model" not in argv:
+        argv += ["--model", "ws-ref"]
+    code, out, err = run_cli([*argv, "--reps", "500", "--seed", "1"], capsys)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert f"validation error: {field}:" in err
+
+
+def _first_doc_line(op):
+    return OP_HANDLERS[op].__doc__.splitlines()[0]
+
+
+def _help_text(argv, capsys):
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_lists_every_op_with_its_docstring(capsys):
+    top = _help_text([], capsys)
+    walk = _help_text(["rwalk"], capsys)
+    for op in OP_HANDLERS:
+        head, _, tail = op.partition("-")
+        if tail:
+            assert tail in top
+            assert f"{tail} {_first_doc_line(op)}" in walk
+        else:
+            assert f"{op} {_first_doc_line(op)}" in top
+    assert sum(op.startswith("rwalk-") for op in OP_HANDLERS) == 3
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """The ``bpre`` lines of README's "Command line" block, as argv lists."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```bash", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("bpre ")
+    ]
+
+
+def _dispatched_config(argv, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or {})
+    monkeypatch.setattr(cli, "_write_output", lambda report, out, fmt: None)
+    assert cli._dispatch(build_parser().parse_args(argv)) == 0
+    (config,) = configs
+    return config
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 13
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv, monkeypatch):
+    args = build_parser().parse_args(argv)
+    if args.command in ("quenched", "run", "acceptance"):
+        return
+    config = _dispatched_config(argv, monkeypatch)
+    assert config.op in OP_HANDLERS
+    cli._bind(config)  # every key is a parameter of the op, and every value converts
+
+
+@pytest.mark.parametrize(
+    "args, params",
+    [
+        ("alphak --k 2,4 --n 10,20", {"k_list": "2,4", "n_list": "10,20"}),
+        ("envsel --eps 0.01,0.1", {"eps_grid": "0.01,0.1"}),
+        ("qprocess --kernel-state 3", {"kernel_state": "3"}),
+        ("rwalk occupation --band 1", {"band": "1"}),
+    ],
+)
+def test_flag_names_map_to_documented_params_keys(args, params, monkeypatch):
+    config = _dispatched_config([*args.split(), "--model", "ws-ref", "--seed", "1"], monkeypatch)
+    assert config.params == params

@@ -210,12 +210,13 @@ class TestVectorizedKernel:
             expected = log_survival_env(env)
             assert log_q[r] == pytest.approx(expected, abs=1e-10)
             s_n = sum(math.log(moments(law)[0]) for law in env)
-            assert batch.steps[r].sum() == pytest.approx(s_n, abs=1e-10)
+            assert model.log_means[batch.idx[r]].sum() == pytest.approx(s_n, abs=1e-10)
 
     def test_paths_are_cumulative_sums(self):
         model = ss_ref()
         batch = draw_env_batch(model, 10, stream(56, "t"), 20)
-        np.testing.assert_array_equal(batch.steps, model.log_means[batch.idx])
+        *_, s_n = batch.partial_sums()
+        np.testing.assert_array_equal(s_n, np.cumsum(model.log_means[batch.idx], axis=1)[:, -1])
         np.testing.assert_array_equal(batch.w, np.ones(20))
 
     @pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS.keys())

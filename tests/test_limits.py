@@ -294,7 +294,7 @@ class TestQProcessRun:
         assert run.medians[20] > run.medians[5]
 
     def test_ws_run_is_labeled_approximation(self):
-        run = qprocess_run(ws_ref(), 1, 6, 3000, seed=18, lookahead=5)
+        run = qprocess_run(ws_ref(), 1, 6, 3000, seed=18)
         assert "approximation" in run.method
         assert len(run.medians) == 7
         assert run.medians[0] == 1.0

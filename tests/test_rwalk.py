@@ -243,7 +243,7 @@ class TestWalkMinimum:
         plan = tilt_plan(model, 0.5) if tilted else None
         for n in (1, b - 1, 2 * b + 1, 5 * b + 2):
             batch = draw_env_batch(model, n, stream(71, "walk"), 300, plan)
-            paths = np.cumsum(batch.steps, axis=1)
+            paths = np.cumsum(model.log_means[batch.idx], axis=1)
             sums = np.array([s.copy() for s in batch.partial_sums()]).T
             assert sums.tobytes() == paths.tobytes()
             assert batch.walk_minimum().tobytes() == paths.min(axis=1).tobytes()
