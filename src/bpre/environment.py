@@ -248,6 +248,15 @@ class EnvBatch:
                 s += table.take(code)
                 yield s
 
+    def walk_end(self) -> np.ndarray:
+        """(count,) S_n of every replicate, read one block code at a time."""
+        log_means = tuple(self.model.log_means)
+        b = block_length(len(log_means))
+        s = np.zeros(len(self.codes))
+        for j in range(self.codes.shape[1]):
+            s += _block_log_means(log_means, min(b, self.n - j * b)).take(self.codes[:, j])
+        return s
+
     def walk_minimum(self) -> np.ndarray:
         """(count,) minimum of each replicate's walk over S_1..S_n; +inf
         when n is 0."""

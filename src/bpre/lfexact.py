@@ -165,6 +165,56 @@ def minorant_env(env: EnvSequence) -> EnvSequence:
     return EnvSequence([lf_minorant(law) for law in env])
 
 
+# --- conditioned law of an all-LF environment ----------------------------------
+
+
+def conditioned_law(
+    log_q: np.ndarray, s_n: np.ndarray, k: int, atoms: int, s_grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Law of Z_n given Z_n > 0 from k particles, per all-LF environment.
+
+    ``log_q`` and ``s_n`` are each replicate's log survival probability and
+    log-mean sum. Given the environment, the number J of surviving lines is
+    Binomial(k, q) given J >= 1, and Z_n - J is NegBin(J, p) with
+    p = q e^{-S_n} = 1/(1 + G_n); one line alone is Geometric(p) on
+    {1, 2, ...}. Returns the (replicates, atoms) pmf of Z_n = 1..atoms and
+    the (replicates, len(s_grid)) pgf, both column-major. Replicates with
+    q = 0 get the point mass at 1.
+    """
+    alive = log_q > -np.inf
+    log_p = np.zeros_like(log_q)
+    np.subtract(log_q, s_n, out=log_p, where=alive)
+    np.minimum(log_p, 0.0, out=log_p)  # p <= 1 against rounding
+    p, fail = np.exp(log_p), -np.expm1(log_p)
+    # lines[j-1] = P(J = j | J >= 1), from C(k, j) q**(j-1) (1-q)**(k-j):
+    # relative to q, so that tiny q does not underflow; q = 0 has j = 1
+    lines = np.ones((1, len(log_q)))
+    if k > 1:
+        j = np.arange(1, k + 1)[:, None]
+        comb = np.array([[math.comb(k, i)] for i in range(1, k + 1)], dtype=float)
+        lines = comb * np.exp(log_q) ** (j - 1) * (-np.expm1(log_q)) ** (k - j)
+        lines /= lines.sum(axis=0)
+    # P(J = j) P(Z = z | J = j) for z = j..atoms: P(J = j) p**j at z = j,
+    # and each atom (1-p) (z-1)/(z-j) times the one before
+    pmf = np.zeros((atoms, len(log_q)))
+    for j in range(1, min(k, atoms) + 1):
+        term = lines[j - 1] * p**j
+        pmf[j - 1] += term
+        for z in range(j + 1, atoms + 1):
+            term *= fail
+            if j > 1:
+                term *= (z - 1) / (z - j)
+            pmf[z - 1] += term
+    # E[s**Z | env, alive] = sum_j P(J = j) h**j, h = s p / (1 - (1-p) s)
+    s = np.asarray(s_grid, dtype=float)[:, None]
+    h = s * p / (1.0 - s * fail)
+    pgf = h * lines[-1]
+    for i in range(k - 2, -1, -1):
+        pgf += lines[i]
+        pgf *= h
+    return pmf.T, pgf.T
+
+
 # --- batch kernel -----------------------------------------------------------
 #
 # Monte Carlo over environments needs, per replicate, the survival profile

@@ -29,6 +29,7 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
+from .lfexact import conditioned_law
 from .offspring import FiniteSupport, LinearFractional, pgf
 from .regime import classify
 from .simcore import (
@@ -39,7 +40,9 @@ from .simcore import (
     evolve_lineages,
 )
 from .stats import (
+    column_moments,
     ratio_and_se,
+    weighted_means_and_se,
     weighted_median,
     weighted_pmf,
 )
@@ -51,6 +54,12 @@ DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 # growth of one generation. Cost does not grow with population size.
 POPULATION_CAP = 2**32
 S_GRID = tuple(float(s) for s in np.linspace(0.0, 1.0, 21))  # where yaglom reports its pgf
+YAGLOM_ATOMS = 64  # pmf atoms an all-LF yaglom reports; the mass above them is its tail_mass
+# replicates per block of the closed-form yaglom. Its per-replicate arrays
+# stay at 256 KB or less, which malloc reuses from the heap; at 2048 they
+# were mapped afresh and faulted in on every block (about 1000 minor page
+# faults per ws-ref yaglom call, a third of its time)
+CLOSED_FORM_BLOCK = 512
 REJECTION_MAX_ATTEMPTS = 10**7
 # generations past the horizon that the WS Q-process conditions on surviving
 QPROCESS_LOOKAHEAD = 10
@@ -215,7 +224,13 @@ def _evolve_skeleton(model, idx, lu, z0, rng) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class YaglomEstimate:
-    """Empirical law of the population at the horizon given survival."""
+    """Law of the population at the horizon given survival.
+
+    For an all-LF model ``pmf`` holds atoms 1..YAGLOM_ATOMS and
+    ``tail_mass`` the mass above them, both integrated exactly per
+    environment. Otherwise ``pmf`` holds the sampled sizes and ``tail_mass``
+    the weight of replicates that passed ``POPULATION_CAP``.
+    """
 
     k: int
     n: int
@@ -238,18 +253,24 @@ def yaglom(
 ) -> YaglomEstimate:
     """Estimate the law of Z_n given Z_n > 0, starting from k particles.
 
-    Per environment draw: the number of surviving initial lineages is an
-    exactly-sampled conditioned binomial, each surviving lineage's
-    population is an exact skeleton sample, and the replicate carries weight
-    (importance weight) x P(survival | environment).
+    Environments come from ``draw_conditioned_env``, each weighted by
+    (importance weight) x P(survival | environment). For an all-LF model the
+    conditioned law of each environment has a closed form
+    (``lfexact.conditioned_law``), and the estimate is its weighted mean.
+    Otherwise each environment carries one sample: the number of surviving
+    initial lineages is an exactly-sampled conditioned binomial, and each
+    surviving lineage's population an exact skeleton sample.
     """
+    purpose = f"yaglom-k{k}-n{n}"
+    if model.all_linear_fractional:
+        return _yaglom_closed_form(model, k, n, reps, seed, purpose)
 
     def then(batch, profile, rng):
         lu = profile()
         n_alive = conditioned_binomial_positive(k, np.exp(lu[:, 0]), rng)
         return _evolve_skeleton(model, batch.idx, lu, n_alive, rng)
 
-    cond = draw_conditioned_env(model, k, n, reps, seed, f"yaglom-k{k}-n{n}", then)
+    cond = draw_conditioned_env(model, k, n, reps, seed, purpose, then)
     (z, overflow), survive_w = cond.drawn, cond.survive_w
     total_w = float(np.sum(survive_w))
     ok = ~overflow
@@ -277,6 +298,41 @@ def yaglom(
         effective_events=cond.effective_events,
         reps_used=cond.reps_used,
         method=cond.method,
+        seed_info=cond.seed_info,
+    )
+
+
+def _yaglom_closed_form(model, k, n, reps, seed, purpose) -> YaglomEstimate:
+    """``yaglom`` of an all-LF model: the weighted mean over environments of
+    the closed-form conditioned law, atoms 1..YAGLOM_ATOMS and the pgf,
+    integrated one block of CLOSED_FORM_BLOCK replicates at a time."""
+    cond = draw_conditioned_env(
+        model, k, n, reps, seed, purpose, lambda batch, profile, rng: (batch.walk_end(),)
+    )
+    (s_n,) = cond.drawn
+    with np.errstate(divide="ignore"):
+        log_q = np.log(cond.q)
+    # the largest weight in [0.5, 1), so that squared weights do not underflow
+    w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
+    moments = np.zeros((3, YAGLOM_ATOMS))
+    pgf_sum = np.zeros(len(S_GRID))
+    for lo in range(0, len(w), CLOSED_FORM_BLOCK):
+        rows = slice(lo, lo + CLOSED_FORM_BLOCK)
+        pmf_rows, pgf_rows = conditioned_law(log_q[rows], s_n[rows], k, YAGLOM_ATOMS, S_GRID)
+        moments += column_moments(pmf_rows, w[rows])
+        pgf_sum += np.einsum("ij,i->j", pgf_rows, w[rows])
+    values, ses = weighted_means_and_se(moments, w)
+    pgf_values = pgf_sum / float(w.sum())
+    return YaglomEstimate(
+        k=k,
+        n=n,
+        pmf={z: (float(v), float(se)) for z, v, se in zip(range(1, YAGLOM_ATOMS + 1), values, ses)},
+        s_grid=S_GRID,
+        pgf_values=tuple(1.0 if s >= 1.0 else float(g) for s, g in zip(S_GRID, pgf_values)),
+        tail_mass=max(0.0, 1.0 - math.fsum(values)),
+        effective_events=cond.effective_events,
+        reps_used=cond.reps_used,
+        method=f"{cond.method}+closed-form",
         seed_info=cond.seed_info,
     )
 
@@ -385,17 +441,20 @@ def _convolve_power(pmf: np.ndarray, power: int, cap: int) -> np.ndarray:
 
 
 def qprocess_kernel(
-    model: EnvironmentModel, state: int, state_cap: int = DEFAULT_STATE_CAP
+    model: EnvironmentModel, kernel_state: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> QKernelRow:
-    """Exact one-step kernel of the chain conditioned to survive forever.
+    """Exact one-step kernel row, from ``kernel_state``, of the chain
+    conditioned to survive forever.
 
     Only the strongly and intermediate subcritical regimes admit this closed
     form (size-biased, rate-normalized one-step law); weakly subcritical
     models are rejected because the size-bias weights there are not
     computable in closed form.
     """
-    if state < 1:
-        raise ValidationError(f"state must be >= 1, got {state}", field="state")
+    if kernel_state < 1:
+        raise ValidationError(
+            f"kernel_state must be >= 1, got {kernel_state}", field="kernel_state"
+        )
     report = classify(model)
     if report.regime == "WS":
         raise ValidationError(
@@ -404,11 +463,11 @@ def qprocess_kernel(
     gamma = report.e_m
     base = np.zeros(state_cap + 1)
     for law, w in model.components:
-        base += w * _convolve_power(_component_pmf(law, state_cap), state, state_cap)
+        base += w * _convolve_power(_component_pmf(law, state_cap), kernel_state, state_cap)
     sizes = np.arange(state_cap + 1)
-    row = base * sizes / (state * gamma)
+    row = base * sizes / (kernel_state * gamma)
     return QKernelRow(
-        state=state, probs=row, tail_mass=max(0.0, 1.0 - float(row.sum()))
+        state=kernel_state, probs=row, tail_mass=max(0.0, 1.0 - float(row.sum()))
     )
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .environment import EnvironmentModel, env_expectation
-from .errors import NotSubcriticalError
+from .errors import NotSubcriticalError, ValidationError
 from .offspring import moments
 
 IS_TIE_TOL = 1e-10  # |E[m log m]| below this declares the intermediate regime
@@ -100,18 +100,26 @@ def solve_gamma_tilde(model: EnvironmentModel, k: int) -> tuple[float, float, st
     return float(k), _phi(model, float(k)), case
 
 
+def regime_of(model: EnvironmentModel) -> str:
+    """The regime tag of ``classify``, without solving for the rate constants."""
+    _require_subcritical(model)
+    return _regime(_dphi(model, 1.0))
+
+
+def _regime(e_m_log_m: float) -> str:
+    if abs(e_m_log_m) <= IS_TIE_TOL:
+        return "IS"
+    return "SS" if e_m_log_m < 0.0 else "WS"
+
+
 def classify(model: EnvironmentModel, k: int = 1) -> RegimeReport:
     """Regime tag plus all rate constants for a subcritical model."""
+    check_k(k)
     e_log_m = env_expectation(model, lambda law: _safe_log(moments(law)[0]))
     if e_log_m >= 0.0:
         raise NotSubcriticalError(e_log_m)
     e_m_log_m = _dphi(model, 1.0)
-    if abs(e_m_log_m) <= IS_TIE_TOL:
-        regime = "IS"
-    elif e_m_log_m < 0.0:
-        regime = "SS"
-    else:
-        regime = "WS"
+    regime = _regime(e_m_log_m)
     alpha, gamma = solve_alpha(model)
     alpha_tilde, gamma_tilde, case = solve_gamma_tilde(model, k)
     return RegimeReport(
@@ -127,6 +135,12 @@ def classify(model: EnvironmentModel, k: int = 1) -> RegimeReport:
         e_m_log_m=e_m_log_m,
         e_m=_phi(model, 1.0),
     )
+
+
+def check_k(k: int) -> None:
+    """Reject an initial particle count below 1."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}", field="k")
 
 
 def _require_subcritical(model: EnvironmentModel) -> None:

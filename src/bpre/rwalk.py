@@ -101,6 +101,12 @@ def _band(s: np.ndarray, low: np.ndarray) -> np.ndarray:
     return np.floor(s - low + LATTICE_TOL)
 
 
+def _check_level(x: float) -> None:
+    """Reject a walk level x below 0, or NaN."""
+    if not x >= 0:
+        raise ValidationError(f"x must be >= 0, got {x}", field="x")
+
+
 # --- Monte Carlo tail of the running minimum ---------------------------------
 
 
@@ -118,8 +124,7 @@ def ln_tail(
     the weight rate**n * exp(-alpha * S_n); it is unbiased for the base
     probability.
     """
-    if x < 0:
-        raise ValidationError(f"x must be >= 0, got {x}", field="x")
+    _check_level(x)
     plan = method_plan(method, lambda: _centered_tilt(model))
     purpose = f"lntail-n{n}"
 
@@ -173,8 +178,7 @@ def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
     Requires every log mean on a common lattice and x a lattice point.
     The walk is absorbed as soon as it steps below -x.
     """
-    if x < 0:
-        raise ValidationError(f"x must be >= 0, got {x}", field="x")
+    _check_level(x)
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}", field="n")
     if n > MAX_DP_HORIZON:
@@ -211,34 +215,37 @@ def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
 def occupation_tail(
     model: EnvironmentModel,
     n: int,
-    k: int,
-    l: int,
+    band: int,
+    count: int,
     x: float,
     reps: int,
     seed: int = 0,
 ) -> EstimateWithCI:
-    """P(occupation of band k above the minimum >= l | minimum >= -x).
+    """P(visits to ``band`` above the minimum >= ``count`` | minimum >= -x).
 
     Both numerator and denominator are tilted-importance-sampled from the
     same draws, so the conditional is a common-random-number ratio.
     Replicates escalate when the conditioning event carries too little
     effective mass, same policy as the survival-conditioned estimators.
     """
-    if l < 0:
-        raise ValidationError(f"l must be >= 0, got {l}", field="l")
+    if band < 0:
+        raise ValidationError(f"band must be >= 0, got {band}", field="band")
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}", field="count")
+    _check_level(x)
     plan = _centered_tilt(model)
     purpose = f"occ-n{n}"
 
-    def chunk(rng, count, start):
-        batch = draw_env_batch(model, n, rng, count, plan)
+    def chunk(rng, size, start):
+        batch = draw_env_batch(model, n, rng, size, plan)
         low = np.minimum(batch.walk_minimum(), 0.0)
-        visits = np.zeros(count, dtype=np.int64)
-        for s in itertools.chain([np.zeros(count)], batch.partial_sums()):  # S_0 = 0 counts
-            visits += _band(s, low) == k
+        visits = np.zeros(size, dtype=np.int64)
+        for s in itertools.chain([np.zeros(size)], batch.partial_sums()):  # S_0 = 0 counts
+            visits += _band(s, low) == band
         return batch.w * (low >= -x), visits
 
     (cond, occ), total, _eff = run_conditioned(chunk, reps, seed, purpose)
-    value, se = ratio_and_se(cond * (occ >= l), cond)
+    value, se = ratio_and_se(cond * (occ >= count), cond)
     return EstimateWithCI(value, se, total, METHOD_TILTED, streams.seed_provenance(seed, purpose))
 
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lfexact import log_survival, log_survival_profile
 from .offspring import sample_many
-from .regime import classify, solve_gamma_tilde
+from .regime import check_k, classify, regime_of, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
 
 DEFAULT_POPULATION_CAP = 10**7
@@ -55,12 +55,6 @@ class EstimateWithCI:
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ValidationError("standard error must be >= 0", field="std_error")
-
-
-def check_k(k: int) -> None:
-    """Reject an initial particle count below 1."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}", field="k")
 
 
 def evolve_lineages(
@@ -186,9 +180,23 @@ def annealed_survival(
     method: str = METHOD_ENV_EXACT,
     seed: int = 0,
 ) -> EstimateWithCI:
-    """Probability that a population started from k particles is alive at n."""
+    """Probability that a population started from k particles is alive at n.
+
+    In the strongly subcritical regime both methods draw at theta = 1, where
+    the weights w * (1 - (1-q)**k) <= k * E[m]**n stay bounded; untilted
+    draws there miss the environments that carry the mass. The estimate is
+    labelled tilted-IS. A model with a zero-mean component cannot be tilted
+    and keeps the method's own draw.
+    """
     check_k(k)
-    plan = method_plan(method, lambda: _centered_tilt(model))
+    if (
+        method in (METHOD_ENV_EXACT, METHOD_TILTED)
+        and regime_of(model) == "SS"
+        and np.all(model.means > 0.0)
+    ):
+        plan = tilt_plan(model, 1.0)
+    else:
+        plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
     value, se = mean_and_se(samples.w * _any_survive(samples.q, k))
     return EstimateWithCI(value, se, reps, samples.method, samples.seed_info)
@@ -297,6 +305,10 @@ def alpha_k_curve(
     the ratio is a smooth functional of one sample and its variance stays
     far below the naive two-sample version.
     """
+    if not k_list:
+        raise ValidationError("particle count list is empty", field="k_list")
+    if not n_list:
+        raise ValidationError("horizon list is empty", field="n_list")
     if sorted(n_list) != list(n_list):
         raise ValidationError("horizon list must be increasing", field="n_list")
     for k in k_list:
@@ -519,7 +531,12 @@ def conditional_env_survival(
     eps_grid: list[float],
     seed: int = 0,
 ) -> EnvSurvivalCurve:
-    """P(quenched survival >= eps | some lineage survives), per eps."""
+    """P(quenched survival >= eps | some lineage survives), per eps in [0, 1]."""
+    if not eps_grid or not all(0.0 <= eps <= 1.0 for eps in eps_grid):
+        raise ValidationError(
+            f"eps_grid must be a nonempty list of thresholds in [0, 1], got {list(eps_grid)}",
+            field="eps_grid",
+        )
     cond = draw_conditioned_env(model, k, n, reps, seed, f"envsel-k{k}-n{n}")
     points: dict[float, tuple[float, float]] = {}
     for eps in eps_grid:

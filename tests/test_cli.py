@@ -426,6 +426,32 @@ def test_out_of_range_k_or_horizon_is_validation_exit(field, args, capsys):
     assert f"validation error: {field}:" in err
 
 
+@pytest.mark.parametrize(
+    "field, args",
+    [
+        ("band", "rwalk occupation --band -1"),
+        ("count", "rwalk occupation --count -1"),
+        ("x", "rwalk occupation --x -1"),
+        ("x", "rwalk tail --x nan"),
+        ("k", "regime --k -3"),
+        ("eps_grid", "envsel --eps="),
+        ("eps_grid", "envsel --eps=nan"),
+        ("eps_grid", "envsel --eps=-0.5,2"),
+        ("k_list", "alphak --k="),
+        ("n_list", "alphak --n="),
+        ("kernel_state", "qprocess --kernel-state -1 --model ss-ref"),
+    ],
+)
+def test_out_of_domain_parameter_names_its_flag(field, args, capsys):
+    # each exited 0 with a number, exited 3, or named a field no flag has
+    argv = args.split()
+    if "--model" not in argv:
+        argv += ["--model", "ws-ref"]
+    code, out, err = run_cli([*argv, "--reps", "300", "--seed", "1"], capsys)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert f"validation error: {field}:" in err
+
+
 def _first_doc_line(op):
     return OP_HANDLERS[op].__doc__.splitlines()[0]
 

@@ -20,6 +20,7 @@ from bpre import lfexact
 from bpre.lfexact import (
     _lf_tables,
     closed_form_log_survival,
+    conditioned_law,
     iterate_F,
     lf_minorant,
     log_survival,
@@ -328,3 +329,97 @@ class TestReciprocalKernel:
             log_survival_profile(model, batch)
         with pytest.raises(AssertionError):
             log_survival(MIXED_FAMILY, draw_env_batch(MIXED_FAMILY, 3, stream(64, "t"), 5))
+
+
+def _series(laws, k, atoms):
+    """Coefficients of s**0..s**atoms of F_n(s)**k, with F_n the composition
+    of the LF pgfs ``laws`` (first law outermost), by truncated power-series
+    arithmetic: independent of the geometric/negative-binomial closed form."""
+    g = np.zeros(atoms + 1)
+    g[1] = 1.0
+    for law in reversed(laws):
+        den = -law.B * g
+        den[0] += 1.0
+        inv = np.zeros(atoms + 1)  # 1 / (1 - B g)
+        inv[0] = 1.0 / den[0]
+        for m in range(1, atoms + 1):
+            inv[m] = -np.dot(den[1 : m + 1], inv[m - 1 :: -1]) / den[0]
+        g = law.A * np.convolve(g, inv)[: atoms + 1]
+        g[0] += 1.0 - law.A / (1.0 - law.B)
+    out = np.zeros(atoms + 1)
+    out[0] = 1.0
+    for _ in range(k):
+        out = np.convolve(out, g)[: atoms + 1]
+    return out
+
+
+def _log_survival_from(laws, s):
+    """log(1 - F_n(s)), stepped in survival coordinates from log(1 - s)."""
+    lu = math.log1p(-s)
+    for law in reversed(laws):
+        lu = log_survival_step(law, lu)
+    return lu
+
+
+def _any_alive(laws, k, s=0.0):
+    """1 - F_n(s)**k, without cancellation for tiny survival."""
+    u = math.exp(_log_survival_from(laws, s))
+    return 1.0 if u == 1.0 else -math.expm1(k * math.log1p(-u))
+
+
+def _series_law(laws, k, atoms):
+    """P(Z_n = z | Z_n > 0) from k particles, z = 1..atoms, by power series."""
+    return _series(laws, k, atoms)[1:] / _any_alive(laws, k)
+
+
+def _pgf_given_alive(laws, k):
+    """(F_n(s)**k - F_n(0)**k) / (1 - F_n(0)**k) on S_GRID, formed from the
+    survival-coordinate values 1 - F_n(s)**k so that tiny survival does not
+    cancel."""
+    alive = _any_alive(laws, k)
+    return [(alive - _any_alive(laws, k, s)) / alive if s < 1.0 else 1.0 for s in S_GRID]
+
+
+MIX3 = EnvironmentModel(
+    [(LinearFractional(0.3, 0.4), 0.3), (LinearFractional(0.2, 0.6), 0.3), (geometric_lf(1.4), 0.4)]
+)
+S_GRID = tuple(i / 20 for i in range(21))
+
+
+class TestConditionedLaw:
+    @pytest.mark.parametrize("model", [ws_ref(), is_ref(), ss_ref(), MIX3], ids=["ws", "is", "ss", "mix3"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_power_series(self, model, k):
+        # atoms and pgf of fixed environments against the coefficients and
+        # values of the composed pgf to the power k, given survival
+        atoms = 30
+        idx = draw_env_batch(model, 12, np.random.default_rng(k), 6).idx
+        log_q = log_survival(model, idx)
+        s_n = model.log_means[idx].sum(axis=1)
+        pmf, pgf_rows = conditioned_law(log_q, s_n, k, atoms, S_GRID)
+        for row, comps in enumerate(idx):
+            laws = [model.laws[c] for c in comps]
+            np.testing.assert_allclose(pmf[row], _series_law(laws, k, atoms), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pgf_rows[row], _pgf_given_alive(laws, k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_short_horizons_match_power_series(self, n):
+        k, atoms = 3, 20
+        idx = np.array(list(np.ndindex(*(3,) * n)), dtype=np.uint8).reshape(3**n, n)
+        pmf, _ = conditioned_law(log_survival(MIX3, idx), MIX3.log_means[idx].sum(axis=1), k, atoms, S_GRID)
+        for row, comps in enumerate(idx):
+            want = _series_law([MIX3.laws[c] for c in comps], k, atoms)
+            np.testing.assert_allclose(pmf[row], want, rtol=0, atol=1e-12)
+
+    def test_tiny_survival_keeps_the_geometric_law(self):
+        # q = 1e-300: one surviving line, Geometric(p) with p = q e^{-S_n}
+        log_q = np.array([math.log(1e-300)])
+        s_n = log_q - math.log(0.25)
+        pmf, pgf_rows = conditioned_law(log_q, s_n, 4, 5, (0.0, 0.5, 1.0))
+        np.testing.assert_allclose(pmf[0], 0.25 * 0.75 ** np.arange(5), rtol=1e-12)
+        np.testing.assert_allclose(pgf_rows[0], [0.0, 0.125 / 0.625, 1.0], rtol=1e-12)
+
+    def test_dead_rows_are_a_point_mass(self):
+        pmf, pgf_rows = conditioned_law(np.array([-np.inf]), np.array([-np.inf]), 2, 3, (0.0, 0.5))
+        assert pmf.tolist() == [[1.0, 0.0, 0.0]]
+        assert pgf_rows.tolist() == [[0.0, 0.5]]

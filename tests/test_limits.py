@@ -15,7 +15,7 @@ from bpre.environment import (
 )
 from bpre import limits, streams
 from bpre.errors import ConditioningStarvationError, ValidationError
-from bpre.lfexact import log_survival, log_survival_profile, quenched_survival
+from bpre.lfexact import conditioned_law, log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
     _component_pmf,
     _convolve_power,
@@ -32,7 +32,7 @@ from bpre.limits import (
 )
 from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.regime import classify
-from bpre.simcore import evolve_lineages
+from bpre.simcore import draw_conditioned_env, evolve_lineages
 from bpre.stats import (
     chi_square_pvalue,
     kish_neff,
@@ -145,8 +145,46 @@ class TestYaglom:
             conditioned_population_by_rejection(extinct, 1, 2, 10, seed=8)
 
     def test_long_ws_horizon_keeps_its_mass(self):
-        est = yaglom(ws_ref(), 1, 50, 20000, seed=1)
+        # the sampled path: populations past POPULATION_CAP are its tail mass
+        est = yaglom(FS_WS, 1, 50, 8000, seed=1)
+        assert est.method == "tilted-IS"
         assert est.tail_mass < 0.01
+
+    def test_lf_tail_is_the_mass_above_the_atoms(self):
+        # one line is Geometric(p) given the environment, so P(Z > A | env)
+        # = (1-p)**A, with p = q e^{-S_n}, on the draws yaglom makes
+        k, n, reps, seed = 1, 50, 20000, 1
+        est = yaglom(ws_ref(), k, n, reps, seed=seed)
+        assert est.method == "tilted-IS+closed-form"
+        assert sorted(est.pmf) == list(range(1, limits.YAGLOM_ATOMS + 1))
+        assert math.fsum(p for p, _ in est.pmf.values()) + est.tail_mass == pytest.approx(1.0, abs=1e-12)
+        cond = draw_conditioned_env(
+            ws_ref(), k, n, reps, seed, f"yaglom-k{k}-n{n}", lambda batch, profile, rng: (batch.walk_end(),)
+        )
+        p = cond.q * np.exp(-cond.drawn[0])
+        tail = np.sum(cond.survive_w * (1.0 - p) ** limits.YAGLOM_ATOMS) / np.sum(cond.survive_w)
+        assert est.tail_mass == pytest.approx(tail, rel=1e-9)
+        assert 0.5 < est.tail_mass < 0.7
+
+    @pytest.mark.parametrize("model, n", [(ws_ref(), 10), (is_ref(), 10), (ss_ref(), 8)], ids=["ws", "is", "ss"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_lf_matches_enumeration(self, model, n, k):
+        # every one of the 2**n environments, weighted by its probability
+        # times P(some of k lineages survives | environment), each with its
+        # closed-form law (checked against power series in test_lfexact)
+        atoms = 8
+        idx = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.uint8)
+        log_q = log_survival(model, idx)
+        with np.errstate(divide="ignore"):  # q = 1 in some is-ref environments
+            weight = model.weights[idx].prod(axis=1) * -np.expm1(k * np.log1p(-np.exp(log_q)))
+        pmf, pgf_rows = conditioned_law(log_q, model.log_means[idx].sum(axis=1), k, atoms, limits.S_GRID)
+        exact = weight @ pmf / weight.sum()
+        est = yaglom(model, k, n, 20000, seed=30 + k)
+        assert est.method.endswith("+closed-form")
+        for z in range(1, atoms + 1):
+            value, se = est.pmf[z]
+            assert abs(value - exact[z - 1]) < 4 * se
+        np.testing.assert_allclose(est.pgf_values, weight @ pgf_rows / weight.sum(), atol=0.02)
 
     def test_pgf_monotone_and_normalized(self):
         est = yaglom(ws_ref(), 1, 10, 10**4, seed=9)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -8,10 +9,10 @@ from bpre import streams
 from bpre.environment import EnvironmentModel, draw_env_batch, is_ref, ss_ref, ws_ref
 from bpre.errors import (
     ConditioningStarvationError,
-    DegenerateTiltError,
     PopulationCapError,
     ValidationError,
 )
+from bpre.lfexact import log_survival
 from bpre.limits import env_posterior, qprocess_run, yaglom
 from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.rwalk import ln_tail
@@ -123,9 +124,31 @@ class TestAnnealedSurvival:
         comb = math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 4 * comb
 
-    def test_ss_tilt_rejected(self):
-        with pytest.raises(DegenerateTiltError):
-            annealed_survival(ss_ref(), 1, 10, 100, method="tilted-IS", seed=9)
+    def test_ss_draws_at_theta_one_for_both_methods(self):
+        # the same tilt, stream and weights whichever method is asked for
+        a = annealed_survival(ss_ref(), 2, 10, 500, method="env-exact", seed=9)
+        b = annealed_survival(ss_ref(), 2, 10, 500, method="tilted-IS", seed=9)
+        assert a == b
+        assert a.method == "tilted-IS"
+
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_ss_matches_enumeration(self, n, k):
+        model = ss_ref()
+        idx = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.uint8)
+        q = np.exp(log_survival(model, idx))
+        exact = float(model.weights[idx].prod(axis=1) @ (1.0 - (1.0 - q) ** k))
+        est = annealed_survival(model, k, n, 20000, seed=40 + n + k)
+        assert abs(est.value - exact) < 4 * est.std_error
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_ss_far_horizon_matches_bracket(self, seed):
+        # certified bracket of P(Z_400 > 0) for ss-ref from one particle;
+        # untilted draws came out about 1000x low here
+        lo, hi = 1.5202377942e-171, 1.5202378203e-171
+        est = annealed_survival(ss_ref(), 1, 400, 4096, seed=seed)
+        assert lo - 4 * est.std_error <= est.value <= hi + 4 * est.std_error
+        assert est.std_error < 0.01 * est.value
 
     def test_bad_method(self):
         with pytest.raises(ValidationError):
