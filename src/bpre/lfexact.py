@@ -215,6 +215,98 @@ def conditioned_law(
     return pmf.T, pgf.T
 
 
+# --- Q-process marginals of an all-LF environment -------------------------------
+
+
+def lf_forward(model: EnvironmentModel, idx: np.ndarray):
+    """Yield S_t and G_t for t = 0..n, one generation at a time, of every
+    row of the (replicates, n) component indices ``idx`` of an all-LF model.
+    The same two arrays are yielded every time, updated in place.
+
+    S_t is the log-mean walk, G_0 = 0 and G_t = m G_{t-1} + c with m and
+    c = B/(1-B) of generation t-1's law. From one particle Z_t is 0 with
+    probability 1 - pi_t and otherwise Geometric(p) on {1, 2, ...}, with
+    pi_t = e^{S_t} / (1 + G_t) and p = 1 / (1 + G_t).
+    """
+    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+    s = np.zeros(len(idx))
+    g = np.zeros(len(idx))
+    yield s, g
+    for col in np.ascontiguousarray(idx.T):
+        s += model.log_means.take(col)
+        g *= model.means.take(col)
+        g += c.take(col)
+        yield s, g
+
+
+@dataclass(frozen=True)
+class SurvivorTail:
+    """z -> w P(Z_t > z, Z_n > 0 | environment), from k particles, for each
+    all-LF environment of a batch with weight w; ``of`` builds it.
+
+    Given the environment, J ~ Binomial(k, pi_t) lines are alive at t and
+    each holds Geometric(p) particles (``lf_forward``), and a particle at t
+    has a descendant at n with probability u. Count the particles as the
+    failures before the J-th success of Bernoulli(p) trials, rho = 1 - p:
+    Z_t > z when i < J of the first z trials succeed, with probability
+    b_i(z) = C(z, i) p^i rho^(z-i). Given that, with x = 1 - u, all of them
+    die out with probability x^z a^(J-i), where a = x / (1 + rho u / p)
+    covers the particles of one line still to finish. Writing
+    1 - x^z a^m = (1 - a^m) + (1 - x^z) a^m,
+        w P(Z_t > z, Z_n > 0) = sum_{i <= min(z, k-1)} b_i(z) (W_i + (1 - x^z) U_i)
+    with W_i = sum_{j>i} w P(J = j) (1 - a^(j-i)) and
+    U_i = sum_{j>i} w P(J = j) a^(j-i): some or none of the particles of the
+    lines still to finish has a descendant. Every term is positive, so the tail
+    keeps its relative precision for tiny u. A call costs one expm1 per
+    replicate and one exp per replicate per term.
+    """
+
+    log_p: np.ndarray
+    log_rho: np.ndarray
+    log_x: np.ndarray
+    live: np.ndarray  # (k, replicates): W_i, i = 0..k-1
+    die: np.ndarray  # (k, replicates): U_i
+
+    @classmethod
+    def of(cls, s_t, g_t, log_u, k: int, w) -> "SurvivorTail":
+        """The tail at generation t of environments with walk ``s_t``,
+        ``g_t`` (``lf_forward``) and log survival ``log_u`` to n."""
+        u = np.exp(log_u)
+        log_p = -np.log1p(g_t)
+        with np.errstate(divide="ignore"):
+            log_rho = np.log(g_t) + log_p  # -inf where G = 0: p = 1
+            log_x = np.log1p(-u)  # -inf where u = 1
+        log_a = log_x - np.log1p(g_t * u)
+        log_pi = np.minimum(s_t + log_p, 0.0)  # pi <= 1 against rounding
+        pi, fail, a = np.exp(log_pi), -np.expm1(log_pi), np.exp(log_a)
+        # from i = k-1 down, with L_j = w P(J = j) and V_i = sum_{j>i} L_j:
+        # U_i = a (L_{i+1} + U_{i+1}), and W_i = (1 - a) R_i with
+        # R_i = sum_{j>i} L_j (1 + a + ... + a^(j-i-1)) = V_i + a R_{i+1}
+        die, r = np.empty((k, len(pi))), np.empty((k, len(pi)))
+        v = die_next = r_next = 0.0
+        for i in range(k - 1, -1, -1):
+            line = math.comb(k, i + 1) * w * pi ** (i + 1) * fail ** (k - i - 1)
+            v = v + line
+            die[i] = a * (line + die_next)
+            r[i] = v + a * r_next
+            die_next, r_next = die[i], r[i]
+        return cls(log_p, log_rho, log_x, r * -np.expm1(log_a), die)
+
+    def __call__(self, z: int) -> np.ndarray:
+        """w P(Z_t > z, Z_n > 0 | environment) of every replicate."""
+        x_z = np.expm1(z * self.log_x) if z else np.zeros(len(self.log_x))  # x^z - 1
+        out = 0.0
+        for i in range(min(z, len(self.die) - 1) + 1):
+            term = x_z * self.die[i]
+            np.subtract(self.live[i], term, out=term)
+            log_b = (z - i) * self.log_rho if z > i else np.zeros(len(term))
+            if i:
+                log_b += i * self.log_p + math.log(math.comb(z, i))
+            term *= np.exp(log_b, out=log_b)
+            out = out + term
+        return out
+
+
 # --- batch kernel -----------------------------------------------------------
 #
 # Monte Carlo over environments needs, per replicate, the survival profile

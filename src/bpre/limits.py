@@ -1,6 +1,14 @@
 """Quasistationary limits: conditioned populations, size-biased kernels,
 environment posteriors.
 
+For all-linear-fractional models the conditioned laws are not sampled:
+each drawn environment contributes its exact law, the Yaglom law through
+``lfexact.conditioned_law`` and the marginals of the weakly subcritical
+Q-process through ``lfexact.SurvivorTail``. Conditioned populations (the
+Yaglom skeleton and the WS Q-process trajectories) are sampled only for
+finite-support and mixed models; the SS/IS Q-process steps its exact
+kernel for every model.
+
 Sampling Z_n given survival is done exactly, per environment, through the
 prolific-skeleton decomposition: an individual is prolific when it has a
 descendant alive at the horizon, every ancestor of a survivor is prolific,
@@ -29,9 +37,9 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import conditioned_law
+from .lfexact import SurvivorTail, conditioned_law, lf_forward
 from .offspring import FiniteSupport, LinearFractional, pgf
-from .regime import classify
+from .regime import expected_mean, regime_of
 from .simcore import (
     METHOD_EXACT,
     ConditionedEnvSamples,
@@ -455,12 +463,11 @@ def qprocess_kernel(
         raise ValidationError(
             f"kernel_state must be >= 1, got {kernel_state}", field="kernel_state"
         )
-    report = classify(model)
-    if report.regime == "WS":
+    if regime_of(model) == "WS":
         raise ValidationError(
             "no exact kernel in the weakly subcritical regime", field="model"
         )
-    gamma = report.e_m
+    gamma = expected_mean(model)
     base = np.zeros(state_cap + 1)
     for law, w in model.components:
         base += w * _convolve_power(_component_pmf(law, state_cap), kernel_state, state_cap)
@@ -519,16 +526,18 @@ def qprocess_run(
     """Simulate the chain conditioned to survive in the distant future.
 
     SS/IS: the exact one-step kernel drives the chain. WS: no exact kernel
-    exists, so trajectories are drawn conditioned on survival
-    ``QPROCESS_LOOKAHEAD`` generations past the horizon (finite-horizon
-    approximation, labeled as such in the output).
+    exists, so Z_t is conditioned on survival ``QPROCESS_LOOKAHEAD``
+    generations past the horizon (finite-horizon approximation, labeled as
+    such in the output). For an all-LF model each median comes from the
+    exact conditioned tails of the drawn environments; otherwise the
+    trajectories are sampled.
     """
     check_k(k)
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}", field="horizon")
-    report = classify(model)
-    if report.regime in ("SS", "IS"):
-        gamma = report.e_m
+    regime = regime_of(model)
+    if regime in ("SS", "IS"):
+        gamma = expected_mean(model)
         purpose = "qprocess"
 
         def chunk(rng, count, start):
@@ -542,7 +551,7 @@ def qprocess_run(
         medians = tuple(float(np.median(traj[:, i])) for i in range(horizon + 1))
         final_pmf = weighted_pmf(traj[:, -1], np.ones(len(traj)))
         return QProcessRun(
-            regime=report.regime,
+            regime=regime,
             method="exact-kernel-chain",
             horizon=horizon,
             medians=medians,
@@ -551,7 +560,10 @@ def qprocess_run(
             reps=reps,
             seed_info=streams.seed_provenance(seed, purpose),
         )
-    # WS: finite-horizon conditioned simulation
+    # WS: finite-horizon conditioned laws
+    method = f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
+    if model.all_linear_fractional:
+        return _qprocess_closed_form(model, k, horizon, reps, seed, method)
     cond = conditioned_trajectories(model, k, horizon, QPROCESS_LOOKAHEAD, reps, seed)
     (traj, over), survive_w = cond.drawn, cond.survive_w
     ok = ~over
@@ -562,7 +574,7 @@ def qprocess_run(
     overflow_mass = float(np.sum(survive_w[~ok])) / total_w if total_w > 0 else 0.0
     return QProcessRun(
         regime="WS",
-        method=f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})",
+        method=method,
         horizon=horizon,
         medians=medians,
         final_pmf=None,
@@ -570,6 +582,69 @@ def qprocess_run(
         reps=cond.reps_used,
         seed_info=cond.seed_info,
     )
+
+
+def _qprocess_closed_form(model, k, horizon, reps, seed, method) -> QProcessRun:
+    """The WS ``qprocess_run`` of an all-LF model: each median is the
+    smallest z at which the weighted mean over the drawn environments of
+    P(Z_t <= z | Z_n > 0, environment), n = horizon + QPROCESS_LOOKAHEAD,
+    reaches 1/2, as in ``weighted_median``. The draws, escalation and
+    provenance are those of ``conditioned_trajectories``."""
+    cond = draw_conditioned_env(
+        model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, f"qtraj-k{k}-h{horizon}",
+        lambda batch, profile, rng: (profile()[:, : horizon + 1], batch.idx[:, :horizon]),
+    )
+    lu, idx = cond.drawn
+    total = float(cond.survive_w.sum())
+    medians, guess = [], 1
+    for tail in _marginal_tails(model, k, lu, idx, cond.w):
+        guess = _tail_median(tail, total, guess)
+        medians.append(float(guess))
+    return QProcessRun(
+        regime="WS",
+        method=f"{method}+closed-form",
+        horizon=horizon,
+        medians=tuple(medians),
+        final_pmf=None,
+        overflow_mass=0.0,
+        reps=cond.reps_used,
+        seed_info=cond.seed_info,
+    )
+
+
+def _marginal_tails(model, k, lu, idx, w):
+    """Yield the ``SurvivorTail`` of generations t = 0, 1, ..., idx.shape[1],
+    one at a time, of environments with component indices ``idx`` up to
+    that generation, log survival profile ``lu`` (column t: from generation
+    t to the horizon the tails condition on) and importance weights ``w``."""
+    for t, (s, g) in enumerate(lf_forward(model, idx)):
+        yield SurvivorTail.of(s, g, lu[:, t], k, w)
+
+
+def _tail_median(tail: SurvivorTail, total: float, guess: int) -> int:
+    """Smallest z with tail(z).sum() <= total / 2, where tail(0) sums to
+    ``total``: steps from ``guess`` >= 1 by doubling strides to a bracket,
+    then bisects it."""
+    half = 0.5 * total
+    step = 1
+    lo = hi = guess
+    if tail(lo).sum() > half:
+        while tail(lo + step).sum() > half:
+            lo += step
+            step *= 2
+        hi = lo + step
+    else:
+        while hi > step and tail(hi - step).sum() <= half:
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid).sum() > half:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def conditioned_trajectories(

@@ -106,6 +106,12 @@ def regime_of(model: EnvironmentModel) -> str:
     return _regime(_dphi(model, 1.0))
 
 
+def expected_mean(model: EnvironmentModel) -> float:
+    """E[m]: the ``e_m`` of ``classify``, and the decay rate of the SS and IS
+    regimes, without solving for the other rate constants."""
+    return _phi(model, 1.0)
+
+
 def _regime(e_m_log_m: float) -> str:
     if abs(e_m_log_m) <= IS_TIE_TOL:
         return "IS"
@@ -133,7 +139,7 @@ def classify(model: EnvironmentModel, k: int = 1) -> RegimeReport:
         joint_case=case,
         e_log_m=e_log_m,
         e_m_log_m=e_m_log_m,
-        e_m=_phi(model, 1.0),
+        e_m=expected_mean(model),
     )
 
 

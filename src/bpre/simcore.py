@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lfexact import log_survival, log_survival_profile
 from .offspring import sample_many
-from .regime import check_k, classify, regime_of, solve_gamma_tilde
+from .regime import check_k, classify, regime_of, solve_alpha, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
 
 DEFAULT_POPULATION_CAP = 10**7
@@ -416,8 +416,7 @@ def draw_conditioned_env(
     only when ``then`` asks for it; otherwise the survival-only kernel runs.
     """
     check_k(k)
-    report = classify(model)
-    plan = tilt_plan(model, report.alpha) if report.regime in ("IS", "WS") else None
+    plan = tilt_plan(model, solve_alpha(model)[0]) if regime_of(model) in ("IS", "WS") else None
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)

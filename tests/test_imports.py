@@ -35,7 +35,8 @@ def test_check_sees_an_unused_import():
     assert unused_imports(source) == ["os", "tau", "numpy"]
 
 
-# the aggregate population sampler of ``limits`` and the conditioned draw it runs on
+# the aggregate population sampler of ``limits``, the closed-form Q-process
+# marginals that replace it for all-LF models, and the conditioned draw they run on
 AGGREGATE_SAMPLER = (
     "_generation",
     "_lf_totals",
@@ -43,6 +44,9 @@ AGGREGATE_SAMPLER = (
     "_neg_binomial",
     "_evolve_skeleton",
     "_dressed_trajectories",
+    "_marginal_tails",
+    "SurvivorTail",
+    "lf_forward",
     "draw_conditioned_env",
 )
 ORACLES = [
@@ -52,9 +56,11 @@ ORACLES = [
 ]
 
 
-def module_functions(module: str) -> dict[str, ast.FunctionDef]:
+def module_definitions(module: str) -> dict[str, ast.FunctionDef | ast.ClassDef]:
     tree = ast.parse((Path(bpre.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
-    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
 
 
 def names_in(node: ast.AST) -> set[str]:
@@ -69,12 +75,12 @@ def names_in(node: ast.AST) -> set[str]:
 
 @pytest.mark.parametrize("module, oracle", ORACLES, ids=[name for _, name in ORACLES])
 def test_oracle_names_no_aggregate_sampler_helper(module, oracle):
-    assert names_in(module_functions(module)[oracle]).isdisjoint(AGGREGATE_SAMPLER)
+    assert names_in(module_definitions(module)[oracle]).isdisjoint(AGGREGATE_SAMPLER)
 
 
 def test_aggregate_sampler_helpers_exist():
     # a renamed helper would make the independence check pass vacuously
-    defined = set(module_functions("limits")) | set(module_functions("simcore"))
+    defined = set().union(*(module_definitions(m) for m in ("limits", "simcore", "lfexact")))
     assert set(AGGREGATE_SAMPLER) <= defined
 
 
@@ -88,4 +94,4 @@ def test_environment_draws_block_codes_only():
         module = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
         assert "_block_codes" not in names_in(module) | defined
-    assert "_draw_codes" in names_in(module_functions("environment")["draw_env_batch"])
+    assert "_draw_codes" in names_in(module_definitions("environment")["draw_env_batch"])

@@ -18,6 +18,7 @@ from bpre.environment import (
 from bpre.errors import ValidationError
 from bpre import lfexact
 from bpre.lfexact import (
+    SurvivorTail,
     _lf_tables,
     closed_form_log_survival,
     conditioned_law,
@@ -423,3 +424,48 @@ class TestConditionedLaw:
         pmf, pgf_rows = conditioned_law(np.array([-np.inf]), np.array([-np.inf]), 2, 3, (0.0, 0.5))
         assert pmf.tolist() == [[1.0, 0.0, 0.0]]
         assert pgf_rows.tolist() == [[0.0, 0.5]]
+
+
+def _tail_by_convolution(pi, p, u, k, size=600):
+    """P(Z > z, some of the Z particles has a descendant), z = 0..size-1,
+    where Z is the sum of k iid lines, each 0 with probability 1 - pi and
+    otherwise Geometric(p) on {1, 2, ...}, and each particle has a
+    descendant with probability u: the k-fold convolution of the one-line
+    pmf, summed atom by atom from the top."""
+    line = np.zeros(size)
+    line[0] = 1.0 - pi
+    line[1:] = pi * p * (1.0 - p) ** np.arange(size - 1)
+    law = np.zeros(size)
+    law[0] = 1.0
+    for _ in range(k):
+        law = np.convolve(law, line)[:size]
+    sizes = np.arange(size)
+    alive = (sizes > 0).astype(float) if u == 1.0 else -np.expm1(sizes * math.log1p(-u))
+    terms = law * alive
+    return np.concatenate([np.cumsum(terms[::-1])[::-1][1:], [0.0]])
+
+
+class TestSurvivorTail:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "s_t, g_t",
+        [(0.0, 0.0), (-0.2, 0.4), (0.5, 1.5), (-7.0, 3.0)],
+        ids=["deterministic", "near-one", "spread", "rare-line"],
+    )
+    def test_matches_convolution(self, k, s_t, g_t):
+        # every z from 0 to 60, below and above k, and u from 1e-40 to 1
+        u = np.array([1e-40, 1e-12, 1e-3, 0.5, 1.0])
+        tail = SurvivorTail.of(np.full(5, s_t), np.full(5, g_t), np.log(u), k, np.ones(5))
+        p = 1.0 / (1.0 + g_t)
+        pi = math.exp(s_t) * p
+        got = np.array([tail(z) for z in range(61)])
+        for col, ui in enumerate(u):
+            want = _tail_by_convolution(pi, p, float(ui), k)[:61]
+            np.testing.assert_allclose(got[:, col], want, rtol=1e-12, atol=0)
+
+    def test_weight_scales_each_replicate(self):
+        args = (np.full(2, -0.3), np.full(2, 0.8), np.log([0.2, 0.2]), 3)
+        one = SurvivorTail.of(*args, np.ones(2))
+        scaled = SurvivorTail.of(*args, np.array([1.0, 1e-30]))
+        for z in (0, 2, 5):
+            np.testing.assert_allclose(scaled(z), one(z) * [1.0, 1e-30], rtol=1e-15)

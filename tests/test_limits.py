@@ -17,6 +17,7 @@ from bpre import limits, streams
 from bpre.errors import ConditioningStarvationError, ValidationError
 from bpre.lfexact import conditioned_law, log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
+    QPROCESS_LOOKAHEAD,
     _component_pmf,
     _convolve_power,
     _fs_totals,
@@ -338,8 +339,54 @@ class TestQProcessRun:
         assert run.medians[0] == 1.0
 
     def test_ws_populations_do_not_overflow(self):
-        run = qprocess_run(ws_ref(), 1, 20, 10000, seed=1)
+        # the sampled trajectories, which the WS chain of a non-LF model
+        # runs on, stay below POPULATION_CAP over a long horizon
+        cond = conditioned_trajectories(ws_ref(), 1, 20, QPROCESS_LOOKAHEAD, 10000, seed=1)
+        _, over = cond.drawn
+        assert not over.any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ws_closed_form_matches_enumeration(self, k):
+        # P(Z_t <= z | Z_n > 0) averaged over all 2**12 ws-ref environments
+        # against convolution powers of the offspring pmfs and composed pgfs,
+        # and the median search against the first z where that CDF reaches 1/2
+        model, horizon, cap = ws_ref(), 2, 120
+        idx, prob, joint, alive = _enumerated_marginals(model, k, horizon, cap)
+        lu = log_survival_profile(model, idx)
+        total = float(np.dot(prob, -np.expm1(k * np.log1p(-np.exp(lu[:, 0])))))
+        tails = limits._marginal_tails(model, k, lu, idx[:, :horizon], prob)
+        for t, tail in enumerate(tails):
+            want = np.cumsum(joint[t]) / alive
+            got = np.array([1.0 - tail(z).sum() / total for z in range(cap + 1)])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert limits._tail_median(tail, total, 1) == int(np.argmax(want >= 0.5))
+        assert t == horizon
+
+    def test_ws_closed_form_run(self):
+        run = qprocess_run(ws_ref(), 2, 4, 2000, seed=30)
+        assert run.method == f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})+closed-form"
         assert run.overflow_mass == 0.0
+        assert run.medians[0] == 2.0
+        # the same draws, escalation and provenance as the sampled trajectories
+        cond = conditioned_trajectories(ws_ref(), 2, 4, QPROCESS_LOOKAHEAD, 2000, seed=30)
+        assert (run.reps, run.seed_info) == (cond.reps_used, cond.seed_info)
+
+    def test_fs_ws_samples_match_enumeration(self):
+        # the sampled WS chain, which finite-support models keep, against the
+        # exact conditioned laws of all 2**13 environments
+        k, horizon, reps = 1, 3, 8000
+        run = qprocess_run(FS_WS, k, horizon, reps, seed=29)
+        assert run.regime == "WS"
+        assert run.method == f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
+        assert run.overflow_mass == 0.0
+        cond = conditioned_trajectories(FS_WS, k, horizon, QPROCESS_LOOKAHEAD, reps, seed=29)
+        slack = 4 * 0.5 / math.sqrt(cond.effective_events)
+        _, _, joint, alive = _enumerated_marginals(FS_WS, k, horizon, 40)
+        for t, median in enumerate(run.medians):
+            cdf = np.cumsum(joint[t]) / alive
+            z = int(median)
+            assert cdf[z] >= 0.5 - slack
+            assert z == 0 or cdf[z - 1] <= 0.5 + slack
 
 
 class TestEnvPosterior:
@@ -399,6 +446,56 @@ class TestEnvPosterior:
             env_posterior(ss_ref(), 1, 6, 2, 100, seed=0)
         with pytest.raises(ValidationError):
             env_posterior(ss_ref(), 1, 3, 23, 100, seed=0)
+
+
+def _offspring_pmf(law, cap: int) -> np.ndarray:
+    """P(one parent has c children), c = 0..cap."""
+    if isinstance(law, LinearFractional):
+        pmf = law.A * law.B ** np.arange(-1.0, cap)
+        pmf[0] = 1.0 - law.A / (1.0 - law.B)
+        return pmf
+    return np.pad(np.asarray(law.probs), (0, cap + 1 - len(law.probs)))
+
+
+def _offspring_pgf(law, s: np.ndarray) -> np.ndarray:
+    if isinstance(law, LinearFractional):
+        return 1.0 - law.A / (1.0 - law.B) + law.A * s / (1.0 - law.B * s)
+    return sum(p * s**c for c, p in enumerate(law.probs))
+
+
+def _enumerated_marginals(model, k, horizon, cap):
+    """Every environment of n = horizon + QPROCESS_LOOKAHEAD generations and
+    its probability; for t = 0..horizon the annealed P(Z_t = z, Z_n > 0),
+    z = 0..cap; and P(Z_n > 0); all from k particles.
+
+    Per environment the law of Z_t steps by convolution powers of the
+    offspring pmfs, truncated at cap (choose cap so that Z_{horizon-1} stays
+    below it), and P(Z_n > 0 | Z_t = z) = 1 - F^z, with F the pgf of
+    generations t..n-1 composed at 0.
+    """
+    n = horizon + QPROCESS_LOOKAHEAD
+    idx = np.array(list(itertools.product(range(len(model.laws)), repeat=n)), dtype=np.uint8)
+    prob = model.weights[idx].prod(axis=1)
+    powers = []
+    for law in model.laws:
+        rows = [np.eye(cap + 1)[0]]
+        for _ in range(cap):
+            rows.append(np.convolve(rows[-1], _offspring_pmf(law, cap))[: cap + 1])
+        powers.append(np.array(rows))
+    dead = np.zeros((n + 1, len(idx)))
+    for t in range(n - 1, -1, -1):
+        for comp, law in enumerate(model.laws):
+            rows = idx[:, t] == comp
+            dead[t, rows] = _offspring_pgf(law, dead[t + 1, rows])
+    law_t = np.zeros((len(idx), cap + 1))
+    law_t[:, k] = 1.0
+    joint = []
+    for t in range(horizon + 1):
+        joint.append(prob @ (law_t * (1.0 - dead[t][:, None] ** np.arange(cap + 1))))
+        for comp in range(len(model.laws)):
+            rows = idx[:, t] == comp
+            law_t[rows] = law_t[rows] @ powers[comp]
+    return idx, prob, joint, float(prob @ (1.0 - dead[0] ** k))
 
 
 def _f0(law):
