@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import streams
 from .environment import EnvironmentModel, draw_env_batch
@@ -382,6 +381,8 @@ def functional_residual(
     interpolation (shape preserving, so the interpolant stays a plausible
     pgf between grid points).
     """
+    from scipy.interpolate import PchipInterpolator
+
     grid = np.asarray(estimate.s_grid)
     values = np.asarray(estimate.pgf_values)
     interp = PchipInterpolator(grid, values)

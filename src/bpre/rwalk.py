@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .environment import EnvSequence, EnvironmentModel, draw_env_batch
+from .environment import EnvSequence, EnvironmentModel, draw_env_batch, tilt_plan
 from .errors import NonLatticeError, ValidationError
 from .offspring import moments
-from .regime import classify
+from .regime import regime_of, solve_alpha
 from .simcore import (
     METHOD_ENV_EXACT,
     METHOD_TILTED,
@@ -276,14 +276,15 @@ def reflected_sum_check(
     search cannot run off the grid at desk horizons; a missing threshold is
     reported as a failure rather than raised.
     """
-    report = classify(model)
-    if report.regime != "WS" or report.alpha >= 0.5:
+    regime = regime_of(model)
+    alpha, _ = solve_alpha(model)
+    if regime != "WS" or alpha >= 0.5:
         raise ValidationError(
             f"requires a weakly subcritical model with exponent < 1/2 "
-            f"(regime {report.regime}, exponent {report.alpha:.4g})",
+            f"(regime {regime}, exponent {alpha:.4g})",
             field="model",
         )
-    plan = _centered_tilt(model)
+    plan = tilt_plan(model, alpha)  # the centred tilt: a WS exponent is interior
     curve: dict[tuple[int, float, float], tuple[float, float]] = {}
     for n in REFLECTED_HORIZONS:
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lfexact import log_survival, log_survival_profile
 from .offspring import sample_many
-from .regime import check_k, classify, regime_of, solve_alpha, solve_gamma_tilde
+from .regime import _dphi, check_k, expected_mean, regime_of, solve_alpha, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
 
 DEFAULT_POPULATION_CAP = 10**7
@@ -113,14 +113,14 @@ def _centered_tilt(model: EnvironmentModel) -> TiltPlan:
     Rejects when the minimizing exponent sits at the boundary with a
     noncentered tilted walk (weights would be exponentially degenerate).
     """
-    report = classify(model)
-    drift = report.e_m_log_m / report.e_m  # tilted E[log m] at theta = 1
-    if report.alpha >= 1.0 and abs(drift) > TILT_CENTER_TOL:
+    alpha, _ = solve_alpha(model)
+    drift = _dphi(model, 1.0) / expected_mean(model)  # tilted E[log m] at theta = 1
+    if alpha >= 1.0 and abs(drift) > TILT_CENTER_TOL:
         raise DegenerateTiltError(
             f"tilted walk is not centered (E_tilted[log m] = {drift:.3g}); "
             "tilted importance sampling is unusable for this model"
         )
-    return tilt_plan(model, report.alpha)
+    return tilt_plan(model, alpha)
 
 
 def method_plan(method: str, tilted: Callable[[], TiltPlan]) -> TiltPlan | None:

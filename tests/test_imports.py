@@ -1,7 +1,12 @@
-"""Every top-level import of a package module is used by that module, and
-the brute-force oracles stay independent of the samplers they check."""
+"""Every top-level import of a package module is used by that module, the
+brute-force oracles stay independent of the samplers they check, and the CLI's
+Monte Carlo ops run without importing scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +100,37 @@ def test_environment_draws_block_codes_only():
         defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
         assert "_block_codes" not in names_in(module) | defined
     assert "_draw_codes" in names_in(module_definitions("environment")["draw_env_batch"])
+
+
+# one small run of each op a survival, Yaglom or Q-process command makes; none
+# of them may import scipy, which stays a first-use import of the functional
+# residual, the chi-square p-value and the FFT branch of the kernel row
+SCIPY_FREE_OPS = [
+    {"op": "survival", "params": {"k": 1, "n": 8}},
+    {"op": "jointsurv", "params": {"k": 2, "n": 8, "method": "tilted-IS"}},
+    {"op": "yaglom", "params": {"k": 1, "n": 8}},
+    {"op": "lineages", "params": {"k": 2, "n": 8}},
+    {"op": "envsel", "params": {"k": 1, "n": 8}},
+    {"op": "qprocess", "params": {"k": 1, "horizon": 4}},
+    {"op": "rwalk-tail", "params": {"n": 8, "x": 1.0}},
+]
+SCIPY_PROBE = """
+import json, sys
+import bpre, bpre.cli
+from bpre.config import config_from_dict
+for raw in json.loads(sys.argv[1]):
+    bpre.cli.run(config_from_dict({**raw, "model": "ws-ref", "seed": 1, "reps": 256}))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_cli_ops_import_no_scipy():
+    src = str(Path(bpre.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(SCIPY_FREE_OPS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
