@@ -5,8 +5,9 @@ pins every emitted number bit-for-bit, independent of the worker count.
 ``BPRE_THREADS`` sets how many threads run the replicate chunks; README
 gives its measured scaling.
 
-Exit codes: 0 success, 2 validation error (out-of-range k and n included),
-3 conditioning starvation.
+Exit codes: 0 success, 1 any other package error (an estimate that
+underflowed to 0.0 included), 2 validation error (out-of-range k and n
+included), 3 conditioning starvation.
 """
 
 from __future__ import annotations

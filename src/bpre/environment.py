@@ -269,13 +269,15 @@ class EnvBatch:
 def pack_env(model: EnvironmentModel, idx) -> EnvBatch:
     """EnvBatch of the given (count, n) component indices, with unit
     weights: hand-built environments in the form the kernels read."""
-    idx = np.asarray(idx)
+    idx = np.asarray(idx, dtype=np.intp)
     count, n = idx.shape
     k = len(model.laws)
     b = block_length(k)
-    codes = np.zeros((count, -(-n // b)), dtype=np.intp)
-    for i in range(n):
-        codes[:, i // b] = codes[:, i // b] * k + idx[:, i]
+    full = n - n % b
+    places = k ** np.arange(b - 1, -1, -1)
+    codes = idx[:, :full].reshape(count, full // b, b) @ places
+    if full < n:  # the short last block
+        codes = np.column_stack([codes, idx[:, full:] @ places[full - n :]])
     return EnvBatch(model, n, codes.astype(np.min_scalar_type(k**b - 1)), np.ones(count))
 
 

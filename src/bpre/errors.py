@@ -52,6 +52,12 @@ class ConditioningStarvationError(BpreError):
         )
 
 
+class UnderflowError(BpreError):
+    """A Monte Carlo estimate came out exactly 0.0 although some replicate's
+    probability is positive: it underflowed in linear scale and would be
+    silently wrong."""
+
+
 class PopulationCapError(BpreError):
     """A simulated population exceeded the configured cap."""
 

@@ -19,15 +19,7 @@ import numpy as np
 
 from .environment import EnvBatch, EnvSequence, EnvironmentModel, block_length, pack_env
 from .errors import CrossCheckError, ValidationError
-from .offspring import (
-    _LOG_TINY,
-    LinearFractional,
-    OffspringLaw,
-    lf_from_moments,
-    log_survival_step,
-    moments,
-    pgf,
-)
+from .offspring import LinearFractional, OffspringLaw, lf_from_moments, moments, pgf
 
 LOG_AGREE_TOL = 1e-8
 P_AGREE_TOL = 1e-10
@@ -44,11 +36,14 @@ def iterate_F(env: EnvSequence, s: float) -> float:
 
 
 def log_survival_env(env: EnvSequence) -> float:
-    """log(1 - F_n(0)), iterated stably in survival coordinates."""
-    lu = 0.0
-    for law in reversed(tuple(env)):
-        lu = log_survival_step(law, lu)
-    return lu
+    """log(1 - F_n(0)): ``log_survival`` of the one-row batch whose model
+    holds the sequence's distinct laws, in order of first appearance, each
+    with weight 1/K."""
+    comp = {law: i for i, law in enumerate(dict.fromkeys(env))}
+    if not comp:
+        return 0.0
+    model = EnvironmentModel([(law, 1.0 / len(comp)) for law in comp])
+    return float(log_survival(model, np.array([[comp[law] for law in env]]))[0])
 
 
 def closed_form_log_survival(env: EnvSequence) -> float:
@@ -158,11 +153,6 @@ def lf_minorant(law: OffspringLaw) -> LinearFractional:
                 f"dominance violated at s = {s}: {pgf(tilde, float(s))} < {pgf(law, float(s))}"
             )
     return tilde
-
-
-def minorant_env(env: EnvSequence) -> EnvSequence:
-    """Replace every law in the sequence by its dominating linear-fractional law."""
-    return EnvSequence([lf_minorant(law) for law in env])
 
 
 # --- conditioned law of an all-LF environment ----------------------------------
@@ -475,14 +465,17 @@ def _lf_blocks(lf: _LFTables, batch: EnvBatch):
 
 def _log_steps(model: EnvironmentModel, batch: EnvBatch):
     """Yield (i, log u at generation i) for i from n - 1 down to 0, stepping
-    log u one generation at a time from 0 at generation n."""
+    log u one generation at a time from 0 at generation n. A batch with
+    fewer rows than components steps only the components drawn in each
+    generation, so that one row of K distinct laws costs O(n), not O(n K)."""
+    laws, log_means = model.laws, model.log_means
     lu = np.zeros(len(batch.codes))
     for i in range(batch.n - 1, -1, -1):
         col = batch.idx[:, i]
         out = np.empty_like(lu)
-        for comp, (law, log_m) in enumerate(zip(model.laws, model.log_means)):
+        for comp in range(len(laws)) if len(laws) <= len(col) else np.unique(col):
             rows = col == comp
-            out[rows] = _log_step_batch(law, log_m, lu[rows])
+            out[rows] = _log_step_batch(laws[comp], log_means[comp], lu[rows])
         lu = out
         yield i, lu
 
@@ -492,8 +485,15 @@ def _lf_step(lu, log_m, c):
     return lu + log_m - np.log1p(c * np.exp(lu))
 
 
+_LOG_TINY = -600.0  # below this, 1 - f(1-u) = m*u to double precision
+
+
 def _log_step_batch(law: OffspringLaw, log_m: float, lu: np.ndarray) -> np.ndarray:
-    """``log_survival_step`` of one law applied to an array of log u."""
+    """log(1 - f(1 - u)) of one law with log mean ``log_m``, for an array of
+    log u: one generation of the survival recursion, exact down to
+    log u = -inf. A finite-support step scales sum_j p_j (1 - (1-u)**j) by
+    the largest p_j, so that laws with tiny probabilities do not underflow
+    to zero survival."""
     if isinstance(law, LinearFractional):
         return _lf_step(lu, log_m, law.B / (1.0 - law.B))
     if log_m == -np.inf:

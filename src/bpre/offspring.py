@@ -93,57 +93,6 @@ def moments(law: OffspringLaw) -> tuple[float, float]:
     return m, f2
 
 
-def mean(law: OffspringLaw) -> float:
-    return moments(law)[0]
-
-
-def survival_step(law: OffspringLaw, u: float) -> float:
-    """Return 1 - f(1 - u): one composition step in survival coordinates.
-
-    Survival coordinates avoid the catastrophic cancellation of computing
-    1 - f(s) for s near 1, so tiny survival probabilities keep full
-    relative precision.
-    """
-    if isinstance(law, LinearFractional):
-        one_m_b = 1.0 - law.B
-        return law.A * u / (one_m_b * (one_m_b + law.B * u))
-    if u == 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0 - law.probs[0]  # 1 - f(0)
-    log_dead = math.log1p(-u)  # log(1 - u)
-    return math.fsum(
-        -p * math.expm1(j * log_dead) for j, p in enumerate(law.probs) if j > 0
-    )
-
-
-_LOG_TINY = -600.0  # below this, 1 - f(1-u) = m*u to double precision
-
-
-def log_survival_step(law: OffspringLaw, log_u: float) -> float:
-    """Survival composition step in log space; exact down to log_u = -inf."""
-    if isinstance(law, LinearFractional):
-        if law.A == 0.0:
-            return -math.inf
-        one_m_b = 1.0 - law.B
-        log_m = math.log(law.A) - 2.0 * math.log(one_m_b)
-        return log_u + log_m - math.log1p(law.B / one_m_b * math.exp(log_u))
-    m = mean(law)
-    if m == 0.0:
-        return -math.inf
-    if log_u > _LOG_TINY:
-        # sum_j p_j (1 - (1-u)**j), scaled by the largest p_j so that laws
-        # with tiny probabilities do not underflow to zero survival
-        top = max(law.probs[1:])
-        u = math.exp(log_u)
-        log_dead = math.log1p(-u) if u < 1.0 else -math.inf  # log(1 - u)
-        scaled = math.fsum(
-            p / top * -math.expm1(j * log_dead) for j, p in enumerate(law.probs) if j > 0
-        )
-        return math.log(top) + math.log(scaled)
-    return log_u + math.log(m)
-
-
 def sample(law: OffspringLaw, stream: np.random.Generator) -> int:
     """Draw one offspring count."""
     if isinstance(law, LinearFractional):

@@ -312,37 +312,3 @@ def reflected_sum_check(
     return ReflectedSumReport(
         beta_hat=beta_hat, grid=REFLECTED_BETAS, curve=curve, passed=beta_hat is not None
     )
-
-
-# --- path-wise link between walk and quenched survival -------------------------
-
-
-def survival_floor_constant(model: EnvironmentModel) -> float:
-    """1 / (1 + max over components of f''(1)/f'(1)).
-
-    For all-linear-fractional sequences the quenched survival is at least
-    (C/2) * exp(min) / reflected_sum with this C, path by path.
-    """
-    ratios = []
-    for law, _ in model.components:
-        m, f2 = moments(law)
-        if m <= 0:
-            raise ValidationError("requires positive offspring means", field="model")
-        ratios.append(f2 / m)
-    return 1.0 / (1.0 + max(ratios))
-
-
-def reversed_walk(env: EnvSequence) -> WalkPath:
-    """Walk of the reversed sequence: step i is the log mean of law n-1-i."""
-    return WalkPath(tuple(math.log(moments(law)[0]) for law in reversed(tuple(env))))
-
-
-def survival_lower_bound(env: EnvSequence, floor_constant: float) -> float:
-    """(C/2) * exp(S'_n - max S'_j) / sum_i exp(S'_i - max S'_j), reversed walk.
-
-    Algebraically equal to (C/2) * exp(min) / reflected_sum of the forward
-    walk; computed from the reversed partial sums.
-    """
-    s = reversed_walk(env).partial_sums
-    m = float(s.max())
-    return 0.5 * floor_constant * math.exp(s[-1] - m) / float(np.exp(s - m).sum())

@@ -27,6 +27,7 @@ from .errors import (
     ConditioningStarvationError,
     DegenerateTiltError,
     PopulationCapError,
+    UnderflowError,
     ValidationError,
 )
 from .lfexact import log_survival, log_survival_profile
@@ -166,6 +167,19 @@ def draw_env_samples(
     )
 
 
+def _checked_estimate(samples: EnvSamples, values: np.ndarray, what: str) -> EstimateWithCI:
+    """The mean of ``values`` with its SE; raises ``UnderflowError`` when the
+    mean is exactly 0.0 while some replicate has a finite log q. Replicates
+    that are all dead, as under a zero-mean component, give 0.0."""
+    value, se = mean_and_se(values)
+    if value == 0.0 and np.isfinite(samples.log_q).any():
+        raise UnderflowError(
+            f"{what} underflowed to 0.0 although some environments survive "
+            f"(largest log q {float(samples.log_q.max()):.6g})"
+        )
+    return EstimateWithCI(value, se, len(values), samples.method, samples.seed_info)
+
+
 def _any_survive(q: np.ndarray, k: int) -> np.ndarray:
     """1 - (1 - q)**k, stable for tiny q."""
     with np.errstate(divide="ignore"):
@@ -198,8 +212,7 @@ def annealed_survival(
     else:
         plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
-    value, se = mean_and_se(samples.w * _any_survive(samples.q, k))
-    return EstimateWithCI(value, se, reps, samples.method, samples.seed_info)
+    return _checked_estimate(samples, samples.w * _any_survive(samples.q, k), "survival")
 
 
 def joint_survival(
@@ -219,8 +232,7 @@ def joint_survival(
     check_k(k)
     plan = method_plan(method, lambda: tilt_plan(model, solve_gamma_tilde(model, k)[0]))
     samples = draw_env_samples(model, n, reps, seed, "joint", plan)
-    value, se = mean_and_se(samples.w * np.exp(k * samples.log_q))
-    return EstimateWithCI(value, se, reps, samples.method, samples.seed_info)
+    return _checked_estimate(samples, samples.w * np.exp(k * samples.log_q), "joint survival")
 
 
 @dataclass(frozen=True)

@@ -160,33 +160,6 @@ def linear_r_squared(x: np.ndarray, y: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def chi_square_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
-    """Pearson chi-square p-value after pooling cells with expected < 5."""
-    from scipy.stats import chi2
-
-    obs_pool: list[float] = []
-    exp_pool: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += float(o)
-        acc_e += float(e)
-        if acc_e >= 5.0:
-            obs_pool.append(acc_o)
-            exp_pool.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0.0:
-        if exp_pool:
-            obs_pool[-1] += acc_o
-            exp_pool[-1] += acc_e
-        else:
-            obs_pool, exp_pool = [acc_o], [acc_e]
-    if len(exp_pool) < 2:
-        return 1.0
-    stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs_pool, exp_pool))
-    dof = len(exp_pool) - 1
-    return float(chi2.sf(stat, dof))
-
-
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     order = np.argsort(values)
     v = np.asarray(values, dtype=float)[order]

@@ -40,6 +40,16 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
     assert not result.passed
 
 
+def test_corrupted_kernel_is_caught(monkeypatch):
+    # a kernel profile shifted by 1e-6 must flip the criterion red too
+    import bpre.acceptance as acc
+
+    real = acc.log_survival_profile
+    monkeypatch.setattr(acc, "log_survival_profile", lambda model, env: real(model, env) + 1e-6)
+    result = acc.criterion_1(acc.DEFAULT_SEED)
+    assert not result.passed
+
+
 def test_budget_overrun_fails(monkeypatch):
     # every clock reading is 100 s after the last, so C4's check appears to
     # take 100 s against its 1 s budget

@@ -206,6 +206,16 @@ class TestCliEndToEnd:
         assert code == EXIT_STARVATION
         assert "starved" in err
 
+    def test_underflow_exit_code(self, capsys):
+        # survival at n = 1200 underflows in linear scale: an error, not 0.0
+        code, out, err = run_cli(
+            ["survival", "--model", "ss-ref", "--k", "1", "--n", "1200",
+             "--reps", "4096", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "underflowed" in err
+
     def test_unknown_param_key_is_validation_exit(self, capsys, tmp_path):
         # a misspelled key must not silently run at the default n = 20
         raw = {"op": "yaglom", "model": "ws-ref", "seed": 1, "params": {"k": 1, "N": 6}}

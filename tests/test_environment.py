@@ -24,8 +24,8 @@ from bpre.environment import (
 from bpre.errors import ValidationError
 from bpre.lfexact import log_survival
 from bpre.offspring import LinearFractional, geometric_lf, moments
-from bpre.stats import chi_square_pvalue
 from bpre.streams import stream
+from helpers import chi_square_pvalue
 
 
 def test_builtin_means_are_exact():
@@ -246,12 +246,13 @@ class TestBlockDraw:
     @pytest.mark.parametrize("k", [1, 2, 3, 300])
     def test_pack_env_round_trip(self, k):
         model = BLOCK_MODELS[k]
-        batch = draw_env_batch(model, 23, stream(35, "blocks"), 64)
-        packed = pack_env(model, batch.idx)
-        np.testing.assert_array_equal(packed.codes, batch.codes)
-        assert packed.codes.dtype == batch.codes.dtype
-        np.testing.assert_array_equal(packed.idx, batch.idx)
-        assert log_survival(model, batch.idx).tobytes() == log_survival(model, batch).tobytes()
+        for n in (0, 8, 23):  # no block, whole blocks only, a short last block
+            batch = draw_env_batch(model, n, stream(35, "blocks"), 64)
+            packed = pack_env(model, batch.idx)
+            np.testing.assert_array_equal(packed.codes, batch.codes)
+            assert packed.codes.dtype == batch.codes.dtype
+            np.testing.assert_array_equal(packed.idx, batch.idx)
+            assert log_survival(model, batch.idx).tobytes() == log_survival(model, batch).tobytes()
 
 
 class TestRowDraw:

@@ -102,9 +102,26 @@ def test_environment_draws_block_codes_only():
     assert "_draw_codes" in names_in(module_definitions("environment")["draw_env_batch"])
 
 
+def test_one_survival_recursion():
+    # the survival step is defined once, in the batch kernel of lfexact, and
+    # the quenched survival of one sequence runs that kernel
+    steps = {
+        path.stem: [
+            name
+            for name in module_definitions(path.stem)
+            if "survival_step" in name or name.startswith(("_log_step", "_lf_step"))
+        ]
+        for path in MODULES
+    }
+    assert "_log_step_batch" in steps.pop("lfexact")
+    assert not any(steps.values()), steps
+    assert not [name for name in module_definitions("offspring") if "survival" in name]
+    assert "log_survival" in names_in(module_definitions("lfexact")["log_survival_env"])
+
+
 # one small run of each op a survival, Yaglom or Q-process command makes; none
 # of them may import scipy, which stays a first-use import of the functional
-# residual, the chi-square p-value and the FFT branch of the kernel row
+# residual and the FFT branch of the kernel row
 SCIPY_FREE_OPS = [
     {"op": "survival", "params": {"k": 1, "n": 8}},
     {"op": "jointsurv", "params": {"k": 2, "n": 8, "method": "tilted-IS"}},

@@ -27,20 +27,13 @@ from bpre.lfexact import (
     log_survival,
     log_survival_env,
     log_survival_profile,
-    minorant_env,
     quenched_survival,
 )
-from bpre.offspring import (
-    FiniteSupport,
-    LinearFractional,
-    geometric_lf,
-    log_survival_step,
-    moments,
-    pgf,
-)
+from bpre.offspring import FiniteSupport, LinearFractional, geometric_lf, moments, pgf
 from bpre.rwalk import WalkPath, walk_stats
 from bpre.simcore import evolve_lineages
 from bpre.streams import stream
+from helpers import reference_log_profile
 from test_streams import MODELS
 
 LF = LinearFractional(0.25, 0.5)  # critical geometric: f(s) = 1/(2-s)
@@ -160,7 +153,7 @@ class TestMinorant:
             for _ in range(100):
                 env = draw_env(model, 20, rng)
                 p = quenched_survival(env).p
-                p_tilde = quenched_survival(minorant_env(env)).p
+                p_tilde = quenched_survival(EnvSequence([lf_minorant(law) for law in env])).p
                 assert p_tilde <= p + 1e-12
 
 
@@ -182,6 +175,8 @@ FS_MIXTURE = EnvironmentModel(
 MIXED_FAMILY = EnvironmentModel(
     [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
 )
+# means 0.1 and 0.3: log u passes _LOG_TINY = -600 within 400 generations
+FS_SMALL_U = EnvironmentModel([(FiniteSupport([0.9, 0.1]), 0.5), (FiniteSupport([0.8, 0.1, 0.1]), 0.5)])
 # A valid law has A <= 1 - B (up to 1e-12), so its mean A / (1 - B)**2 is at
 # most about 1 / (1 - B); the first law here has B = 1 - 2**-52, mean 2**51
 # and P(Z > 0) = 1/2.
@@ -195,6 +190,7 @@ HORIZONS = [0, 1, 7, 8, 9, 16, 100, 400]
 KERNEL_MODELS = {
     "lf": ws_ref(),
     "fs": FS_MIXTURE,
+    "fs-small-u": FS_SMALL_U,
     "mixed": MIXED_FAMILY,
     **{f"lf{k}": model for k, model in MODELS.items()},
     "lf-extreme": EXTREME_LF,
@@ -208,8 +204,8 @@ class TestVectorizedKernel:
         log_q = log_survival_profile(model, batch.idx)[:, 0]
         laws = model.laws
         for r in range(50):
-            env = EnvSequence([laws[i] for i in batch.idx[r]])
-            expected = log_survival_env(env)
+            env = [laws[i] for i in batch.idx[r]]
+            expected = reference_log_profile(env)[0]
             assert log_q[r] == pytest.approx(expected, abs=1e-10)
             s_n = sum(math.log(moments(law)[0]) for law in env)
             assert model.log_means[batch.idx[r]].sum() == pytest.approx(s_n, abs=1e-10)
@@ -223,7 +219,7 @@ class TestVectorizedKernel:
 
     @pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS.keys())
     def test_profile_matches_scalar_steps_everywhere(self, model):
-        # the longest horizon reaches the small-u branch of the FS step
+        # the longest horizon takes fs-small-u into the small-u branch of the FS step
         count = 30
         laws = model.laws
         for n in HORIZONS:
@@ -232,15 +228,11 @@ class TestVectorizedKernel:
             log_q = log_survival(model, batch.idx)
             assert profile.shape == (count, n + 1)
             for r in range(count):
-                lu = 0.0
+                env = [laws[j] for j in batch.idx[r]]
                 assert profile[r, n] == 0.0
-                for i in range(n - 1, -1, -1):
-                    lu = log_survival_step(laws[batch.idx[r, i]], lu)
-                    assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0), (n, r, i)
-                env = EnvSequence([laws[j] for j in batch.idx[r]])
-                assert profile[r, 0] == pytest.approx(log_survival_env(env), rel=1e-12), (n, r)
+                np.testing.assert_allclose(profile[r], reference_log_profile(env), rtol=1e-12, atol=0)
                 if model.all_linear_fractional:
-                    exact = closed_form_log_survival(env)
+                    exact = closed_form_log_survival(EnvSequence(env))
                     assert abs(log_q[r] - exact) <= 1e-12 * max(abs(exact), 1.0), (n, r)
 
     @pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS.keys())
@@ -257,6 +249,36 @@ BERNOULLI_LF = EnvironmentModel([(LinearFractional(0.6, 0.0), 0.5), (LinearFract
 ZERO_MEAN_LF = EnvironmentModel(
     [(LinearFractional(0.0, 0.3), 0.02), (LinearFractional(0.0, 0.0), 0.02), (geometric_lf(1.5), 0.96)]
 )
+ZERO_MEAN_FS = EnvironmentModel([(FiniteSupport([1.0]), 0.1), (FiniteSupport([0.2, 0.3, 0.5]), 0.9)])
+ONE_ROW_MODELS = {**KERNEL_MODELS, "zero-mean-lf": ZERO_MEAN_LF, "zero-mean-fs": ZERO_MEAN_FS}
+
+
+class TestOneRowKernel:
+    """quenched_survival runs log_survival on a one-row batch of the
+    sequence's distinct laws."""
+
+    @pytest.mark.parametrize("model", ONE_ROW_MODELS.values(), ids=ONE_ROW_MODELS.keys())
+    def test_matches_decimal_reference_and_batch(self, model):
+        for n in (0, 1, 9, 400):
+            batch = draw_env_batch(model, n, stream(59, "t"), 3)
+            log_q = log_survival(model, batch)
+            for r in range(3):
+                env = [model.laws[j] for j in batch.idx[r]]
+                got = quenched_survival(EnvSequence(env)).log_p
+                assert got == pytest.approx(reference_log_profile(env)[0], rel=1e-12, abs=0.0)
+                assert got == pytest.approx(log_q[r], rel=1e-13, abs=0.0)
+        if model is FS_SMALL_U:
+            assert log_q.max() < lfexact._LOG_TINY
+
+    def test_distinct_laws_take_one_step_per_generation(self, monkeypatch):
+        # 60 distinct laws, one per generation: 60 steps, not 60 * 60
+        calls = []
+        step = lfexact._log_step_batch
+        monkeypatch.setattr(lfexact, "_log_step_batch", lambda *args: calls.append(1) or step(*args))
+        laws = [FiniteSupport([0.5 - i / 200, 0.5, i / 200]) for i in range(60)]
+        log_p = quenched_survival(EnvSequence(laws)).log_p
+        assert len(calls) == 60
+        assert log_p == pytest.approx(reference_log_profile(laws)[0], rel=1e-12)
 
 
 class TestReciprocalKernel:
@@ -272,7 +294,7 @@ class TestReciprocalKernel:
         assert log_q.tobytes() == log_survival_profile(model, batch)[:, 0].tobytes()
         for r in range(len(log_q)):
             env = EnvSequence([model.laws[j] for j in batch.idx[r]])
-            for exact in (closed_form_log_survival(env), log_survival_env(env)):
+            for exact in (closed_form_log_survival(env), reference_log_profile(env.laws)[0]):
                 assert abs(log_q[r] - exact) <= 1e-12 * abs(exact), (r, log_q[r], exact)
 
     @pytest.mark.parametrize("n", [1, 8, 9, 40])
@@ -281,10 +303,8 @@ class TestReciprocalKernel:
         batch = draw_env_batch(model, n, stream(62, "t"), 40)
         profile = log_survival_profile(model, batch)
         for r in range(40):
-            lu = 0.0
-            for i in range(n - 1, -1, -1):
-                lu = log_survival_step(model.laws[batch.idx[r, i]], lu)
-                assert profile[r, i] == pytest.approx(lu, rel=1e-12, abs=0.0)
+            want = reference_log_profile([model.laws[j] for j in batch.idx[r]])
+            np.testing.assert_allclose(profile[r], want, rtol=1e-12, atol=0)
         assert log_survival(model, batch).tobytes() == profile[:, 0].tobytes()
 
     @pytest.mark.parametrize("n", [1, 8, 9, 40])
@@ -299,12 +319,12 @@ class TestReciprocalKernel:
         dead = batch.idx < 2
         assert not np.isnan(profile).any()
         for r in range(200):
+            want = reference_log_profile([model.laws[j] for j in batch.idx[r]])
             for i in range(n + 1):
                 if dead[r, i:].any():
-                    assert profile[r, i] == -math.inf
+                    assert profile[r, i] == want[i] == -math.inf
                 else:
-                    env = EnvSequence([model.laws[j] for j in batch.idx[r, i:]])
-                    assert profile[r, i] == pytest.approx(log_survival_env(env), rel=1e-12, abs=0.0)
+                    assert profile[r, i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
         assert dead.any(axis=1).any() and not dead.any(axis=1).all()
         assert log_q.tobytes() == profile[:, 0].tobytes()
 
@@ -316,8 +336,8 @@ class TestReciprocalKernel:
         batch = draw_env_batch(model, 20, stream(65, "t"), 30)
         log_q = log_survival(model, batch)
         for r in range(30):
-            env = EnvSequence([model.laws[j] for j in batch.idx[r]])
-            assert log_q[r] == pytest.approx(log_survival_env(env), rel=1e-12)
+            want = reference_log_profile([model.laws[j] for j in batch.idx[r]])[0]
+            assert log_q[r] == pytest.approx(want, rel=1e-12)
 
     def test_all_lf_models_take_no_log_domain_step(self, monkeypatch):
         def fail(*args):
@@ -354,17 +374,9 @@ def _series(laws, k, atoms):
     return out
 
 
-def _log_survival_from(laws, s):
-    """log(1 - F_n(s)), stepped in survival coordinates from log(1 - s)."""
-    lu = math.log1p(-s)
-    for law in reversed(laws):
-        lu = log_survival_step(law, lu)
-    return lu
-
-
 def _any_alive(laws, k, s=0.0):
     """1 - F_n(s)**k, without cancellation for tiny survival."""
-    u = math.exp(_log_survival_from(laws, s))
+    u = math.exp(reference_log_profile(laws, s)[0])
     return 1.0 if u == 1.0 else -math.expm1(k * math.log1p(-u))
 
 

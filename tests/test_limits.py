@@ -35,7 +35,6 @@ from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.regime import classify
 from bpre.simcore import draw_conditioned_env, evolve_lineages
 from bpre.stats import (
-    chi_square_pvalue,
     kish_neff,
     mean_and_se,
     pmf_tv_budget,
@@ -44,6 +43,7 @@ from bpre.stats import (
     weighted_pmf,
 )
 from bpre.streams import stream
+from helpers import chi_square_pvalue
 
 BERNOULLI = EnvironmentModel([(FiniteSupport([0.5, 0.5]), 1.0)])
 FS_HALF = EnvironmentModel([(FiniteSupport([0.75, 0.0, 0.25]), 1.0)])  # mean 1/2

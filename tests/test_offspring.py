@@ -7,17 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpre.errors import ValidationError
+from bpre.lfexact import _log_step_batch
 from bpre.offspring import (
     FiniteSupport,
     LinearFractional,
     geometric_lf,
     lf_from_moments,
-    log_survival_step,
     moments,
     pgf,
     sample,
     sample_many,
-    survival_step,
 )
 from bpre.streams import stream
 
@@ -115,15 +114,20 @@ def exact_survival_step(law, u: float) -> Fraction:
 @example(FiniteSupport((1.0, 5e-324)), 0.5)
 @example(FiniteSupport((1.0, 5e-324)), 1.0)
 def test_survival_step_consistency(law, u):
-    # the reference 1 - pgf(law, 1 - u) would cancel catastrophically for
-    # laws with almost all mass at zero, so it is computed exactly instead
+    # the kernel's one-generation step against 1 - f(1 - u); the reference
+    # 1 - pgf(law, 1 - u) would cancel catastrophically for laws with almost
+    # all mass at zero, so it is computed exactly instead
     exact = exact_survival_step(law, u)
-    assert survival_step(law, u) == pytest.approx(float(exact), abs=1e-12)
+    m = moments(law)[0]
+    (step,) = _log_step_batch(law, math.log(m) if m > 0 else -math.inf, np.array([math.log(u)]))
+    assert math.exp(step) == pytest.approx(float(exact), abs=1e-12)
     if exact > 0:
         # log of the numerator and denominator integers: exact below the
         # float range too
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)
-        assert log_survival_step(law, math.log(u)) == pytest.approx(log_exact, abs=1e-9)
+        assert step == pytest.approx(log_exact, abs=1e-9)
+    else:
+        assert step == -math.inf
 
 
 class TestSampling:

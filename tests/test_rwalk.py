@@ -17,16 +17,13 @@ from bpre.environment import (
 )
 from bpre.errors import NonLatticeError, ValidationError
 from bpre.lfexact import quenched_survival
-from bpre.offspring import geometric_lf
+from bpre.offspring import geometric_lf, moments
 from bpre.rwalk import (
     WalkPath,
     ln_tail,
     ln_tail_exact,
     occupation_tail,
     reflected_sum_check,
-    reversed_walk,
-    survival_floor_constant,
-    survival_lower_bound,
     walk_stats,
 )
 from bpre.streams import stream
@@ -199,36 +196,17 @@ class TestReflectedSum:
 
 class TestSurvivalLink:
     def test_lower_bound_pathwise(self):
+        # for all-LF sequences p >= (C/2) exp(min) / reflected_sum path by
+        # path, with C = 1 / (1 + max over components of f''(1)/f'(1))
         model = ws_ref()
-        floor = survival_floor_constant(model)
+        floor = 1.0 / (1.0 + max(f2 / m for m, f2 in map(moments, model.laws)))
         rng = stream(11, "t")
         for _ in range(200):
             env = draw_env(model, 30, rng)
             p = quenched_survival(env).p
-            bound = survival_lower_bound(env, floor)
-            assert p >= bound - 1e-15
-
-    def test_reversed_expression_matches_forward(self):
-        model = ws_ref()
-        rng = stream(12, "t")
-        for _ in range(50):
-            env = draw_env(model, 12, rng)
             stats = walk_stats(WalkPath.from_env(env))
-            forward = (
-                0.5
-                * survival_floor_constant(model)
-                * math.exp(stats.min_from_0)
-                / stats.reflected_sum
-            )
-            assert survival_lower_bound(env, survival_floor_constant(model)) == pytest.approx(
-                forward, rel=1e-10
-            )
-
-    def test_reversed_walk_step_order(self):
-        env = draw_env(ws_ref(), 5, stream(13, "t"))
-        fwd = WalkPath.from_env(env).steps
-        rev = reversed_walk(env).steps
-        assert rev == tuple(reversed(fwd))
+            bound = 0.5 * floor * math.exp(stats.min_from_0) / stats.reflected_sum
+            assert p >= bound - 1e-15
 
 
 class TestWalkMinimum:

@@ -10,6 +10,7 @@ from bpre.environment import EnvironmentModel, draw_env_batch, is_ref, ss_ref, w
 from bpre.errors import (
     ConditioningStarvationError,
     PopulationCapError,
+    UnderflowError,
     ValidationError,
 )
 from bpre.lfexact import log_survival
@@ -28,8 +29,8 @@ from bpre.simcore import (
     lineage_counts_by_simulation,
     run_conditioned,
 )
-from bpre.stats import chi_square_pvalue
 from bpre.streams import stream
+from helpers import chi_square_pvalue
 
 LF = LinearFractional(0.25, 0.5)
 BERNOULLI_MODEL = EnvironmentModel([(FiniteSupport([0.5, 0.5]), 1.0)])
@@ -186,6 +187,26 @@ class TestJointSurvival:
         assert abs(a.value - b.value) < 4 * comb
 
 
+class TestUnderflow:
+    """An estimate that underflows to 0.0 while some environment survives
+    raises; one whose environments are all dead is 0.0."""
+
+    def test_annealed_survival_raises(self):
+        with pytest.raises(UnderflowError):
+            annealed_survival(ss_ref(), 1, 1200, 20000, seed=1)
+
+    def test_joint_survival_raises(self):
+        with pytest.raises(UnderflowError):
+            joint_survival(ss_ref(), 2, 600, 4096, seed=1)
+
+    def test_all_dead_is_zero(self):
+        # a zero-mean component in every one of 100 generations, bar 2**-100
+        model = EnvironmentModel([(LinearFractional(0.0, 0.0), 0.5), (LF, 0.5)])
+        for estimate in (annealed_survival, joint_survival):
+            est = estimate(model, 2, 100, 4096, seed=1)
+            assert est.value == 0.0 and est.std_error == 0.0
+
+
 class TestInclusionExclusion:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pathwise_identity(self, k):
@@ -253,6 +274,57 @@ class TestConditionalEnvSurvival:
         early = conditional_env_survival(is_ref(), 1, 8, 4 * 10**4, [0.01], seed=24)
         late = conditional_env_survival(is_ref(), 1, 16, 4 * 10**4, [0.01], seed=25)
         assert late.points[0.01][0] < early.points[0.01][0]
+
+
+def enumerated(model, n):
+    """Probability and exact survival q of every environment of n
+    generations, all K**n of them."""
+    k = len(model.laws)
+    idx = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.uint8).reshape(k**n, n)
+    return model.weights[idx].prod(axis=1), np.exp(log_survival(model, idx))
+
+
+class TestMatchesEnumeration:
+    """Each Monte Carlo estimator against its exact value, the mixture over
+    every environment of the horizon, within 4 reported SE."""
+
+    @pytest.mark.parametrize("method", ["env-exact", "tilted-IS"])
+    @pytest.mark.parametrize("model_fn, k", [(ss_ref, 2), (ws_ref, 3)], ids=["ss", "ws"])
+    def test_joint_survival(self, model_fn, k, method):
+        model = model_fn()
+        p, q = enumerated(model, 10)
+        est = joint_survival(model, k, 10, 20000, method=method, seed=50 + k)
+        assert abs(est.value - p @ q**k) < 4 * est.std_error
+
+    def test_alpha_k_curve(self):
+        model = ws_ref()
+        table = alpha_k_curve(model, [2, 4], [8, 12], 20000, seed=52)
+        for n in (8, 12):
+            p, q = enumerated(model, n)
+            for k in (2, 4):
+                row = table.at(k, n)
+                exact = p @ (1.0 - (1.0 - q) ** k) / (p @ q)
+                assert abs(row.value - exact) < 4 * row.std_error, (k, n)
+
+    @pytest.mark.parametrize("model_fn", [ss_ref, is_ref, ws_ref], ids=["ss", "is", "ws"])
+    def test_conditional_lineage_counts(self, model_fn):
+        model, k, n = model_fn(), 3, 10
+        p, q = enumerated(model, n)
+        dist = conditional_lineage_counts(model, k, n, 20000, seed=53)
+        alive = p @ (1.0 - (1.0 - q) ** k)
+        for j, (value, se) in dist.pmf.items():
+            exact = p @ (math.comb(k, j) * q**j * (1.0 - q) ** (k - j)) / alive
+            assert abs(value - exact) < 4 * se, j
+
+    @pytest.mark.parametrize("model_fn, k", [(is_ref, 1), (ws_ref, 1), (ws_ref, 4)], ids=["is", "ws", "ws-k4"])
+    def test_conditional_env_survival(self, model_fn, k):
+        model, n, grid = model_fn(), 10, [0.001, 0.01, 0.05]
+        p, q = enumerated(model, n)
+        curve = conditional_env_survival(model, k, n, 20000, grid, seed=54)
+        alive = p * (1.0 - (1.0 - q) ** k)
+        for eps in grid:
+            value, se = curve.points[eps]
+            assert abs(value - alive[q >= eps].sum() / alive.sum()) < 4 * se, eps
 
 
 class TestSharedDrawInvariants:
