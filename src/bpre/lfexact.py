@@ -103,7 +103,6 @@ def quenched_survival(env: EnvSequence, k: int = 1) -> QuenchedSurvival:
     if laws and all(isinstance(law, LinearFractional) for law in laws):
         log_cf = closed_form_log_survival(env)
         _check_agreement(log_p, log_cf)
-    p_any = -math.expm1(k * math.log1p(-p)) if p < 1.0 else 1.0
     return QuenchedSurvival(
         n=len(laws),
         k=k,
@@ -111,7 +110,7 @@ def quenched_survival(env: EnvSequence, k: int = 1) -> QuenchedSurvival:
         log_p=log_p,
         log_p_closed_form=log_cf,
         p_all_survive=math.exp(k * log_p),
-        p_any_survive=p_any,
+        p_any_survive=float(any_survive(p, k)),
     )
 
 
@@ -155,7 +154,40 @@ def lf_minorant(law: OffspringLaw) -> LinearFractional:
     return tilde
 
 
-# --- conditioned law of an all-LF environment ----------------------------------
+# --- surviving lines and the conditioned law of an all-LF environment ----------
+
+
+def any_survive(q: np.ndarray, k: int) -> np.ndarray:
+    """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines``, stable for tiny q."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(k * np.log1p(-np.minimum(q, 1.0)))
+
+
+def surviving_lines(log_q: np.ndarray, k: int):
+    """Yield P(J = j | J >= 1) for j = 1..k, one array over the replicates at
+    a time, where J ~ Binomial(k, e**log_q) counts the lines of k particles
+    alive: formed in logs from log C(k, j), (j-1) log q, (k-j) log(1-q) and
+    log(P(J >= 1)/q), so that no q and no k lose precision or overflow. k = 1
+    yields exact ones, and q = 0 the point mass at j = 1."""
+    if k == 1:
+        yield np.ones(len(log_q))
+        return
+    q = np.exp(log_q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm = np.log(any_survive(q, k) / q)
+        # where q is not a normal float, P(J >= 1)/q is k to double precision
+        log_norm[~(q >= np.finfo(float).tiny)] = math.log(k)
+        # log(1 - q) to an ulp of 1, which is all an exponent needs; -inf at q = 1
+        log_fail = np.log(-np.expm1(log_q))
+    binom = 1
+    for j in range(1, k + 1):
+        binom = binom * (k - j + 1) // j  # exact, so its log is good to an ulp
+        log_line = math.log(binom) - log_norm
+        if j > 1:
+            log_line += (j - 1) * log_q
+        if j < k:
+            log_line += (k - j) * log_fail
+        yield np.exp(log_line, out=log_line)
 
 
 def conditioned_law(
@@ -164,44 +196,31 @@ def conditioned_law(
     """Law of Z_n given Z_n > 0 from k particles, per all-LF environment.
 
     ``log_q`` and ``s_n`` are each replicate's log survival probability and
-    log-mean sum. Given the environment, the number J of surviving lines is
-    Binomial(k, q) given J >= 1, and Z_n - J is NegBin(J, p) with
+    log-mean sum. Given the environment, the number J of surviving lines
+    follows ``surviving_lines``, and Z_n - J is NegBin(J, p) with
     p = q e^{-S_n} = 1/(1 + G_n); one line alone is Geometric(p) on
     {1, 2, ...}. Returns the (replicates, atoms) pmf of Z_n = 1..atoms and
     the (replicates, len(s_grid)) pgf, both column-major. Replicates with
     q = 0 get the point mass at 1.
     """
-    alive = log_q > -np.inf
-    log_p = np.zeros_like(log_q)
-    np.subtract(log_q, s_n, out=log_p, where=alive)
-    np.minimum(log_p, 0.0, out=log_p)  # p <= 1 against rounding
+    with np.errstate(invalid="ignore"):  # -inf - -inf in dead rows
+        log_p = np.minimum(np.where(log_q > -np.inf, log_q - s_n, 0.0), 0.0)  # p <= 1
     p, fail = np.exp(log_p), -np.expm1(log_p)
-    # lines[j-1] = P(J = j | J >= 1), from C(k, j) q**(j-1) (1-q)**(k-j):
-    # relative to q, so that tiny q does not underflow; q = 0 has j = 1
-    lines = np.ones((1, len(log_q)))
-    if k > 1:
-        j = np.arange(1, k + 1)[:, None]
-        comb = np.array([[math.comb(k, i)] for i in range(1, k + 1)], dtype=float)
-        lines = comb * np.exp(log_q) ** (j - 1) * (-np.expm1(log_q)) ** (k - j)
-        lines /= lines.sum(axis=0)
-    # P(J = j) P(Z = z | J = j) for z = j..atoms: P(J = j) p**j at z = j,
-    # and each atom (1-p) (z-1)/(z-j) times the one before
-    pmf = np.zeros((atoms, len(log_q)))
-    for j in range(1, min(k, atoms) + 1):
-        term = lines[j - 1] * p**j
-        pmf[j - 1] += term
-        for z in range(j + 1, atoms + 1):
-            term *= fail
-            if j > 1:
-                term *= (z - 1) / (z - j)
-            pmf[z - 1] += term
     # E[s**Z | env, alive] = sum_j P(J = j) h**j, h = s p / (1 - (1-p) s)
     s = np.asarray(s_grid, dtype=float)[:, None]
     h = s * p / (1.0 - s * fail)
-    pgf = h * lines[-1]
-    for i in range(k - 2, -1, -1):
-        pgf += lines[i]
-        pgf *= h
+    h_j, p_j, pgf = np.ones_like(h), np.ones_like(p), np.zeros_like(h)
+    pmf = np.zeros((atoms, len(log_q)))
+    for j, line in enumerate(surviving_lines(log_q, k), 1):
+        h_j *= h
+        p_j *= p
+        pgf += line * h_j
+        # P(J = j) P(Z = z | J = j) for z = j..atoms: P(J = j) p**j at z = j,
+        # and each atom (1-p) (z-1)/(z-j) times the one before
+        term = line * p_j
+        for z in range(j, atoms + 1):
+            pmf[z - 1] += term
+            term *= fail if j == 1 else fail * (z / (z + 1 - j))
     return pmf.T, pgf.T
 
 
@@ -268,14 +287,14 @@ class SurvivorTail:
             log_x = np.log1p(-u)  # -inf where u = 1
         log_a = log_x - np.log1p(g_t * u)
         log_pi = np.minimum(s_t + log_p, 0.0)  # pi <= 1 against rounding
-        pi, fail, a = np.exp(log_pi), -np.expm1(log_pi), np.exp(log_a)
+        a, alive_w = np.exp(log_a), w * any_survive(np.exp(log_pi), k)
         # from i = k-1 down, with L_j = w P(J = j) and V_i = sum_{j>i} L_j:
         # U_i = a (L_{i+1} + U_{i+1}), and W_i = (1 - a) R_i with
         # R_i = sum_{j>i} L_j (1 + a + ... + a^(j-i-1)) = V_i + a R_{i+1}
-        die, r = np.empty((k, len(pi))), np.empty((k, len(pi)))
+        die, r = np.empty((k, len(a))), np.empty((k, len(a)))
         v = die_next = r_next = 0.0
-        for i in range(k - 1, -1, -1):
-            line = math.comb(k, i + 1) * w * pi ** (i + 1) * fail ** (k - i - 1)
+        for i, line in reversed(list(enumerate(surviving_lines(log_pi, k)))):
+            line = alive_w * line
             v = v + line
             die[i] = a * (line + die_next)
             r[i] = v + a * r_next

@@ -36,7 +36,7 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import SurvivorTail, conditioned_law, lf_forward
+from .lfexact import SurvivorTail, conditioned_law, lf_forward, surviving_lines
 from .offspring import FiniteSupport, LinearFractional, pgf
 from .regime import expected_mean, regime_of
 from .simcore import (
@@ -184,27 +184,16 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
     return z_next, d_next
 
 
-def conditioned_binomial_positive(k: int, q: np.ndarray, rng) -> np.ndarray:
-    """Draw Binomial(k, q) conditioned to be >= 1, vectorized over q.
-
-    Uses pmf ratios scaled by 1/q so tiny survival probabilities stay exact.
-    Rows with q = 0 return 1; they only occur with conditioning weight zero.
-    """
-    count = len(q)
-    if k == 1:
-        return np.ones(count, dtype=np.int64)
-    js = np.arange(1, k + 1)
-    # m_j = C(k,j) q**(j-1) (1-q)**(k-j), proportional to the conditioned pmf
-    logs = np.where(q > 0, np.log(q, where=q > 0, out=np.zeros_like(q)), 0.0)
-    m = np.empty((count, k))
-    for idx, j in enumerate(js):
-        m[:, idx] = math.comb(k, int(j)) * np.exp((j - 1) * logs) * (1.0 - q) ** (k - j)
-    m[q == 0.0] = 0.0
-    m[q == 0.0, 0] = 1.0
-    cum = np.cumsum(m, axis=1)
-    r = rng.random(count) * cum[:, -1]
-    picks = (r[:, None] >= cum).sum(axis=1)
-    return (picks + 1).astype(np.int64)
+def conditioned_binomial_positive(k: int, log_q: np.ndarray, rng) -> np.ndarray:
+    """Draw J of ``surviving_lines`` per replicate by inverse CDF, one uniform
+    each for k > 1 and none for k = 1; q = 0 (weight zero) draws 1."""
+    picks = np.ones(len(log_q), dtype=np.int64)
+    u = rng.random(len(log_q)) if k > 1 else None  # k = 1 reads no line and draws nothing
+    cdf = np.zeros(len(log_q))
+    for _, line in zip(range(1, k), surviving_lines(log_q, k)):
+        cdf += line
+        picks += u >= cdf
+    return picks
 
 
 # --- conditioned environment + skeleton sampling ------------------------------
@@ -274,7 +263,7 @@ def yaglom(
 
     def then(batch, profile, rng):
         lu = profile()
-        n_alive = conditioned_binomial_positive(k, np.exp(lu[:, 0]), rng)
+        n_alive = conditioned_binomial_positive(k, lu[:, 0], rng)
         return _evolve_skeleton(model, batch.idx, lu, n_alive, rng)
 
     cond = draw_conditioned_env(model, k, n, reps, seed, purpose, then)
@@ -680,7 +669,7 @@ def _dressed_trajectories(model, k, record, idx, lu, rng):
     (trajectories, overflow mask).
     """
     count = len(idx)
-    prolific = conditioned_binomial_positive(k, np.exp(lu[:, 0]), rng)
+    prolific = conditioned_binomial_positive(k, lu[:, 0], rng)
     doomed = k - prolific
     overflow = np.zeros(count, dtype=bool)
     traj = np.zeros((count, record + 1), dtype=np.int64)

@@ -28,26 +28,27 @@ def _phi(model: EnvironmentModel, theta: float) -> float:
     return env_expectation(model, lambda law: moments(law)[0] ** theta)
 
 
-def _dphi(model: EnvironmentModel, theta: float) -> float:
-    """E[m**theta * log m]; increasing in theta by convexity."""
+def _dphi(model: EnvironmentModel, theta: float, top: float = 1.0) -> float:
+    """E[m**theta * log m] / top**theta; its sign is increasing in theta by
+    convexity. A ``top`` of at least every m keeps each term below 1."""
 
     def term(law):
         m = moments(law)[0]
         if m == 0.0:
             return -math.inf if theta == 0.0 else 0.0
-        return m**theta * math.log(m)
+        return (m / top) ** theta * math.log(m)
 
     return env_expectation(model, term)
 
 
-def _bisect_dphi_root(model: EnvironmentModel, lo: float, hi: float) -> float:
-    # dphi is monotone increasing; the caller guarantees a sign change.
-    flo = _dphi(model, lo)
+def _bisect_dphi_root(model: EnvironmentModel, lo: float, hi: float, top: float = 1.0) -> float:
+    # the sign of dphi is monotone increasing; the caller guarantees a change
+    flo = _dphi(model, lo, top)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= THETA_TOL:
             break
-        fmid = _dphi(model, mid)
+        fmid = _dphi(model, mid, top)
         if (fmid < 0.0) == (flo < 0.0):
             lo, flo = mid, fmid
         else:
@@ -89,12 +90,14 @@ def solve_gamma_tilde(model: EnvironmentModel, k: int) -> tuple[float, float, st
 
     Returns (theta*, rate, case) where case records the sign of
     E[m**k * log m]: "i" negative, "ii" zero within tolerance, "iii"
-    positive (interior minimizer).
+    positive (interior minimizer), read over the largest m**k when that is
+    above 1, so that no term overflows at large k.
     """
     _require_subcritical(model)
-    d_at_k = _dphi(model, float(k))
+    top = max(1.0, float(model.means.max()))
+    d_at_k = _dphi(model, float(k), top)
     if d_at_k > IS_TIE_TOL:
-        theta = _bisect_dphi_root(model, 0.0, float(k))
+        theta = _bisect_dphi_root(model, 0.0, float(k), top)
         return theta, _phi(model, theta), "iii"
     case = "ii" if abs(d_at_k) <= IS_TIE_TOL else "i"
     return float(k), _phi(model, float(k)), case

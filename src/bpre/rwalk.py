@@ -186,8 +186,8 @@ def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
             f"exact oracle capped at horizon {MAX_DP_HORIZON}, got {n}", field="n"
         )
     spacing = _lattice_spacing(model)
-    if spacing == 0.0:
-        return 1.0  # zero-drift degenerate walk never goes below 0
+    if spacing == 0.0 or x == math.inf:
+        return 1.0  # zero-drift degenerate walk never goes below 0, none below -inf
     x_units_f = x / spacing
     x_units = round(x_units_f)
     if abs(x_units_f - x_units) > 1e-6:

@@ -30,7 +30,7 @@ from .errors import (
     UnderflowError,
     ValidationError,
 )
-from .lfexact import log_survival, log_survival_profile
+from .lfexact import any_survive, log_survival, log_survival_profile, surviving_lines
 from .offspring import sample_many
 from .regime import _dphi, check_k, expected_mean, regime_of, solve_alpha, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
@@ -180,12 +180,6 @@ def _checked_estimate(samples: EnvSamples, values: np.ndarray, what: str) -> Est
     return EstimateWithCI(value, se, len(values), samples.method, samples.seed_info)
 
 
-def _any_survive(q: np.ndarray, k: int) -> np.ndarray:
-    """1 - (1 - q)**k, stable for tiny q."""
-    with np.errstate(divide="ignore"):
-        return -np.expm1(k * np.log1p(-np.minimum(q, 1.0)))
-
-
 def annealed_survival(
     model: EnvironmentModel,
     k: int,
@@ -212,7 +206,7 @@ def annealed_survival(
     else:
         plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
-    return _checked_estimate(samples, samples.w * _any_survive(samples.q, k), "survival")
+    return _checked_estimate(samples, samples.w * any_survive(samples.q, k), "survival")
 
 
 def joint_survival(
@@ -331,10 +325,10 @@ def alpha_k_curve(
         samples = draw_env_samples(model, n, reps, seed, f"alphak-n{n}")
         seed_info = samples.seed_info
         den = samples.q
-        den_mean, den_se = mean_and_se(den)
-        den_rel = den_se / den_mean if den_mean > 0 else math.inf
+        p_1 = _checked_estimate(samples, den, "single-particle survival")
+        den_rel = p_1.std_error / p_1.value if p_1.value > 0 else math.inf
         for k in k_list:
-            num = _any_survive(samples.q, k)
+            num = any_survive(samples.q, k)
             value, se = ratio_and_se(num, den)
             combined = ratio_combined_se(num, den, scale=float(k))
             rows.append(
@@ -442,7 +436,7 @@ def draw_conditioned_env(
         drawn = () if then is None else then(batch, profile, rng)
         # column 0 of the profile has the same bits as log_survival
         q = np.exp(profiles[0][:, 0] if profiles else log_survival(model, batch))
-        return (batch.w * _any_survive(q, k), q, batch.w, *drawn)
+        return (batch.w * any_survive(q, k), q, batch.w, *drawn)
 
     (survive_w, q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
@@ -482,16 +476,13 @@ def conditional_lineage_counts(
 ) -> LineageCountDistribution:
     """Distribution of surviving initial lineages given some lineage survives.
 
-    Given the environment the lineage count is Binomial(k, q), so the
-    conditional pmf is a ratio of mixture-of-binomial means; no lineage
-    simulation is involved.
+    Given the environment the lineage count follows ``surviving_lines``, so
+    the pmf is a ratio of weighted means; no lineage is simulated.
     """
     cond = draw_conditioned_env(model, k, n, reps, seed, f"lincount-k{k}-n{n}")
-    q, w = cond.q, cond.w
-    pmf: dict[int, tuple[float, float]] = {}
-    for j in range(1, k + 1):
-        num = w * math.comb(k, j) * q**j * (1.0 - q) ** (k - j)
-        pmf[j] = ratio_and_se(num, cond.survive_w)
+    with np.errstate(divide="ignore"):
+        lines = surviving_lines(np.log(cond.q), k)
+    pmf = {j: ratio_and_se(cond.survive_w * line, cond.survive_w) for j, line in enumerate(lines, 1)}
     return LineageCountDistribution(
         k=k,
         n=n,

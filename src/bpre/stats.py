@@ -165,7 +165,7 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)[order]
     w = np.asarray(weights, dtype=float)[order]
     cum = np.cumsum(w)
-    if cum[-1] == 0.0:
+    if not len(cum) or cum[-1] == 0.0:
         return math.nan
     idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
     return float(v[min(idx, len(v) - 1)])

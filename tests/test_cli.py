@@ -11,7 +11,7 @@ from bpre import cli, streams
 from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, build_parser, main, run
 from bpre.config import config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref
-from bpre.errors import ValidationError
+from bpre.errors import BpreError, ValidationError
 
 
 def run_cli(args, capsys):
@@ -534,3 +534,36 @@ def test_readme_command_parses(argv, monkeypatch):
 def test_flag_names_map_to_documented_params_keys(args, params, monkeypatch):
     config = _dispatched_config([*args.split(), "--model", "ws-ref", "--seed", "1"], monkeypatch)
     assert config.params == params
+
+
+# every op with a particle count, bar qprocess: its closed-form tail search is
+# O(k) per evaluation (about 3 s at k = 1100), so tests/test_lfexact.py
+# checks its SurvivorTail at that k instead
+K_OPS = sorted(
+    op for op in OP_HANDLERS if op != "qprocess" and {"k", "k_list"} & set(cli._PARAMS[op])
+)
+
+
+@pytest.mark.parametrize("op", K_OPS)
+def test_thousand_particles_run_or_name_a_parameter(op):
+    # float binomial coefficients and m**k overflowed from k of about 710 on
+    names, k = cli._PARAMS[op], 1100
+    params = {"k_list": [k], "n_list": [8]} if "k_list" in names else {"k": k}
+    if "n" in names:
+        params["n"] = 8
+    try:
+        report = run(config_from_dict(
+            {"op": op, "model": "ws-ref", "seed": 1, "reps": 128, "params": params}
+        ))
+    except BpreError as err:
+        assert err.field in names
+        return
+    values = [rec["value"] for rec in report["records"]]
+    assert values and all(math.isfinite(v) for v in values)
+    # alpha_k is a ratio of survival probabilities, between 1 and k
+    low, high = (1.0, k) if op == "alphak" else (0.0, 1.0)
+    assert all(low <= v <= high for v in values)
+    result = report["result"]
+    if "pmf" in result:
+        atoms = math.fsum(p for p, _ in result["pmf"].values())
+        assert atoms + result.get("tail_mass", 0.0) == pytest.approx(1.0, abs=1e-9)

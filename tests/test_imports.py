@@ -119,6 +119,35 @@ def test_one_survival_recursion():
     assert "log_survival" in names_in(module_definitions("lfexact")["log_survival_env"])
 
 
+
+# the four readers of the law of the surviving lines, J ~ Binomial(k, q)
+# given J >= 1, and the function or method of each that reads it
+LINE_LAW_READERS = [
+    ("simcore", "conditional_lineage_counts"),
+    ("lfexact", "conditioned_law"),
+    ("lfexact", "SurvivorTail.of"),
+    ("limits", "conditioned_binomial_positive"),
+]
+
+
+def definition(module: str, dotted: str) -> ast.AST:
+    node = module_definitions(module)[dotted.split(".")[0]]
+    for name in dotted.split(".")[1:]:
+        node = next(sub for sub in node.body if getattr(sub, "name", None) == name)
+    return node
+
+
+@pytest.mark.parametrize(
+    "module, name", LINE_LAW_READERS, ids=[name for _, name in LINE_LAW_READERS]
+)
+def test_one_law_of_surviving_lines(module, name):
+    # the law is formed once, in lfexact.surviving_lines; its readers take
+    # it from there and form no binomial coefficient of their own
+    names = names_in(definition(module, name))
+    assert "surviving_lines" in names
+    assert "comb" not in names
+
+
 # one small run of each op a survival, Yaglom or Q-process command makes; none
 # of them may import scipy, which stays a first-use import of the functional
 # residual and the FFT branch of the kernel row

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from bpre import lfexact
 from bpre.lfexact import (
     SurvivorTail,
     _lf_tables,
+    any_survive,
     closed_form_log_survival,
     conditioned_law,
     iterate_F,
@@ -28,6 +30,7 @@ from bpre.lfexact import (
     log_survival_env,
     log_survival_profile,
     quenched_survival,
+    surviving_lines,
 )
 from bpre.offspring import FiniteSupport, LinearFractional, geometric_lf, moments, pgf
 from bpre.rwalk import WalkPath, walk_stats
@@ -438,6 +441,45 @@ class TestConditionedLaw:
         assert pgf_rows.tolist() == [[0.0, 0.5]]
 
 
+
+def _exact_lines(log_q: float, k: int) -> list[float]:
+    """P(J = j | J >= 1), j = 1..k, for J ~ Binomial(k, e**log_q), in
+    40-digit decimals: each C(k, j) q**(j-1) (1-q)**(k-j) over their sum."""
+    if log_q == -math.inf:
+        return [1.0] + [0.0] * (k - 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        q = decimal.Decimal(log_q).exp()
+        power = lambda x, e: x**e if e else decimal.Decimal(1)  # 0**0 = 1
+        terms = [math.comb(k, j) * power(q, j - 1) * power(1 - q, k - j) for j in range(1, k + 1)]
+        total = sum(terms)
+        return [float(t / total) for t in terms]
+
+
+class TestSurvivingLines:
+    QS = [0.0, 1e-300, 1e-12, 0.3, 1 - 1e-9, 1.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 1100])
+    def test_matches_exact_binomial(self, k):
+        # float binomial coefficients overflowed from k = 1030 on
+        with np.errstate(divide="ignore"):
+            log_q = np.log(self.QS)
+        got = np.array(list(surviving_lines(log_q, k)))
+        want = np.array([_exact_lines(float(lq), k) for lq in log_q]).T
+        big = want > 1e-290
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0)
+        assert np.all(got[~big] <= 1e-289)
+        np.testing.assert_allclose(got.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_one_particle_is_exactly_one(self):
+        (line,) = surviving_lines(np.array([-np.inf, -700.0, -1.0, 0.0]), 1)
+        assert line.tolist() == [1.0] * 4
+
+    def test_dead_rows_are_a_point_mass_at_one(self):
+        lines = np.array(list(surviving_lines(np.array([-np.inf]), 5)))
+        assert lines[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
 def _tail_by_convolution(pi, p, u, k, size=600):
     """P(Z > z, some of the Z particles has a descendant), z = 0..size-1,
     where Z is the sum of k iid lines, each 0 with probability 1 - pi and
@@ -474,6 +516,19 @@ class TestSurvivorTail:
         for col, ui in enumerate(u):
             want = _tail_by_convolution(pi, p, float(ui), k)[:61]
             np.testing.assert_allclose(got[:, col], want, rtol=1e-12, atol=0)
+
+    def test_thousand_particles(self):
+        # the WS Q-process at k = 1100: finite, and tail(0) is the weight
+        # times P(some line survives to n), with q = pi_t (1 - E[(1-u)^Z_t])
+        k, w = 1100, np.array([1.0, 0.5, 2.0])
+        s_t, g_t = np.array([-0.3, -4.0, 1.0]), np.array([0.8, 2.0, 5.0])
+        log_u = np.log([0.2, 1e-5, 0.9])
+        tail = SurvivorTail.of(s_t, g_t, log_u, k, w)
+        pi, u = np.exp(s_t) / (1.0 + g_t), np.exp(log_u)
+        q = pi * u / (1.0 / (1.0 + g_t) + (1.0 - 1.0 / (1.0 + g_t)) * u)
+        np.testing.assert_allclose(tail(0), w * any_survive(q, k), rtol=1e-12)
+        for z in (1, 50, 5000):
+            assert np.all(np.isfinite(tail(z))) and np.all(tail(z) <= tail(0))
 
     def test_weight_scales_each_replicate(self):
         args = (np.full(2, -0.3), np.full(2, 0.8), np.log([0.2, 0.2]), 3)

@@ -88,13 +88,14 @@ def test_aggregate_totals_match_convolution(law, m):
 
 class TestConditionedBinomial:
     def test_k1_always_one(self):
-        draws = conditioned_binomial_positive(1, np.array([0.0, 0.5, 1e-12]), stream(2, "t"))
+        log_q = np.array([-np.inf, math.log(0.5), math.log(1e-12)])
+        draws = conditioned_binomial_positive(1, log_q, stream(2, "t"))
         assert (draws == 1).all()
 
     def test_matches_exact_pmf(self):
         k, q = 3, 0.3
         rng = stream(3, "t")
-        draws = conditioned_binomial_positive(k, np.full(20000, q), rng)
+        draws = conditioned_binomial_positive(k, np.full(20000, math.log(q)), rng)
         s = 1.0 - (1.0 - q) ** k
         for j in range(1, k + 1):
             expect = math.comb(k, j) * q**j * (1 - q) ** (k - j) / s
@@ -103,9 +104,17 @@ class TestConditionedBinomial:
             assert abs(frac - expect) < 4 * se
 
     def test_tiny_q_is_one(self):
-        draws = conditioned_binomial_positive(5, np.full(1000, 1e-14), stream(4, "t"))
+        draws = conditioned_binomial_positive(5, np.full(1000, math.log(1e-14)), stream(4, "t"))
         assert (draws == 1).all()
 
+
+    def test_thousand_particles(self):
+        # float binomial coefficients overflowed at k = 1100; q = 1 keeps
+        # every line, q = 0 (weight zero) gives 1, q = 0.3 about 330 lines
+        log_q = np.log(np.repeat([1.0, 0.3], 500))
+        draws = conditioned_binomial_positive(1100, np.append(log_q, -np.inf), stream(5, "t"))
+        assert (draws[:500] == 1100).all() and draws[-1] == 1
+        assert abs(draws[500:1000].mean() - 330.0) < 4 * math.sqrt(1100 * 0.21 / 500)
 
 class TestYaglom:
     def test_bernoulli_is_point_mass_at_one(self):

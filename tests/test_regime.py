@@ -112,6 +112,16 @@ class TestGammaTilde:
         assert case == "i"
         assert rate == pytest.approx((0.5**k + 0.25**k) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [700, 710, 1400, 10000])
+    def test_ws_any_k_interior(self, k):
+        # m**k overflowed a float once k log m passed 709; ws-ref's largest
+        # mean is e, so from k = 710 on
+        theta, rate, case = solve_gamma_tilde(ws_ref(), k)
+        assert case == "iii"
+        assert theta == pytest.approx(WS_ALPHA, abs=1e-8)
+        assert rate == pytest.approx(WS_GAMMA, abs=1e-8)
+        assert classify(ws_ref(), k).gamma_tilde_k == rate
+
     def test_rate_below_single_particle_rate(self):
         rep2 = classify(ws_ref(), k=2)
         assert rep2.gamma_tilde_k <= rep2.gamma + 1e-15

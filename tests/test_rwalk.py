@@ -94,6 +94,11 @@ class TestExactTail:
         assert expected == 19.0 / 64.0  # frozen from the enumeration
         assert ln_tail_exact(model, n, x) == pytest.approx(expected, abs=1e-10)
 
+    def test_infinite_level_is_one(self):
+        # no walk goes below -inf; as the Monte Carlo tail returns
+        assert ln_tail_exact(ws_ref(), 8, math.inf) == 1.0
+        assert ln_tail(ws_ref(), 8, math.inf, 100, seed=1).value == 1.0
+
     def test_rejects_off_lattice_x(self):
         with pytest.raises(ValidationError):
             ln_tail_exact(ws_ref(), 5, 0.5)

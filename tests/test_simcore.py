@@ -199,6 +199,11 @@ class TestUnderflow:
         with pytest.raises(UnderflowError):
             joint_survival(ss_ref(), 2, 600, 4096, seed=1)
 
+    def test_alpha_k_raises(self):
+        # every P_1 sample is 0.0 at n = 2000, with log q up to about -800
+        with pytest.raises(UnderflowError):
+            alpha_k_curve(ws_ref(), [2], [2000], 512, seed=1)
+
     def test_all_dead_is_zero(self):
         # a zero-mean component in every one of 100 generations, bar 2**-100
         model = EnvironmentModel([(LinearFractional(0.0, 0.0), 0.5), (LF, 0.5)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_pmf
+from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_median, weighted_pmf
 
 
 def _loop_weighted_pmf(values, weights):
@@ -43,6 +43,13 @@ def test_weighted_pmf_point_mass():
 
 def test_weighted_pmf_zero_weight_is_empty():
     assert weighted_pmf(np.array([1, 2]), np.zeros(2)) == {}
+
+
+def test_weighted_median_without_weight_is_nan():
+    # a sampled WS Q-process whose every replicate overflows has no rows left
+    assert math.isnan(weighted_median(np.array([], dtype=np.int64), np.array([])))
+    assert math.isnan(weighted_median(np.array([1, 2]), np.zeros(2)))
+    assert weighted_median(np.array([3, 1, 2]), np.ones(3)) == 2.0
 
 
 @pytest.mark.parametrize("factor", [1e-200, 1e200])
