@@ -329,7 +329,8 @@ class SurvivorTail:
 # (``environment.block_length``): a multiply and an add per block, and one
 # log per replicate at the end. Every replicate carries R as r * 2**E; when
 # the chunk's largest r passes the model's limit, each r is renormalised by
-# frexp. Other models step log u one generation at a time.
+# frexp. Other models step log u one generation at a time, a finite-support
+# law in the tail-sum form of ``_log_step_batch``.
 
 
 def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
@@ -484,9 +485,11 @@ def _lf_blocks(lf: _LFTables, batch: EnvBatch):
 
 def _log_steps(model: EnvironmentModel, batch: EnvBatch):
     """Yield (i, log u at generation i) for i from n - 1 down to 0, stepping
-    log u one generation at a time from 0 at generation n. A batch with
-    fewer rows than components steps only the components drawn in each
-    generation, so that one row of K distinct laws costs O(n), not O(n K)."""
+    log u one generation at a time from 0 at generation n by
+    ``_log_step_batch``: a finite-support law costs one expm1 and one log per
+    row, whatever its support. A batch with fewer rows than components steps
+    only the components drawn in each generation, so that one row of K
+    distinct laws costs O(n), not O(n K)."""
     laws, log_means = model.laws, model.log_means
     lu = np.zeros(len(batch.codes))
     for i in range(batch.n - 1, -1, -1):
@@ -504,23 +507,26 @@ def _lf_step(lu, log_m, c):
     return lu + log_m - np.log1p(c * np.exp(lu))
 
 
-_LOG_TINY = -600.0  # below this, 1 - f(1-u) = m*u to double precision
-
-
 def _log_step_batch(law: OffspringLaw, log_m: float, lu: np.ndarray) -> np.ndarray:
     """log(1 - f(1 - u)) of one law with log mean ``log_m``, for an array of
     log u: one generation of the survival recursion, exact down to
-    log u = -inf. A finite-support step scales sum_j p_j (1 - (1-u)**j) by
-    the largest p_j, so that laws with tiny probabilities do not underflow
-    to zero survival."""
+    log u = -inf. A finite-support step uses 1 - f(1 - u) = u g(1 - u) with
+    g(d) = sum_i d**i P(X > i), evaluated by Horner: every coefficient is a
+    positive tail sum and d = 1 - u lies in [0, 1], so nothing cancels, and
+    g(1) is the mean, so tiny u needs no branch."""
     if isinstance(law, LinearFractional):
         return _lf_step(lu, log_m, law.B / (1.0 - law.B))
-    if log_m == -np.inf:
-        return np.full_like(lu, -np.inf)
-    p = np.asarray(law.probs[1:])
-    top = p.max()
+    d = -np.expm1(lu)
+    g = 0.0
+    for t in reversed(_tail_sums(law)):
+        g = g * d + t
     with np.errstate(divide="ignore"):
-        log_dead = np.log1p(-np.exp(lu))  # log(1 - u)
-        terms = np.expm1(np.multiply.outer(log_dead, np.arange(1, len(p) + 1)))
-        scaled = -(terms * (p / top)).sum(axis=1)  # (1 - f(1 - u)) / top
-        return np.where(lu > _LOG_TINY, math.log(top) + np.log(scaled), lu + log_m)
+        return lu + np.log(g)
+
+
+@lru_cache(maxsize=64)
+def _tail_sums(law: OffspringLaw) -> tuple[float, ...]:
+    """P(X > i) for i = 0..max(K - 1, 0) of a law on {0, ..., K}, each
+    summed from the tail, so that tiny tails keep their relative precision."""
+    p = law.probs
+    return tuple(math.fsum(p[i + 1:]) for i in range(max(len(p) - 1, 1)))

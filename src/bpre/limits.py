@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import streams
-from .environment import EnvironmentModel, draw_env_batch
+from .environment import EnvironmentModel, _read_only, draw_env_batch
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
@@ -101,13 +102,13 @@ def _lf_arrays(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fs_groups(model, col):
-    """(rows, probability vector) of each finite-support component in ``col``
+    """(rows, probability tuple) of each finite-support component in ``col``
     that can have children; the rows of FiniteSupport((1.0,)) have none."""
     for comp, law in enumerate(model.laws):
         if isinstance(law, FiniteSupport) and len(law.probs) > 1:
             rows = col == comp
             if rows.any():
-                yield rows, np.asarray(law.probs)
+                yield rows, law.probs
 
 
 def _neg_binomial(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -139,13 +140,15 @@ def _fs_totals(rng, n: np.ndarray, weights: np.ndarray, values: np.ndarray) -> n
     return counts @ values
 
 
-def _pair_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _pair_table(probs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offspring count c, prolific count j (1 <= j <= c) and p_c C(c, j) of
-    every joint outcome of a prolific parent with finite-support law."""
+    every joint outcome of a prolific parent with finite-support law. Cached
+    per law, so the arrays are read-only."""
     c, j = np.tril_indices(len(probs))
     c, j = c[j >= 1], j[j >= 1]
-    coef = probs[c] * np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)
-    return c, j, coef
+    coef = np.array(probs)[c] * np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)
+    return _read_only(c), _read_only(j), _read_only(coef)
 
 
 def _generation(model, col, lu_child, lu_parent, z, d, rng):
@@ -179,7 +182,7 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
         z_next[rows] = born[:, 0]
         if d is not None:
             sizes = np.arange(len(probs))
-            doomed = _fs_totals(rng, d[rows], probs * x[rows, None] ** sizes, sizes)
+            doomed = _fs_totals(rng, d[rows], np.asarray(probs) * x[rows, None] ** sizes, sizes)
             d_next[rows] = born[:, 1] + doomed
     return z_next, d_next
 
@@ -499,6 +502,7 @@ def _chain_step(model, gamma, y, rng):
         plain = _lf_totals(rng, y[lf] - 1, a[comp[lf]], bi)
         out[lf] = plain + rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
     for rows, probs in _fs_groups(model, comp):
+        probs = np.asarray(probs)
         sizes = np.arange(len(probs))
         biased = sizes * probs
         plain = _fs_totals(rng, y[rows] - 1, probs, sizes)

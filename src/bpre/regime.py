@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .environment import EnvironmentModel, env_expectation
 from .errors import NotSubcriticalError, ValidationError
@@ -71,12 +72,14 @@ class RegimeReport:
     e_m: float
 
 
+@lru_cache(maxsize=8)
 def solve_alpha(model: EnvironmentModel) -> tuple[float, float]:
     """Minimize theta -> E[m**theta] over [0, 1]; returns (argmin, min).
 
     The minimizer is interior iff E[m * log m] > 0, in which case it is the
     unique root of the increasing map theta -> E[m**theta * log m]; otherwise
     the minimum sits at theta = 1. Bisection keeps a guaranteed bracket.
+    Cached per model; a model that is not subcritical raises on every call.
     """
     _require_subcritical(model)
     if _dphi(model, 1.0) <= 0.0:

@@ -80,11 +80,13 @@ def weighted_means_and_se(moments: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
 def ratio_combined_se(num: np.ndarray, den: np.ndarray, scale: float = 1.0) -> float:
     """Conservative SE for a ratio: combine the two SEs without covariance
     credit. ``scale`` multiplies the denominator contribution (use the target
-    ratio value)."""
+    ratio value). Inf where the mean denominator is 0, as in ``ratio_and_se``."""
     n = len(num)
     if n < 2:
         return 0.0
     den_mean = float(np.mean(den))
+    if den_mean == 0.0:
+        return math.inf
     se_num = _sample_std(num) / math.sqrt(n)
     se_den = _sample_std(den) / math.sqrt(n)
     # hypot, unlike sqrt(a**2 + b**2), does not underflow for tiny SEs

@@ -124,6 +124,21 @@ class TestCliEndToEnd:
         assert code == 0
         assert json.loads(out)["result"]["regime"] == "SS"
 
+    def test_all_dead_alpha_k_writes_null(self, capsys, tmp_path):
+        # every environment drawn to n = 100 is dead: alpha_k is 0/0
+        dead = {"components": [{"law": {"lf": {"A": 0.0, "B": 0.0}}, "weight": 0.5},
+                               {"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": 0.5}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"op": "alphak", "model": dead, "seed": 1, "reps": 512,
+                                        "params": {"k_list": [2], "n_list": [100]}}))
+        code, out, _ = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        (row,) = report["result"]["rows"]
+        assert row["value"] is None and row["std_error"] is None and row["combined_se"] is None
+        (record,) = report["records"]
+        assert record["value"] is None and record["std_error"] is None
+
     def test_missing_seed_in_config_is_validation_exit(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"op": "regime", "model": "ss-ref"}))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bpre.environment import (
     ss_ref,
     ws_ref,
 )
-from bpre import limits, streams
+from bpre import lfexact, limits, streams
 from bpre.errors import ConditioningStarvationError, ValidationError
 from bpre.lfexact import conditioned_law, log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
@@ -22,6 +23,7 @@ from bpre.limits import (
     _convolve_power,
     _fs_totals,
     _lf_totals,
+    _pair_table,
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
     conditioned_trajectories,
@@ -32,7 +34,7 @@ from bpre.limits import (
     yaglom,
 )
 from bpre.offspring import FiniteSupport, LinearFractional
-from bpre.regime import classify
+from bpre.regime import classify, solve_alpha
 from bpre.simcore import draw_conditioned_env, evolve_lineages
 from bpre.stats import (
     kish_neff,
@@ -212,6 +214,35 @@ class TestYaglom:
         tv = pmf_tv_distance(e1.pmf, e3.pmf)
         budget = pmf_tv_budget(e1.pmf, e3.pmf, e1.effective_events, e3.effective_events)
         assert tv <= 4 * budget
+
+
+class TestSharedTables:
+    """Per-law tables are built once and shared by the chunks of every
+    thread, so they are read-only."""
+
+    def test_pair_table_is_read_only(self):
+        for table in _pair_table((0.3, 0.3, 0.2, 0.2)):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_threads_match_one_thread_bitwise(self, monkeypatch, threads):
+        # the Yaglom law of FS_WS at k 1, n 12, 600 replicates, in chunks of
+        # 200 so that three chunks run at once; the tables are rebuilt under
+        # the threads, with a short switch interval
+        monkeypatch.setattr(streams, "CHUNK_SIZE", 200)
+        monkeypatch.setenv(streams.THREADS_ENV_VAR, "1")
+        one = yaglom(FS_WS, 1, 12, 600, seed=3)
+        for cached in (_pair_table, lfexact._tail_sums, solve_alpha):
+            cached.cache_clear()
+        monkeypatch.setenv(streams.THREADS_ENV_VAR, threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = yaglom(FS_WS, 1, 12, 600, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(many) == repr(one)
 
 
 class TestFunctionalResidual:

@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -92,42 +92,79 @@ def test_pgf_monotone_and_convex_on_grid(law):
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-def exact_survival_step(law, u: float) -> Fraction:
-    """1 - f(1 - u) in exact rational arithmetic.
+def decimal_log_step(law, log_u: float) -> float:
+    """log(1 - f(1 - u)) at u = e**log_u, from the definition
+    sum_{j>=1} p_j (1 - (1 - u)**j) in 80-digit decimal arithmetic, without
+    the tail-sum form the kernel uses. For u <= 1/2 each 1 - (1 - u)**j is
+    expanded by the binomial theorem, which keeps tiny u exact; above, 1 - u
+    is the series of -expm1(log u). A linear-fractional law sums its series
+    in closed form, A u / ((1 - B)(1 - B (1 - u)))."""
+    if log_u == -math.inf:
+        return -math.inf
+    size = len(law.probs) if isinstance(law, FiniteSupport) else 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(log_u)
+        u = x.exp()
+        if u <= Decimal(0.5):
+            d = 1 - u
+            fail = [sum((-1) ** (k + 1) * math.comb(j, k) * u**k for k in range(1, j + 1)) for j in range(size)]
+        else:
+            d, term, k = Decimal(0), Decimal(1), 0
+            while True:
+                k += 1
+                term = term * x / k
+                if term == 0 or abs(term) < abs(d) * Decimal(10) ** -90:
+                    break
+                d -= term
+            fail = [1 - d**j if j else Decimal(0) for j in range(size)]
+        if isinstance(law, LinearFractional):
+            a, b = Decimal(law.A), Decimal(law.B)
+            value = a * u / ((1 - b) * (1 - b * d))
+        else:
+            value = sum((Decimal(p) * fail[j] for j, p in enumerate(law.probs) if j), Decimal(0))
+        return float(value.ln()) if value > 0 else -math.inf
 
-    Computed as sum_{j>=1} p_j * (1 - (1 - u)**j), which involves no
-    cancellation; for a linear-fractional law the series is summed in closed
-    form, A/(1-B) - A*s/(1 - B*s) with s = 1 - u.
-    """
-    u = Fraction(u)
-    s = 1 - u
-    if isinstance(law, LinearFractional):
-        a, b = Fraction(law.A), Fraction(law.B)
-        return a / (1 - b) - a * s / (1 - b * s)
-    return sum((Fraction(p) * (1 - s**j) for j, p in enumerate(law.probs) if j > 0), Fraction(0))
+
+# log u at the ends of its range: u = 1, 1 - u below an ulp of 1, u subnormal,
+# u below the float range, and u = 0
+EXTREME_LOG_U = (0.0, -1e-300, -745.0, -1e4, -math.inf)
+EDGE_LAWS = {
+    "zero-mean": FiniteSupport((1.0,)),
+    "p0-zero": FiniteSupport((0.0, 0.5, 0.5)),
+    "p1-2**-24": FiniteSupport((0.9999999403953588, 5.960464122267716e-08)),
+    "p1-1e-12": FiniteSupport((0.999999999999, 9.999999999990001e-13)),
+    "p1-subnormal": FiniteSupport((1.0, 5e-324)),
+}
+
+
+def check_survival_step(law, log_u):
+    # the kernel's one-generation step against the decimal reference: within
+    # 1e-15 of it in log u', relative to max(1, |log u'|), so within 1e-15
+    # relative in u' itself where u' is not tiny
+    want = decimal_log_step(law, log_u)
+    m = moments(law)[0]
+    (step,) = _log_step_batch(law, math.log(m) if m > 0 else -math.inf, np.array([log_u]))
+    if want == -math.inf:
+        assert step == -math.inf
+    else:
+        assert abs(step - want) <= 1e-15 * max(1.0, abs(want)), (step, want)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_law_strategy(), st.floats(0.01, 1.0))
-@example(FiniteSupport((0.9999999403953588, 5.960464122267716e-08)), 0.140625)
-@example(FiniteSupport((0.999999999999, 9.999999999990001e-13)), 0.5)
-@example(FiniteSupport((1.0, 5e-324)), 0.5)
-@example(FiniteSupport((1.0, 5e-324)), 1.0)
-def test_survival_step_consistency(law, u):
-    # the kernel's one-generation step against 1 - f(1 - u); the reference
-    # 1 - pgf(law, 1 - u) would cancel catastrophically for laws with almost
-    # all mass at zero, so it is computed exactly instead
-    exact = exact_survival_step(law, u)
-    m = moments(law)[0]
-    (step,) = _log_step_batch(law, math.log(m) if m > 0 else -math.inf, np.array([math.log(u)]))
-    assert math.exp(step) == pytest.approx(float(exact), abs=1e-12)
-    if exact > 0:
-        # log of the numerator and denominator integers: exact below the
-        # float range too
-        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
-        assert step == pytest.approx(log_exact, abs=1e-9)
-    else:
-        assert step == -math.inf
+@given(_law_strategy(), st.one_of(st.floats(0.01, 1.0).map(math.log), st.sampled_from(EXTREME_LOG_U)))
+@example(FiniteSupport((0.9999999403953588, 5.960464122267716e-08)), math.log(0.140625))
+@example(FiniteSupport((0.999999999999, 9.999999999990001e-13)), math.log(0.5))
+@example(FiniteSupport((1.0, 5e-324)), math.log(0.5))
+@example(FiniteSupport((1.0, 5e-324)), 0.0)
+def test_survival_step_consistency(law, log_u):
+    check_survival_step(law, log_u)
+
+
+@pytest.mark.parametrize("log_u", EXTREME_LOG_U)
+@pytest.mark.parametrize("law", EDGE_LAWS.values(), ids=EDGE_LAWS.keys())
+def test_survival_step_at_extreme_log_u(law, log_u):
+    check_survival_step(law, log_u)
 
 
 class TestSampling:

@@ -10,6 +10,8 @@ from bpre.environment import (
     tilt,
     ws_ref,
 )
+from bpre import regime
+from bpre.config import model_from_config
 from bpre.errors import NotSubcriticalError
 from bpre.offspring import LinearFractional, geometric_lf, moments
 from bpre.regime import classify, solve_alpha, solve_gamma_tilde
@@ -90,6 +92,40 @@ class TestSolveAlpha:
                 tilted, lambda law: math.log(moments(law)[0])
             )
             assert abs(drift) <= 1e-10
+
+
+class TestSolveAlphaMemo:
+    """solve_alpha is cached per model."""
+
+    FS_WS = {"components": [{"law": {"fs": [0.5, 0.3, 0.2]}, "weight": 0.5},
+                            {"law": {"fs": [0.3, 0.3, 0.2, 0.2]}, "weight": 0.5}]}
+
+    def test_rebuilt_model_gives_the_same_bits(self):
+        solve_alpha.cache_clear()
+        first = solve_alpha(model_from_config(self.FS_WS))
+        cached = solve_alpha(model_from_config(self.FS_WS))
+        solve_alpha.cache_clear()
+        fresh = solve_alpha(model_from_config(self.FS_WS))
+        assert 0.0 < first[0] < 1.0  # an interior root, found by bisection
+        assert [x.hex() for x in first] == [x.hex() for x in cached] == [x.hex() for x in fresh]
+
+    def test_second_solve_does_not_bisect(self, monkeypatch):
+        calls = []
+        dphi = regime._dphi
+        monkeypatch.setattr(regime, "_dphi", lambda *args: calls.append(1) or dphi(*args))
+        solve_alpha.cache_clear()
+        model = ws_ref()
+        first = solve_alpha(model)
+        assert len(calls) > 30
+        calls.clear()
+        assert solve_alpha(model) == first
+        assert calls == []
+
+    def test_not_subcritical_raises_on_every_call(self):
+        model = EnvironmentModel([(LinearFractional(0.5, 0.5), 1.0)])  # mean 2
+        for _ in range(2):
+            with pytest.raises(NotSubcriticalError):
+                solve_alpha(model)
 
 
 class TestGammaTilde:

@@ -211,6 +211,13 @@ class TestUnderflow:
             est = estimate(model, 2, 100, 4096, seed=1)
             assert est.value == 0.0 and est.std_error == 0.0
 
+    def test_all_dead_alpha_k_is_nan(self):
+        # P_k / P_1 is 0/0 when every drawn environment is dead
+        model = EnvironmentModel([(LinearFractional(0.0, 0.0), 0.5), (LF, 0.5)])
+        (row,) = alpha_k_curve(model, [2], [100], 512, seed=1).rows
+        assert math.isnan(row.value)
+        assert row.std_error == row.combined_se == math.inf
+
 
 class TestInclusionExclusion:
     @pytest.mark.parametrize("k", [1, 2, 3])

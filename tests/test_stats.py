@@ -52,6 +52,13 @@ def test_weighted_median_without_weight_is_nan():
     assert weighted_median(np.array([3, 1, 2]), np.ones(3)) == 2.0
 
 
+def test_ratio_of_zero_denominator():
+    num, den = np.zeros(4), np.zeros(4)
+    value, se = ratio_and_se(num, den)
+    assert math.isnan(value) and se == math.inf
+    assert ratio_combined_se(num, den, scale=2.0) == math.inf
+
+
 @pytest.mark.parametrize("factor", [1e-200, 1e200])
 @pytest.mark.parametrize("seed", range(3))
 def test_standard_errors_of_tiny_and_huge_samples(seed, factor):
