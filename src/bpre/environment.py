@@ -333,9 +333,7 @@ def tilt(model: EnvironmentModel, theta: float) -> tuple[EnvironmentModel, float
         return model, 1.0
     ms = model.means
     if np.any(ms == 0.0):
-        raise ValidationError(
-            "cannot tilt a model with a zero-mean component", field="theta"
-        )
+        raise ValidationError("cannot tilt a model with a zero-mean component", field="model")
     raw = [w * moments(law)[0] ** theta for law, w in model.components]
     z = math.fsum(raw)
     tilted = EnvironmentModel(

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
-from .environment import EnvBatch, EnvSequence, EnvironmentModel, block_length, pack_env
+from .environment import EnvBatch, EnvSequence, EnvironmentModel, _read_only, block_length, pack_env
 from .errors import CrossCheckError, ValidationError
 from .offspring import LinearFractional, OffspringLaw, lf_from_moments, moments, pgf
 
@@ -237,7 +238,7 @@ def lf_forward(model: EnvironmentModel, idx: np.ndarray):
     probability 1 - pi_t and otherwise Geometric(p) on {1, 2, ...}, with
     pi_t = e^{S_t} / (1 + G_t) and p = 1 / (1 + G_t).
     """
-    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
+    c = _step_table(model).c
     s = np.zeros(len(idx))
     g = np.zeros(len(idx))
     yield s, g
@@ -329,8 +330,9 @@ class SurvivorTail:
 # (``environment.block_length``): a multiply and an add per block, and one
 # log per replicate at the end. Every replicate carries R as r * 2**E; when
 # the chunk's largest r passes the model's limit, each r is renormalised by
-# frexp. Other models step log u one generation at a time, a finite-support
-# law in the tail-sum form of ``_log_step_batch``.
+# frexp. Other models step log u one generation at a time by ``_log_step``,
+# every row at once: the family parameters of each component sit in one
+# table per model (``_step_table``), gathered by component index.
 
 
 def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
@@ -404,9 +406,8 @@ def _lf_tables(model: EnvironmentModel) -> _LFTables | None:
         return None
     m = model.means
     zero = m == 0.0
-    c = np.array([law.B / (1.0 - law.B) for law in model.laws])
     inv_m = np.divide(1.0, m, out=np.full(len(m), np.inf), where=~zero)
-    c_m = np.divide(c, m, out=np.zeros(len(m)), where=~zero)
+    c_m = np.divide(_step_table(model).c, m, out=np.zeros(len(m)), where=~zero)
     tables = [(inv_m, c_m)]
     dead = [zero]
     bound = float((inv_m + c_m)[~zero].max(initial=0.0))
@@ -423,10 +424,8 @@ def _lf_tables(model: EnvironmentModel) -> _LFTables | None:
         bound = max(bound, float((outer_inv + outer_c)[~dead[-1]].max(initial=0.0)))
     if not bound < 2.0**1000:
         return None
-    for table in tables:
-        for a in table:
-            a.flags.writeable = False
-    return _LFTables(tuple(tables), min(2.0**1020 / bound, 2.0**1000))
+    tables = tuple(tuple(map(_read_only, table)) for table in tables)
+    return _LFTables(tables, min(2.0**1020 / bound, 2.0**1000))
 
 
 @dataclass(frozen=True)
@@ -483,50 +482,62 @@ def _lf_blocks(lf: _LFTables, batch: EnvBatch):
         yield lo, hi, state
 
 
+@dataclass(frozen=True)
+class _StepTable:
+    """Offspring-family parameters of a model's components (``_step_table``)."""
+
+    lf: np.ndarray  # (L,) True for a linear-fractional component
+    a: np.ndarray  # (L,) A of an LF component, 0 otherwise
+    b: np.ndarray  # (L,) B of an LF component, 0 otherwise
+    c: np.ndarray  # (L,) B / (1 - B) of an LF component, 0 otherwise
+    horner: np.ndarray  # (S, L): row i holds coefficient i of g of every component
+
+
+@lru_cache(maxsize=8)
+def _step_table(model: EnvironmentModel) -> _StepTable:
+    """Cached per model, so the arrays are read-only and shared by the
+    chunks of every thread. A survival step maps u to u g(1 - u) / (1 + c u):
+    a finite-support law has c = 0 and g(d) = sum_i d**i P(X > i), each tail
+    summed from the end so that tiny tails keep their relative precision,
+    and an LF law has g = m. Zeros pad each column of ``horner`` up to the
+    longest, which leaves Horner exact."""
+    laws = model.laws
+    lf = np.array([isinstance(law, LinearFractional) for law in laws])
+    a, b = np.array(
+        [(law.A, law.B) if is_lf else (0.0, 0.0) for law, is_lf in zip(laws, lf)]
+    ).T.copy()
+    coefs = [
+        [m] if is_lf
+        else [math.fsum(law.probs[i + 1:]) for i in range(max(len(law.probs) - 1, 1))]
+        for law, is_lf, m in zip(laws, lf, model.means)
+    ]
+    horner = np.array(list(zip_longest(*coefs, fillvalue=0.0)))
+    return _StepTable(*(_read_only(x) for x in (lf, a, b, b / (1.0 - b), horner)))
+
+
 def _log_steps(model: EnvironmentModel, batch: EnvBatch):
-    """Yield (i, log u at generation i) for i from n - 1 down to 0, stepping
-    log u one generation at a time from 0 at generation n by
-    ``_log_step_batch``: a finite-support law costs one expm1 and one log per
-    row, whatever its support. A batch with fewer rows than components steps
-    only the components drawn in each generation, so that one row of K
-    distinct laws costs O(n), not O(n K)."""
-    laws, log_means = model.laws, model.log_means
+    """Yield (i, log u at generation i) for i = n - 1 down to 0 by ``_log_step``."""
+    table = _step_table(model)
     lu = np.zeros(len(batch.codes))
     for i in range(batch.n - 1, -1, -1):
-        col = batch.idx[:, i]
-        out = np.empty_like(lu)
-        for comp in range(len(laws)) if len(laws) <= len(col) else np.unique(col):
-            rows = col == comp
-            out[rows] = _log_step_batch(laws[comp], log_means[comp], lu[rows])
-        lu = out
+        lu = _log_step(table, lu, batch.idx[:, i].astype(np.intp))
         yield i, lu
 
 
-def _lf_step(lu, log_m, c):
-    """Linear-fractional step in log space; c = B / (1 - B)."""
-    return lu + log_m - np.log1p(c * np.exp(lu))
-
-
-def _log_step_batch(law: OffspringLaw, log_m: float, lu: np.ndarray) -> np.ndarray:
-    """log(1 - f(1 - u)) of one law with log mean ``log_m``, for an array of
-    log u: one generation of the survival recursion, exact down to
-    log u = -inf. A finite-support step uses 1 - f(1 - u) = u g(1 - u) with
-    g(d) = sum_i d**i P(X > i), evaluated by Horner: every coefficient is a
-    positive tail sum and d = 1 - u lies in [0, 1], so nothing cancels, and
-    g(1) is the mean, so tiny u needs no branch."""
-    if isinstance(law, LinearFractional):
-        return _lf_step(lu, log_m, law.B / (1.0 - law.B))
+def _log_step(table: _StepTable, lu: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """log(1 - f(1 - u)) = log u + log g(1 - u) - log1p(c u) of every row of
+    log u, under the law of its component col[r] in ``table``: one generation
+    of the survival recursion, exact down to log u = -inf. No coefficient of
+    g is negative and d = 1 - u lies in [0, 1], so nothing cancels, and g(1)
+    is the mean, so tiny u needs no branch. log1p is taken only for a model
+    with some c > 0; on a row with c = 0 it would subtract an exact 0."""
     d = -np.expm1(lu)
-    g = 0.0
-    for t in reversed(_tail_sums(law)):
-        g = g * d + t
+    g = table.horner[-1].take(col)
+    for coef in table.horner[-2::-1]:
+        g *= d
+        g += coef.take(col)
     with np.errstate(divide="ignore"):
-        return lu + np.log(g)
-
-
-@lru_cache(maxsize=64)
-def _tail_sums(law: OffspringLaw) -> tuple[float, ...]:
-    """P(X > i) for i = 0..max(K - 1, 0) of a law on {0, ..., K}, each
-    summed from the tail, so that tiny tails keep their relative precision."""
-    p = law.probs
-    return tuple(math.fsum(p[i + 1:]) for i in range(max(len(p) - 1, 1)))
+        out = lu + np.log(g)
+    if table.c.any():
+        out -= np.log1p(table.c.take(col) * np.exp(lu))
+    return out

@@ -37,8 +37,8 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import SurvivorTail, conditioned_law, lf_forward, surviving_lines
-from .offspring import FiniteSupport, LinearFractional, pgf
+from .lfexact import SurvivorTail, _step_table, conditioned_law, lf_forward, surviving_lines
+from .offspring import FiniteSupport, pgf
 from .regime import expected_mean, regime_of
 from .simcore import (
     METHOD_EXACT,
@@ -90,15 +90,6 @@ QPROCESS_LOOKAHEAD = 10
 #     doomed c - j) children of a prolific parent, P ~ p_c C(c,j) u^j x^(c-j),
 #     and one over p_c x^c for a doomed parent; the rows that share a
 #     component are stepped together.
-
-
-def _lf_arrays(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per component: linear-fractional or not, and A and B (0 otherwise)."""
-    laws = model.laws
-    is_lf = np.array([isinstance(law, LinearFractional) for law in laws])
-    a = np.array([law.A if lf else 0.0 for law, lf in zip(laws, is_lf)])
-    b = np.array([law.B if lf else 0.0 for law, lf in zip(laws, is_lf)])
-    return is_lf, a, b
 
 
 def _fs_groups(model, col):
@@ -161,12 +152,12 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
     (the skeleton) and the doomed total is None.
     """
     x = -np.expm1(lu_child)
-    is_lf, a, b = _lf_arrays(model)
+    table = _step_table(model)
     z_next = np.zeros_like(z)
     d_next = None if d is None else np.zeros_like(z)
-    lf = is_lf[col]
+    lf = table.lf[col]
     if lf.any():
-        ai, bi, xi, zi = a[col[lf]], b[col[lf]], x[lf], z[lf]
+        ai, bi, xi, zi = table.a[col[lf]], table.b[col[lf]], x[lf], z[lf]
         geo_p = 1.0 - bi * xi
         j = zi + _neg_binomial(rng, zi, (1.0 - bi) / geo_p)
         z_next[lf] = j
@@ -492,14 +483,14 @@ def _chain_step(model, gamma, y, rng):
     sum: y-1 plain offspring plus one size-biased offspring (for a
     linear-fractional law, the sum of two shifted geometrics).
     """
-    is_lf, a, b = _lf_arrays(model)
+    table = _step_table(model)
     pick_p = model.weights * model.means / gamma
     comp = streams.categorical(rng, pick_p / pick_p.sum(), len(y))
     out = np.empty_like(y)
-    lf = is_lf[comp]
+    lf = table.lf[comp]
     if lf.any():
-        bi = b[comp[lf]]
-        plain = _lf_totals(rng, y[lf] - 1, a[comp[lf]], bi)
+        bi = table.b[comp[lf]]
+        plain = _lf_totals(rng, y[lf] - 1, table.a[comp[lf]], bi)
         out[lf] = plain + rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
     for rows, probs in _fs_groups(model, comp):
         probs = np.asarray(probs)

@@ -311,14 +311,12 @@ def alpha_k_curve(
     the ratio is a smooth functional of one sample and its variance stays
     far below the naive two-sample version.
     """
-    if not k_list:
-        raise ValidationError("particle count list is empty", field="k_list")
-    if not n_list:
-        raise ValidationError("horizon list is empty", field="n_list")
+    # every entry is checked before the first environment is drawn
+    for field, values, low in (("k_list", k_list, 1), ("n_list", n_list, 0)):
+        if not values or min(values) < low:
+            raise ValidationError(f"entries must be >= {low}, got {list(values)}", field=field)
     if sorted(n_list) != list(n_list):
         raise ValidationError("horizon list must be increasing", field="n_list")
-    for k in k_list:
-        check_k(k)
     rows = []
     seed_info = ""
     for n in n_list:

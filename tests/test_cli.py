@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bpre import cli, streams
+from bpre import cli, simcore, streams
 from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, build_parser, main, run
 from bpre.config import config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref
@@ -429,7 +429,7 @@ def test_unknown_method_is_validation_exit(command, capsys):
         ("n", "survival --n -1"),
         ("k", "survival --k -1"),
         ("k", "jointsurv --k -1"),
-        ("k", "alphak --k -1"),
+        ("k_list", "alphak --k -1"),
         ("n", "rwalk tail --n -1"),
         ("n", "rwalk tail --n -1 --method exact-enum"),
         ("n", "yaglom --n -1"),
@@ -475,6 +475,60 @@ def test_out_of_domain_parameter_names_its_flag(field, args, capsys):
     code, out, err = run_cli([*argv, "--reps", "300", "--seed", "1"], capsys)
     assert (code, out) == (EXIT_VALIDATION, "")
     assert f"validation error: {field}:" in err
+
+
+@pytest.mark.parametrize(
+    "field, params",
+    [
+        ("n_list", {"k_list": [2], "n_list": [-1, 2]}),
+        ("k_list", {"k_list": [0], "n_list": [2]}),
+        ("k_list", {"k_list": [2, -3], "n_list": [2]}),
+    ],
+)
+def test_alphak_entry_names_its_list(field, params, monkeypatch):
+    # each entry is checked before any environment is drawn; a bad one named
+    # the field "n" or "k" of another op
+    def draw(*args):
+        raise AssertionError("environments drawn before the lists were checked")
+
+    monkeypatch.setattr(simcore, "draw_env_samples", draw)
+    with pytest.raises(ValidationError) as err:
+        run(config_from_dict({"op": "alphak", "model": "ws-ref", "seed": 1, "reps": 100,
+                              "params": params}))
+    assert err.value.field == field
+
+
+ZERO_MEAN_FS = {
+    "components": [
+        {"law": {"fs": [1.0]}, "weight": 0.5},
+        {"law": {"fs": [0.3, 0.3, 0.2, 0.2]}, "weight": 0.5},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "op, params",
+    [
+        ("yaglom", {"k": 1, "n": 6}),
+        ("lineages", {"k": 2, "n": 6}),
+        ("envsel", {"k": 1, "n": 6}),
+        ("envpost", {"k": 1, "n": 2}),
+        ("qprocess", {"k": 1, "horizon": 3}),
+        ("survival", {"k": 1, "n": 6, "method": "tilted-IS"}),
+        ("jointsurv", {"k": 2, "n": 6, "method": "tilted-IS"}),
+        ("rwalk-tail", {"n": 6, "x": 1.0, "method": "tilted-IS"}),
+    ],
+)
+def test_untiltable_model_is_named(op, params, capsys, tmp_path):
+    # a zero-mean component cannot be tilted; the op takes no tilt exponent,
+    # so the rejection names the model, not "theta"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"op": op, "model": ZERO_MEAN_FS, "seed": 1, "reps": 200, "params": params})
+    )
+    code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "validation error: model:" in err
 
 
 def _first_doc_line(op):

@@ -6,9 +6,12 @@ a change that alters either (how many variates a draw takes, the order of a
 sum) must update the pins and say so in CHANGES.md.
 """
 
-from bpre.environment import EnvironmentModel, ss_ref, ws_ref
+import numpy as np
+
+from bpre.environment import EnvironmentModel, EnvSequence, ss_ref, ws_ref
+from bpre.lfexact import log_survival, quenched_survival
 from bpre.limits import env_posterior, qprocess_run, yaglom
-from bpre.offspring import FiniteSupport
+from bpre.offspring import FiniteSupport, LinearFractional
 from bpre.simcore import (
     annealed_survival,
     conditional_env_survival,
@@ -18,6 +21,24 @@ from bpre.simcore import (
 
 FS_SS = EnvironmentModel(
     [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.7, 0.2, 0.1)), 0.5)]
+)
+FS_WS = EnvironmentModel(
+    [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.3, 0.3, 0.2, 0.2)), 0.5)]
+)
+MIXED = EnvironmentModel(
+    [(FiniteSupport((0.6, 0.2, 0.1, 0.1)), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
+)
+ZERO_MEAN_FS = EnvironmentModel(
+    [(FiniteSupport((1.0,)), 0.1), (FiniteSupport((0.2, 0.3, 0.5)), 0.9)]
+)
+# four environments of 20 generations over two components
+ROWS = np.array(
+    [
+        [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1],
+        [0] * 20,
+        [1] * 20,
+        [1] * 10 + [0] + [1] * 9,
+    ]
 )
 
 
@@ -75,3 +96,39 @@ def test_env_survival_point():
 def test_untilted_env_posterior_atom():
     value, se = env_posterior(ss_ref(), 2, 2, 6, 4096, seed=3).per_position[1][1]
     assert (value.hex(), se.hex()) == ("0x1.433ac8de86b20p-2", "0x1.35c5ba21c3f4ep-7")
+
+
+def test_generic_kernel_log_survival():
+    # models that are not all-LF step log u one generation at a time
+    pins = {
+        FS_WS: [
+            "-0x1.1a364aa9d6ce8p+1",
+            "-0x1.f8b92fc3449f6p+2",
+            "-0x1.bd0250403f31cp-1",
+            "-0x1.cc14f2b8c63ccp-1",
+        ],
+        MIXED: [
+            "-0x1.935d237d03bf9p+3",
+            "-0x1.093591495de84p+3",
+            "-0x1.dec50f8b91306p+3",
+            "-0x1.d40086bdcf9efp+3",
+        ],
+        ZERO_MEAN_FS: ["-inf", "-inf", "-0x1.056a18f0a8662p-1", "-inf"],
+    }
+    for model, want in pins.items():
+        assert [x.hex() for x in log_survival(model, ROWS)] == want
+
+
+def test_quenched_survival_of_distinct_laws():
+    laws = [FiniteSupport([0.5 - i / 200, 0.5, i / 200]) for i in range(60)]
+    assert quenched_survival(EnvSequence(laws)).log_p.hex() == "-0x1.18166968f7110p+4"
+
+
+def test_finite_support_lineage_count_atom():
+    value, se = conditional_lineage_counts(FS_WS, 3, 16, 1000, seed=3).pmf[2]
+    assert (value.hex(), se.hex()) == ("0x1.fbd04c2f298b8p-4", "0x1.29e938a378fa5p-9")
+
+
+def test_finite_support_yaglom_atom():
+    value, se = yaglom(FS_WS, 1, 12, 600, seed=3).pmf[1]
+    assert (value.hex(), se.hex()) == ("0x1.e0d1e8c6ee8d2p-4", "0x1.d5782de6656c1p-7")

@@ -113,11 +113,10 @@ def test_one_survival_recursion():
         ]
         for path in MODULES
     }
-    assert "_log_step_batch" in steps.pop("lfexact")
+    assert sorted(steps.pop("lfexact")) == ["_log_step", "_log_steps"]
     assert not any(steps.values()), steps
     assert not [name for name in module_definitions("offspring") if "survival" in name]
     assert "log_survival" in names_in(module_definitions("lfexact")["log_survival_env"])
-
 
 
 # the four readers of the law of the surviving lines, J ~ Binomial(k, q)
@@ -146,6 +145,96 @@ def test_one_law_of_surviving_lines(module, name):
     names = names_in(definition(module, name))
     assert "surviving_lines" in names
     assert "comb" not in names
+
+
+# the readers of the per-component family parameters of ``lfexact._step_table``,
+# and the generic survival step and population draws that gather them by
+# component index
+STEP_TABLE_READERS = [
+    ("lfexact", "_lf_tables"),
+    ("lfexact", "lf_forward"),
+    ("lfexact", "_log_steps"),
+    ("limits", "_generation"),
+    ("limits", "_chain_step"),
+]
+FAMILY_GATHERS = [
+    ("lfexact", "_log_step"),
+    ("lfexact", "_log_steps"),
+    ("limits", "_generation"),
+    ("limits", "_chain_step"),
+]
+
+
+def forms_c(node: ast.AST) -> bool:
+    """True for ``B / (1.0 - ...)`` or ``b / (1.0 - ...)``: c = B / (1 - B)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    left, right = node.left, node.right
+    name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", None)
+    return (
+        name in ("B", "b")
+        and isinstance(right, ast.BinOp)
+        and isinstance(right.op, ast.Sub)
+        and isinstance(right.left, ast.Constant)
+        and right.left.value == 1.0
+    )
+
+
+def test_c_is_formed_once():
+    # c = B / (1 - B) of a linear-fractional law is formed in the step table
+    # and read from there
+    found = [
+        (path.stem, name)
+        for path in MODULES
+        for name, node in module_definitions(path.stem).items()
+        if any(forms_c(sub) for sub in ast.walk(node))
+    ]
+    assert found == [("lfexact", "_step_table")]
+    assert forms_c(ast.parse("law.B / (1.0 - law.B)", mode="eval").body)
+    assert not forms_c(ast.parse("law.A / (1.0 - law.B)", mode="eval").body)
+
+
+def test_no_second_family_table():
+    assert not [path for path in MODULES if "_lf_arrays" in module_definitions(path.stem)]
+
+
+def is_component_mask(node: ast.AST) -> bool:
+    """True for a comparison ``x == comp`` or ``comp == x``."""
+    return (
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Eq) for op in node.ops)
+        and any(
+            isinstance(sub, ast.Name) and sub.id == "comp" for sub in [node.left, *node.comparators]
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name", STEP_TABLE_READERS, ids=[name for _, name in STEP_TABLE_READERS]
+)
+def test_family_parameters_come_from_the_step_table(module, name):
+    assert "_step_table" in names_in(definition(module, name))
+
+
+@pytest.mark.parametrize(
+    "module, name", FAMILY_GATHERS, ids=[name for _, name in FAMILY_GATHERS]
+)
+def test_family_gathers_branch_on_no_law(module, name):
+    # every row's family parameters are gathered by component index, with
+    # no isinstance test on a law and no per-component row mask
+    node = definition(module, name)
+    assert not [
+        sub
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "isinstance"
+    ]
+    assert not [sub for sub in ast.walk(node) if is_component_mask(sub)]
+
+
+def test_mask_check_sees_a_component_mask():
+    assert is_component_mask(ast.parse("col == comp", mode="eval").body)
+    assert is_component_mask(ast.parse("comp == col", mode="eval").body)
+    assert not is_component_mask(ast.parse("col == 0", mode="eval").body)
 
 
 # one small run of each op a survival, Yaglom or Q-process command makes; none

@@ -277,8 +277,8 @@ class TestOneRowKernel:
     def test_distinct_laws_take_one_step_per_generation(self, monkeypatch):
         # 60 distinct laws, one per generation: 60 steps, not 60 * 60
         calls = []
-        step = lfexact._log_step_batch
-        monkeypatch.setattr(lfexact, "_log_step_batch", lambda *args: calls.append(1) or step(*args))
+        step = lfexact._log_step
+        monkeypatch.setattr(lfexact, "_log_step", lambda *args: calls.append(1) or step(*args))
         laws = [FiniteSupport([0.5 - i / 200, 0.5, i / 200]) for i in range(60)]
         log_p = quenched_survival(EnvSequence(laws)).log_p
         assert len(calls) == 60
@@ -345,9 +345,9 @@ class TestReciprocalKernel:
 
     def test_all_lf_models_take_no_log_domain_step(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("log-domain LF step on an all-LF model")
+            raise AssertionError("log-domain step on an all-LF model")
 
-        monkeypatch.setattr(lfexact, "_lf_step", fail)
+        monkeypatch.setattr(lfexact, "_log_step", fail)
         for model in (ws_ref(), MODELS[300], EXTREME_LF, BERNOULLI_LF, ZERO_MEAN_LF):
             batch = draw_env_batch(model, 19, stream(64, "t"), 50)
             log_survival(model, batch)

@@ -233,7 +233,7 @@ class TestSharedTables:
         monkeypatch.setattr(streams, "CHUNK_SIZE", 200)
         monkeypatch.setenv(streams.THREADS_ENV_VAR, "1")
         one = yaglom(FS_WS, 1, 12, 600, seed=3)
-        for cached in (_pair_table, lfexact._tail_sums, solve_alpha):
+        for cached in (_pair_table, lfexact._step_table, solve_alpha):
             cached.cache_clear()
         monkeypatch.setenv(streams.THREADS_ENV_VAR, threads)
         interval = sys.getswitchinterval()

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpre.errors import ValidationError
-from bpre.lfexact import _log_step_batch
+from bpre.environment import EnvironmentModel
+from bpre.lfexact import _log_step, _step_table
 from bpre.offspring import (
     FiniteSupport,
     LinearFractional,
@@ -143,8 +144,8 @@ def check_survival_step(law, log_u):
     # 1e-15 of it in log u', relative to max(1, |log u'|), so within 1e-15
     # relative in u' itself where u' is not tiny
     want = decimal_log_step(law, log_u)
-    m = moments(law)[0]
-    (step,) = _log_step_batch(law, math.log(m) if m > 0 else -math.inf, np.array([log_u]))
+    table = _step_table(EnvironmentModel([(law, 1.0)]))
+    (step,) = _log_step(table, np.array([log_u]), np.zeros(1, dtype=np.intp))
     if want == -math.inf:
         assert step == -math.inf
     else:
