@@ -210,13 +210,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnvBatch:
-    """A chunk of Monte Carlo environments, one row per replicate, stored
-    as block codes (see ``block_length``)."""
+    """A chunk of Monte Carlo environments, one row per replicate: block codes
+    (see ``block_length``) and the tilt plan they were drawn under."""
 
     model: EnvironmentModel
     n: int
     codes: np.ndarray  # (count, ceil(n / b)) block codes, generation order left to right
-    w: np.ndarray  # (count,) importance weights back to the base model
+    plan: TiltPlan | None = None  # the tilt the codes were drawn under
+
+    @cached_property
+    def s_n(self) -> np.ndarray:
+        """(count,) S_n of every replicate, read one block code at a time."""
+        log_means = tuple(self.model.log_means)
+        b = block_length(len(log_means))
+        s = np.zeros(len(self.codes))
+        for j in range(self.codes.shape[1]):
+            s += _block_log_means(log_means, min(b, self.n - j * b)).take(self.codes[:, j])
+        return s
+
+    @cached_property
+    def log_w(self) -> np.ndarray:
+        """(count,) log importance weights back to the base model,
+        n log(rate) - theta S_n (0 untilted); finite where ``w`` underflows."""
+        if self.plan is None:
+            return np.zeros(len(self.codes))
+        return self.n * math.log(self.plan.rate) - self.plan.theta * self.s_n
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """(count,) importance weights exp(log_w); exact ones untilted."""
+        return np.ones(len(self.codes)) if self.plan is None else np.exp(self.log_w)
 
     @cached_property
     def idx(self) -> np.ndarray:
@@ -248,15 +271,6 @@ class EnvBatch:
                 s += table.take(code)
                 yield s
 
-    def walk_end(self) -> np.ndarray:
-        """(count,) S_n of every replicate, read one block code at a time."""
-        log_means = tuple(self.model.log_means)
-        b = block_length(len(log_means))
-        s = np.zeros(len(self.codes))
-        for j in range(self.codes.shape[1]):
-            s += _block_log_means(log_means, min(b, self.n - j * b)).take(self.codes[:, j])
-        return s
-
     def walk_minimum(self) -> np.ndarray:
         """(count,) minimum of each replicate's walk over S_1..S_n; +inf
         when n is 0."""
@@ -278,7 +292,7 @@ def pack_env(model: EnvironmentModel, idx) -> EnvBatch:
     codes = idx[:, :full].reshape(count, full // b, b) @ places
     if full < n:  # the short last block
         codes = np.column_stack([codes, idx[:, full:] @ places[full - n :]])
-    return EnvBatch(model, n, codes.astype(np.min_scalar_type(k**b - 1)), np.ones(count))
+    return EnvBatch(model, n, codes.astype(np.min_scalar_type(k**b - 1)))
 
 
 def draw_env_batch(
@@ -294,7 +308,7 @@ def draw_env_batch(
     Each block code takes one uniform. They are drawn one block row at a
     time, the first block of every replicate before the second, with the
     short last block last: the (ceil(n / b), count) array that ``codes``
-    transposes. The tilt weight's S_n adds each row's per-code log means.
+    transposes. The batch keeps ``plan`` and derives its weights from it.
     """
     if n < 0:
         raise ValidationError(f"generation count must be >= 0, got {n}", field="n")
@@ -303,17 +317,9 @@ def draw_env_batch(
     full, rest = divmod(n, b)
     lengths = [b] * full + ([rest] if rest else [])
     codes = np.empty((len(lengths), count), dtype=np.min_scalar_type(len(p) ** b - 1))
-    s_n = None if plan is None else np.zeros(count)
-    log_means = tuple(model.log_means)
     for row, length in zip(codes, lengths):
         row[...] = _draw_codes(rng, p, length, count)
-        if s_n is not None:
-            s_n += _block_log_means(log_means, length).take(row)
-    if plan is None:
-        w = np.ones(count)
-    else:
-        w = np.exp(n * math.log(plan.rate) - plan.theta * s_n)
-    return EnvBatch(model=model, n=n, codes=codes.T, w=w)
+    return EnvBatch(model=model, n=n, codes=codes.T, plan=plan)
 
 
 def env_expectation(model: EnvironmentModel, g: Callable[[OffspringLaw], float]) -> float:

@@ -111,7 +111,7 @@ def quenched_survival(env: EnvSequence, k: int = 1) -> QuenchedSurvival:
         log_p=log_p,
         log_p_closed_form=log_cf,
         p_all_survive=math.exp(k * log_p),
-        p_any_survive=float(any_survive(p, k)),
+        p_any_survive=float(any_survive(log_p, k)),
     )
 
 
@@ -158,10 +158,10 @@ def lf_minorant(law: OffspringLaw) -> LinearFractional:
 # --- surviving lines and the conditioned law of an all-LF environment ----------
 
 
-def any_survive(q: np.ndarray, k: int) -> np.ndarray:
-    """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines``, stable for tiny q."""
+def any_survive(log_q: np.ndarray, k: int) -> np.ndarray:
+    """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines`` from log q, stable for tiny q."""
     with np.errstate(divide="ignore"):
-        return -np.expm1(k * np.log1p(-np.minimum(q, 1.0)))
+        return -np.expm1(k * np.log1p(-np.exp(np.minimum(log_q, 0.0))))
 
 
 def surviving_lines(log_q: np.ndarray, k: int):
@@ -175,7 +175,7 @@ def surviving_lines(log_q: np.ndarray, k: int):
         return
     q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_norm = np.log(any_survive(q, k) / q)
+        log_norm = np.log(any_survive(log_q, k) / q)
         # where q is not a normal float, P(J >= 1)/q is k to double precision
         log_norm[~(q >= np.finfo(float).tiny)] = math.log(k)
         # log(1 - q) to an ulp of 1, which is all an exponent needs; -inf at q = 1
@@ -288,7 +288,7 @@ class SurvivorTail:
             log_x = np.log1p(-u)  # -inf where u = 1
         log_a = log_x - np.log1p(g_t * u)
         log_pi = np.minimum(s_t + log_p, 0.0)  # pi <= 1 against rounding
-        a, alive_w = np.exp(log_a), w * any_survive(np.exp(log_pi), k)
+        a, alive_w = np.exp(log_a), w * any_survive(log_pi, k)
         # from i = k-1 down, with L_j = w P(J = j) and V_i = sum_{j>i} L_j:
         # U_i = a (L_{i+1} + U_{i+1}), and W_i = (1 - a) R_i with
         # R_i = sum_{j>i} L_j (1 + a + ... + a^(j-i-1)) = V_i + a R_{i+1}

@@ -297,11 +297,9 @@ def _yaglom_closed_form(model, k, n, reps, seed, purpose) -> YaglomEstimate:
     the closed-form conditioned law, atoms 1..YAGLOM_ATOMS and the pgf,
     integrated one block of CLOSED_FORM_BLOCK replicates at a time."""
     cond = draw_conditioned_env(
-        model, k, n, reps, seed, purpose, lambda batch, profile, rng: (batch.walk_end(),)
+        model, k, n, reps, seed, purpose, lambda batch, profile, rng: (batch.s_n,)
     )
-    (s_n,) = cond.drawn
-    with np.errstate(divide="ignore"):
-        log_q = np.log(cond.q)
+    (s_n,), log_q = cond.drawn, cond.log_q
     # the largest weight in [0.5, 1), so that squared weights do not underflow
     w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
     moments = np.zeros((3, YAGLOM_ATOMS))

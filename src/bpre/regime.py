@@ -127,9 +127,7 @@ def _regime(e_m_log_m: float) -> str:
 def classify(model: EnvironmentModel, k: int = 1) -> RegimeReport:
     """Regime tag plus all rate constants for a subcritical model."""
     check_k(k)
-    e_log_m = env_expectation(model, lambda law: _safe_log(moments(law)[0]))
-    if e_log_m >= 0.0:
-        raise NotSubcriticalError(e_log_m)
+    e_log_m = _require_subcritical(model)
     e_m_log_m = _dphi(model, 1.0)
     regime = _regime(e_m_log_m)
     alpha, gamma = solve_alpha(model)
@@ -155,7 +153,9 @@ def check_k(k: int) -> None:
         raise ValidationError(f"k must be >= 1, got {k}", field="k")
 
 
-def _require_subcritical(model: EnvironmentModel) -> None:
+def _require_subcritical(model: EnvironmentModel) -> float:
+    """E[log m]; raises ``NotSubcriticalError`` unless it is < 0."""
     e_log_m = env_expectation(model, lambda law: _safe_log(moments(law)[0]))
     if e_log_m >= 0.0:
         raise NotSubcriticalError(e_log_m)
+    return e_log_m

@@ -100,8 +100,7 @@ def evolve_lineages(
 class EnvSamples:
     """Per-replicate quenched survival and importance weights."""
 
-    q: np.ndarray  # single-lineage survival
-    log_q: np.ndarray
+    log_q: np.ndarray  # log of single-lineage survival
     w: np.ndarray  # importance weight (all ones when drawn from the base law)
     method: str
     seed_info: str
@@ -154,17 +153,10 @@ def draw_env_samples(
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        log_q = log_survival(model, batch)
-        return np.exp(log_q), log_q, batch.w
+        return log_survival(model, batch), batch.w
 
-    q, log_q, w = streams.run_chunks(chunk, reps, seed, purpose)
-    return EnvSamples(
-        q=q,
-        log_q=log_q,
-        w=w,
-        method=method_name(plan),
-        seed_info=streams.seed_provenance(seed, purpose),
-    )
+    log_q, w = streams.run_chunks(chunk, reps, seed, purpose)
+    return EnvSamples(log_q, w, method_name(plan), streams.seed_provenance(seed, purpose))
 
 
 def _checked_estimate(samples: EnvSamples, values: np.ndarray, what: str) -> EstimateWithCI:
@@ -206,7 +198,7 @@ def annealed_survival(
     else:
         plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
-    return _checked_estimate(samples, samples.w * any_survive(samples.q, k), "survival")
+    return _checked_estimate(samples, samples.w * any_survive(samples.log_q, k), "survival")
 
 
 def joint_survival(
@@ -260,7 +252,7 @@ def inclusion_exclusion_check(
             f"alternating sums amplify noise; k must be <= 6, got {k}", field="k"
         )
     samples = draw_env_samples(model, n, reps, seed, "incl-excl")
-    q = samples.q
+    q = np.exp(samples.log_q)
     direct = 1.0 - (1.0 - q) ** k
     alternating = np.zeros_like(q)
     for i in range(1, k + 1):
@@ -322,11 +314,11 @@ def alpha_k_curve(
     for n in n_list:
         samples = draw_env_samples(model, n, reps, seed, f"alphak-n{n}")
         seed_info = samples.seed_info
-        den = samples.q
+        den = np.exp(samples.log_q)
         p_1 = _checked_estimate(samples, den, "single-particle survival")
         den_rel = p_1.std_error / p_1.value if p_1.value > 0 else math.inf
         for k in k_list:
-            num = any_survive(samples.q, k)
+            num = any_survive(samples.log_q, k)
             value, se = ratio_and_se(num, den)
             combined = ratio_combined_se(num, den, scale=float(k))
             rows.append(
@@ -360,7 +352,7 @@ class ConditionedEnvSamples:
     arrays of the ``then`` callback of ``draw_conditioned_env``, if any.
     """
 
-    q: np.ndarray
+    log_q: np.ndarray
     w: np.ndarray
     survive_w: np.ndarray
     method: str
@@ -433,12 +425,12 @@ def draw_conditioned_env(
 
         drawn = () if then is None else then(batch, profile, rng)
         # column 0 of the profile has the same bits as log_survival
-        q = np.exp(profiles[0][:, 0] if profiles else log_survival(model, batch))
-        return (batch.w * any_survive(q, k), q, batch.w, *drawn)
+        log_q = profiles[0][:, 0] if profiles else log_survival(model, batch)
+        return (batch.w * any_survive(log_q, k), log_q, batch.w, *drawn)
 
-    (survive_w, q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
+    (survive_w, log_q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
-        q=q,
+        log_q=log_q,
         w=w,
         survive_w=survive_w,
         method=method_name(plan),
@@ -478,8 +470,7 @@ def conditional_lineage_counts(
     the pmf is a ratio of weighted means; no lineage is simulated.
     """
     cond = draw_conditioned_env(model, k, n, reps, seed, f"lincount-k{k}-n{n}")
-    with np.errstate(divide="ignore"):
-        lines = surviving_lines(np.log(cond.q), k)
+    lines = surviving_lines(cond.log_q, k)
     pmf = {j: ratio_and_se(cond.survive_w * line, cond.survive_w) for j, line in enumerate(lines, 1)}
     return LineageCountDistribution(
         k=k,
@@ -538,9 +529,10 @@ def conditional_env_survival(
             field="eps_grid",
         )
     cond = draw_conditioned_env(model, k, n, reps, seed, f"envsel-k{k}-n{n}")
+    q = np.exp(cond.log_q)
     points: dict[float, tuple[float, float]] = {}
     for eps in eps_grid:
-        num = cond.survive_w * (cond.q >= eps)
+        num = cond.survive_w * (q >= eps)
         points[float(eps)] = ratio_and_se(num, cond.survive_w)
     return EnvSurvivalCurve(
         k=k,

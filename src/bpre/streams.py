@@ -97,6 +97,8 @@ def run_chunks(
     """
     if reps < 1:
         raise ValidationError(f"replicate count must be >= 1, got {reps}", field="reps")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}", field="seed")
     bounds = list(chunk_bounds(reps))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 

@@ -261,12 +261,13 @@ class TestCliEndToEnd:
         [
             ("seed", {"seed": 1.7}),
             ("seed", {"seed": True}),
+            ("seed", {"seed": -1}),
             ("reps", {"seed": 1, "reps": 2.5}),
             ("reps", {"seed": 1, "reps": "abc"}),
             ("params.x", {"seed": 1, "params": {"x": True}}),
             ("params.eps_grid", {"seed": 1, "op": "envsel", "params": {"eps_grid": [0.1, True]}}),
         ],
-        ids=["seed-1.7", "seed-true", "reps-2.5", "reps-abc", "x-true", "eps_grid-true"],
+        ids=["seed-1.7", "seed-true", "seed-negative", "reps-2.5", "reps-abc", "x-true", "eps_grid-true"],
     )
     def test_inexact_number_is_validation_exit(self, field, raw, capsys, tmp_path):
         # 1.7 must not run as seed 1, nor true as 1 or 1.0

@@ -24,6 +24,7 @@ from bpre.environment import (
 from bpre.errors import ValidationError
 from bpre.lfexact import log_survival
 from bpre.offspring import LinearFractional, geometric_lf, moments
+from bpre.regime import solve_alpha
 from bpre.streams import stream
 from helpers import chi_square_pvalue
 
@@ -253,6 +254,39 @@ class TestBlockDraw:
             assert packed.codes.dtype == batch.codes.dtype
             np.testing.assert_array_equal(packed.idx, batch.idx)
             assert log_survival(model, batch.idx).tobytes() == log_survival(model, batch).tobytes()
+
+
+class TestLogWeights:
+    def test_log_weights_past_the_float_range(self):
+        # is-ref at theta = 1 and n = 5000: every weight exp(n log rate -
+        # S_n) is below the smallest float, and its log stays exact
+        model, n = is_ref(), 5000
+        plan = tilt_plan(model, 1.0)
+        batch = draw_env_batch(model, n, stream(1, "x"), 256, plan)
+        assert batch.plan is plan
+        assert np.all(batch.w == 0.0)
+        assert np.all(np.isfinite(batch.log_w))
+        assert batch.log_w.max() < math.log(np.finfo(float).tiny) - 36.0
+        want = n * math.log(plan.rate) - plan.theta * batch.s_n
+        assert batch.log_w.tobytes() == want.tobytes()
+        s_n = model.log_means[batch.idx.astype(np.intp)].sum(axis=1)
+        np.testing.assert_allclose(batch.s_n, s_n, rtol=1e-12)
+
+    def test_weights_are_the_exp_of_their_logs(self):
+        model = ws_ref()
+        plan = tilt_plan(model, solve_alpha(model)[0])
+        batch = draw_env_batch(model, 40, stream(2, "x"), 300, plan)
+        assert batch.w.tobytes() == np.exp(batch.log_w).tobytes()
+        assert np.all(batch.w > 0.0)
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_untilted_weights_are_exact_ones(self, n):
+        model = ws_ref()
+        drawn = draw_env_batch(model, n, stream(3, "x"), 30)
+        for batch in (drawn, pack_env(model, drawn.idx)):
+            assert batch.plan is None
+            assert batch.log_w.tobytes() == np.zeros(30).tobytes()
+            assert batch.w.tobytes() == np.ones(30).tobytes()
 
 
 class TestRowDraw:

@@ -3,15 +3,19 @@ brute-force oracles stay independent of the samplers they check, and the CLI's
 Monte Carlo ops run without importing scipy."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import bpre
+from bpre.environment import EnvBatch
+from bpre.simcore import ConditionedEnvSamples, EnvSamples
 
 MODULES = sorted(
     path for path in Path(bpre.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -145,6 +149,54 @@ def test_one_law_of_surviving_lines(module, name):
     names = names_in(definition(module, name))
     assert "surviving_lines" in names
     assert "comb" not in names
+
+
+# the linear per-replicate numbers of the draw records, each formed by exp
+# from a log the draw holds: q (dropped from the records), the importance
+# weight and the conditioning weight
+LINEAR_DRAW_ATTRIBUTES = {"q", "w", "survive_w"}
+
+
+def logs_a_draw_attribute(node: ast.AST) -> bool:
+    """True for a ``log`` call (``np.log``, ``math.log``) on an expression
+    that reads one of ``LINEAR_DRAW_ATTRIBUTES``."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "log"
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr in LINEAR_DRAW_ATTRIBUTES
+            for arg in node.args
+            for sub in ast.walk(arg)
+        )
+    )
+
+
+def test_draw_quantities_are_held_in_logs():
+    # the draw keeps log q, log w and S_n once: no linear q is stored beside
+    # log q, the batch derives S_n and its weights from its codes and plan,
+    # and no reader takes the log of a linear number the draw formed by exp
+    for record in (EnvSamples, ConditionedEnvSamples):
+        names = {f.name for f in dataclasses.fields(record)}
+        assert "log_q" in names and "q" not in names, record
+    assert "w" not in {f.name for f in dataclasses.fields(EnvBatch)}
+    assert not hasattr(EnvBatch, "walk_end")
+    for name in ("s_n", "log_w", "w"):
+        assert isinstance(vars(EnvBatch).get(name), cached_property), name
+    found = [
+        (module, name)
+        for module in ("simcore", "limits")
+        for name, node in module_definitions(module).items()
+        if any(logs_a_draw_attribute(sub) for sub in ast.walk(node))
+    ]
+    assert not found, found
+
+
+def test_log_check_sees_a_draw_attribute():
+    assert logs_a_draw_attribute(ast.parse("np.log(cond.q)", mode="eval").body)
+    assert logs_a_draw_attribute(ast.parse("np.log(1.0 - batch.w)", mode="eval").body)
+    assert not logs_a_draw_attribute(ast.parse("np.log(model.means)", mode="eval").body)
+    assert not logs_a_draw_attribute(ast.parse("np.log(cond.log_q)", mode="eval").body)
+    assert not logs_a_draw_attribute(ast.parse("np.exp(cond.log_q)", mode="eval").body)
 
 
 # the readers of the per-component family parameters of ``lfexact._step_table``,

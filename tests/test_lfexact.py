@@ -527,7 +527,7 @@ class TestSurvivorTail:
         tail = SurvivorTail.of(s_t, g_t, log_u, k, w)
         pi, u = np.exp(s_t) / (1.0 + g_t), np.exp(log_u)
         q = pi * u / (1.0 / (1.0 + g_t) + (1.0 - 1.0 / (1.0 + g_t)) * u)
-        np.testing.assert_allclose(tail(0), w * any_survive(q, k), rtol=1e-12)
+        np.testing.assert_allclose(tail(0), w * any_survive(np.log(q), k), rtol=1e-12)
         for z in (1, 50, 5000):
             assert np.all(np.isfinite(tail(z))) and np.all(tail(z) <= tail(0))
 

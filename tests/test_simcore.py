@@ -342,10 +342,11 @@ class TestMatchesEnumeration:
 class TestSharedDrawInvariants:
     def test_survival_bounds_per_path(self):
         samples = draw_env_samples(ws_ref(), 15, 4000, 26, "inv")
+        q = np.exp(samples.log_q)
         for k in [2, 5]:
-            any_k = 1.0 - (1.0 - samples.q) ** k
-            assert np.all(any_k >= samples.q - 1e-15)
-            assert np.all(any_k <= k * samples.q + 1e-15)
+            any_k = 1.0 - (1.0 - q) ** k
+            assert np.all(any_k >= q - 1e-15)
+            assert np.all(any_k <= k * q + 1e-15)
 
     def test_determinism_and_thread_independence(self):
         a = annealed_survival(ws_ref(), 2, 12, 20000, seed=27)
