@@ -36,7 +36,8 @@ class EnvironmentModel:
         components = tuple((law, float(w)) for law, w in components)
         if not components:
             raise ValidationError("model needs at least one component", field="components")
-        if any(w <= 0.0 for _, w in components):
+        # written so that a NaN weight fails the test
+        if not all(w > 0.0 for _, w in components):
             raise ValidationError("component weights must be positive", field="components")
         total = math.fsum(w for _, w in components)
         if abs(total - 1.0) > PROB_TOL:

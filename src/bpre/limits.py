@@ -255,8 +255,7 @@ def yaglom(
     if model.all_linear_fractional:
         return _yaglom_closed_form(model, k, n, reps, seed, purpose)
 
-    def then(batch, profile, rng):
-        lu = profile()
+    def then(batch, lu, rng):
         n_alive = conditioned_binomial_positive(k, lu[:, 0], rng)
         return _evolve_skeleton(model, batch.idx, lu, n_alive, rng)
 
@@ -296,10 +295,8 @@ def _yaglom_closed_form(model, k, n, reps, seed, purpose) -> YaglomEstimate:
     """``yaglom`` of an all-LF model: the weighted mean over environments of
     the closed-form conditioned law, atoms 1..YAGLOM_ATOMS and the pgf,
     integrated one block of CLOSED_FORM_BLOCK replicates at a time."""
-    cond = draw_conditioned_env(
-        model, k, n, reps, seed, purpose, lambda batch, profile, rng: (batch.s_n,)
-    )
-    (s_n,), log_q = cond.drawn, cond.log_q
+    cond = draw_conditioned_env(model, k, n, reps, seed, purpose)
+    s_n, log_q = cond.env.s_n, cond.log_q
     # the largest weight in [0.5, 1), so that squared weights do not underflow
     w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
     moments = np.zeros((3, YAGLOM_ATOMS))
@@ -575,12 +572,12 @@ def _qprocess_closed_form(model, k, horizon, reps, seed, method) -> QProcessRun:
     provenance are those of ``conditioned_trajectories``."""
     cond = draw_conditioned_env(
         model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, f"qtraj-k{k}-h{horizon}",
-        lambda batch, profile, rng: (profile()[:, : horizon + 1], batch.idx[:, :horizon]),
+        lambda batch, lu, rng: (lu[:, : horizon + 1],),
     )
-    lu, idx = cond.drawn
+    (lu,), env = cond.drawn, cond.env
     total = float(cond.survive_w.sum())
     medians, guess = [], 1
-    for tail in _marginal_tails(model, k, lu, idx, cond.w):
+    for tail in _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w):
         guess = _tail_median(tail, total, guess)
         medians.append(float(guess))
     return QProcessRun(
@@ -646,9 +643,7 @@ def conditioned_trajectories(
     """
     return draw_conditioned_env(
         model, k, horizon + lookahead, reps, seed, f"qtraj-k{k}-h{horizon}",
-        lambda batch, profile, rng: _dressed_trajectories(
-            model, k, horizon, batch.idx, profile(), rng
-        ),
+        lambda batch, lu, rng: _dressed_trajectories(model, k, horizon, batch.idx, lu, rng),
     )
 
 
@@ -734,11 +729,8 @@ def env_posterior(
             method=METHOD_EXACT,
             seed_info=None,
         )
-    cond = draw_conditioned_env(
-        model, k, n + p, reps, seed, f"envpost-p{p}-n{n}",
-        lambda batch, profile, rng: (batch.idx[:, :p].copy(),),
-    )
-    (prefix,), survive_w = cond.drawn, cond.survive_w
+    cond = draw_conditioned_env(model, k, n + p, reps, seed, f"envpost-p{p}-n{n}")
+    prefix, survive_w = cond.env.idx[:, :p], cond.survive_w
     per_position = []
     for pos in range(p):
         dist: dict[int, tuple[float, float]] = {}

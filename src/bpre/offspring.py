@@ -56,7 +56,7 @@ class FiniteSupport:
         probs = tuple(float(p) for p in probs)
         if not probs:
             raise ValidationError("probability vector is empty", field="probs")
-        if any(p < 0.0 for p in probs):
+        if not all(p >= 0.0 for p in probs):  # NaN fails the test
             raise ValidationError("probabilities must be nonnegative", field="probs")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:

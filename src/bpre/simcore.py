@@ -247,6 +247,7 @@ def inclusion_exclusion_check(
     With common draws the identity is algebraic, so agreement is to float
     rounding, not statistical.
     """
+    check_k(k)
     if k > 6:
         raise ValidationError(
             f"alternating sums amplify noise; k must be <= 6, got {k}", field="k"
@@ -346,14 +347,16 @@ ESCALATION_CAP = 8
 class ConditionedEnvSamples:
     """Environment draws prepared for conditioning on survival from k particles.
 
+    ``env`` holds every drawn environment, chunks in stream order, with the
+    tilt plan they were drawn under; its ``w`` is the importance weight.
     ``survive_w`` is the per-replicate product (importance weight) x
     P(some lineage survives | environment); every conditional expectation is
     a ratio of weighted means against it. ``drawn`` holds the per-replicate
     arrays of the ``then`` callback of ``draw_conditioned_env``, if any.
     """
 
+    env: EnvBatch
     log_q: np.ndarray
-    w: np.ndarray
     survive_w: np.ndarray
     method: str
     reps_used: int
@@ -397,7 +400,7 @@ def draw_conditioned_env(
     reps: int,
     seed: int,
     purpose: str,
-    then: Callable[[EnvBatch, Callable[[], np.ndarray], np.random.Generator], tuple] | None = None,
+    then: Callable[[EnvBatch, np.ndarray, np.random.Generator], tuple] | None = None,
 ) -> ConditionedEnvSamples:
     """Environments conditioned on survival from k particles: the draw of
     every estimator that conditions on survival.
@@ -405,33 +408,30 @@ def draw_conditioned_env(
     Draws are tilted at the minimizing exponent in the intermediate and
     weakly subcritical regimes (the tilted walk is centered there) and plain
     in the strongly subcritical one, and ``run_conditioned`` escalates them.
-    ``then(batch, profile, rng)``, when given, receives each chunk's
-    environments, a function that returns their log survival profile and
-    the chunk's stream, and returns further per-replicate arrays drawn after
-    the environments; they come back in ``drawn``. The profile is computed
-    only when ``then`` asks for it; otherwise the survival-only kernel runs.
+    The record keeps the environments, so functionals of them (S_n, the
+    component indices, the weights) are read from ``env`` after the draw.
+    ``then(batch, lu, rng)``, when given, receives each chunk's
+    environments, their log survival profile and the chunk's stream, and
+    returns further per-replicate arrays drawn after the environments; they
+    come back in ``drawn``. Without ``then`` the survival-only kernel runs.
     """
     check_k(k)
     plan = tilt_plan(model, solve_alpha(model)[0]) if regime_of(model) in ("IS", "WS") else None
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        profiles = []
+        if then is None:
+            log_q, drawn = log_survival(model, batch), ()
+        else:
+            lu = log_survival_profile(model, batch)
+            # column 0 of the profile has the same bits as log_survival
+            log_q, drawn = lu[:, 0], then(batch, lu, rng)
+        return (batch.w * any_survive(log_q, k), log_q, batch.codes, *drawn)
 
-        def profile():
-            if not profiles:
-                profiles.append(log_survival_profile(model, batch))
-            return profiles[0]
-
-        drawn = () if then is None else then(batch, profile, rng)
-        # column 0 of the profile has the same bits as log_survival
-        log_q = profiles[0][:, 0] if profiles else log_survival(model, batch)
-        return (batch.w * any_survive(log_q, k), log_q, batch.w, *drawn)
-
-    (survive_w, log_q, w, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
+    (survive_w, log_q, codes, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
+        env=EnvBatch(model, n, codes, plan),
         log_q=log_q,
-        w=w,
         survive_w=survive_w,
         method=method_name(plan),
         reps_used=total,

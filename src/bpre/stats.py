@@ -105,12 +105,13 @@ def kish_neff(weights: np.ndarray) -> float:
 def weighted_pmf(
     values: np.ndarray, weights: np.ndarray
 ) -> dict[int, tuple[float, float]]:
-    """Normalized weighted pmf with delta-method standard errors per atom.
+    """Normalized weighted pmf with delta-method standard errors per atom:
+    atom v has ``ratio_and_se(w * (values == v), w)``.
 
     One pass over the values: with w_v and w2_v the sums of w and w**2 over
-    atom v and W2 the sum of w**2 over all values, p_v = w_v / total and
-    SE**2 = ((1 - p_v)**2 w2_v + p_v**2 (W2 - w2_v)) / total**2. Totals come
-    from the per-atom sums, so a point mass has SE exactly 0.
+    atom v, W2 the sum of w**2 over all n values, p_v = w_v / total and
+    SE**2 = n/(n-1) ((1 - p_v)**2 w2_v + p_v**2 (W2 - w2_v)) / total**2.
+    Totals come from the per-atom sums, so a point mass has SE exactly 0.
     """
     atoms, inverse = np.unique(values, return_inverse=True)
     weights = np.asarray(weights, dtype=float)
@@ -120,9 +121,10 @@ def weighted_pmf(
     if total == 0.0:
         return {}
     p = w / total
-    se = np.sqrt((1.0 - p) ** 2 * w2 + p**2 * (w2.sum() - w2)) / total
-    if len(values) < 2:
-        se[:] = 0.0
+    n = len(values)
+    se = np.zeros(len(atoms))
+    if n > 1:
+        se = np.sqrt((1.0 - p) ** 2 * w2 + p**2 * (w2.sum() - w2)) / total * math.sqrt(n / (n - 1))
     return {int(v): (float(pv), float(sv)) for v, pv, sv in zip(atoms, p, se)}
 
 

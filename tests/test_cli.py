@@ -309,6 +309,26 @@ class TestCliEndToEnd:
             assert (code, out) == (EXIT_VALIDATION, "")
             assert "env[0]." + field.split(".law.")[1] in err
 
+    @pytest.mark.parametrize(
+        "field, components",
+        [
+            ("components", [{"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": math.nan},
+                            {"law": {"lf": {"A": 0.1, "B": 0.5}}, "weight": 0.5}]),
+            ("probs", [{"law": {"fs": [0.5, math.nan, 0.5]}, "weight": 1.0}]),
+        ],
+        ids=["weight-nan", "fs-nan"],
+    )
+    def test_nan_in_model_is_validation_exit(self, field, components, capsys, tmp_path):
+        # JSON configs may carry NaN; it must not run as a silently wrong model
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"op": "survival", "model": {"components": components},
+             "params": {"k": 1, "n": 10}, "seed": 1, "reps": 1000}
+        ))
+        code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"{field}:" in err
+
     def test_quenched_rejects_format_flag(self, capsys, tmp_path):
         # quenched has no records, so there is nothing to write as CSV
         env_path = tmp_path / "env.json"

@@ -123,6 +123,10 @@ def test_weight_validation():
         EnvironmentModel(
             [(LinearFractional(0.125, 0.5), 0.0), (LinearFractional(0.125, 0.5), 1.0)]
         )
+    with pytest.raises(ValidationError, match="^components:"):
+        EnvironmentModel(
+            [(LinearFractional(0.125, 0.5), math.nan), (LinearFractional(0.125, 0.5), 0.5)]
+        )
 
 
 # --- block-code draws -----------------------------------------------------------

@@ -68,8 +68,10 @@ def test_finite_support_qprocess():
     run = qprocess_run(FS_SS, 1, 5, 1500, seed=3)
     assert run.regime == "SS"
     assert [m.hex() for m in run.medians] == [x.hex() for x in (1.0, 2.0, 2.0, 2.0, 2.0, 2.0)]
+    # the SE carries the n/(n-1) of ratio_and_se: sqrt(1500/1499) times the
+    # 0x1.a1f14d0c7b7b4p-7 it was without it
     value, se = run.final_pmf[2]
-    assert (value.hex(), se.hex()) == ("0x1.b0cf87d9c54a7p-2", "0x1.a1f14d0c7b7b4p-7")
+    assert (value.hex(), se.hex()) == ("0x1.b0cf87d9c54a7p-2", "0x1.a214fbb61bb9cp-7")
 
 
 def test_ws_qprocess_medians():
@@ -130,5 +132,31 @@ def test_finite_support_lineage_count_atom():
 
 
 def test_finite_support_yaglom_atom():
+    # the SE is sqrt(600/599) times the 0x1.d5782de6656c1p-7 it was without
+    # the n/(n-1) of ratio_and_se
     value, se = yaglom(FS_WS, 1, 12, 600, seed=3).pmf[1]
-    assert (value.hex(), se.hex()) == ("0x1.e0d1e8c6ee8d2p-4", "0x1.d5782de6656c1p-7")
+    assert (value.hex(), se.hex()) == ("0x1.e0d1e8c6ee8d2p-4", "0x1.d5dc754906d5ep-7")
+
+
+def test_tilted_env_posterior_atom():
+    post = env_posterior(ws_ref(), 1, 2, 8, 4096, seed=3)
+    assert (post.method, post.reps_used) == ("tilted-IS", 4096)
+    value, se = post.per_position[1][1]
+    assert (value.hex(), se.hex()) == ("0x1.c4e7b262d7cfcp-1", "0x1.5b2b07d9c5497p-8")
+
+
+def test_finite_support_ws_qprocess_medians():
+    # the sampled conditioned trajectories, which a model that is not all-LF runs on
+    run = qprocess_run(FS_WS, 2, 5, 2048, seed=3)
+    assert run.method == "finite-horizon-approximation(lookahead=10)"
+    assert (run.reps, run.overflow_mass) == (2048, 0.0)
+    assert run.medians == (2.0, 3.0, 3.0, 4.0, 5.0, 5.0)
+
+
+def test_mixed_yaglom_atom():
+    # the sampled skeleton of a mixed LF + finite-support model; the SE
+    # convention of sampled atoms is pinned by test_finite_support_yaglom_atom
+    est = yaglom(MIXED, 2, 10, 2048, seed=3)
+    assert (est.method, est.reps_used) == ("env-exact", 2048)
+    assert [est.pmf[z][0].hex() for z in (1, 2)] == ["0x1.2d94870f52f1ap-2", "0x1.c37658f016886p-3"]
+    assert est.pgf_values[10].hex() == "0x1.e0cad4121750bp-3"

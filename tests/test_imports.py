@@ -321,3 +321,46 @@ def test_cli_ops_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+# the estimators that pass ``then`` to ``draw_conditioned_env``: each draws on
+# the chunk's stream or reads the survival profile, which the record does
+# not keep; functionals of the environments themselves are read from ``env``
+CONDITIONED_DRAW_CALLBACKS = {"yaglom", "conditioned_trajectories", "_qprocess_closed_form"}
+
+
+def passes_then(node: ast.AST) -> bool:
+    """True for a ``draw_conditioned_env`` call given a seventh argument or ``then=``."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "draw_conditioned_env"
+        and (len(node.args) > 6 or any(kw.arg == "then" for kw in node.keywords))
+    )
+
+
+def test_conditioned_draw_keeps_its_environments():
+    # the record carries the drawn environments, whose ``w`` is the
+    # importance weight; the draw hands ``then`` the profile it computed,
+    # with no lazy closure beside the chunk
+    names = {f.name for f in dataclasses.fields(ConditionedEnvSamples)}
+    assert "env" in names and "w" not in names
+    draw = module_definitions("simcore")["draw_conditioned_env"]
+    nested = [
+        getattr(sub, "name", "lambda")
+        for sub in ast.walk(draw)
+        if isinstance(sub, (ast.FunctionDef, ast.Lambda)) and sub is not draw
+    ]
+    assert nested == ["chunk"], nested
+    callers = {
+        name
+        for module in ("simcore", "limits")
+        for name, node in module_definitions(module).items()
+        if any(passes_then(sub) for sub in ast.walk(node))
+    }
+    assert callers == CONDITIONED_DRAW_CALLBACKS
+
+
+def test_then_check_sees_a_callback():
+    assert passes_then(ast.parse("draw_conditioned_env(m, k, n, r, s, p, f)", mode="eval").body)
+    assert passes_then(ast.parse("simcore.draw_conditioned_env(m, k, n, r, s, p, then=f)", mode="eval").body)
+    assert not passes_then(ast.parse("draw_conditioned_env(m, k, n, r, s, p)", mode="eval").body)

@@ -170,10 +170,8 @@ class TestYaglom:
         assert est.method == "tilted-IS+closed-form"
         assert sorted(est.pmf) == list(range(1, limits.YAGLOM_ATOMS + 1))
         assert math.fsum(p for p, _ in est.pmf.values()) + est.tail_mass == pytest.approx(1.0, abs=1e-12)
-        cond = draw_conditioned_env(
-            ws_ref(), k, n, reps, seed, f"yaglom-k{k}-n{n}", lambda batch, profile, rng: (batch.s_n,)
-        )
-        p = np.exp(cond.log_q - cond.drawn[0])
+        cond = draw_conditioned_env(ws_ref(), k, n, reps, seed, f"yaglom-k{k}-n{n}")
+        p = np.exp(cond.log_q - cond.env.s_n)
         tail = np.sum(cond.survive_w * (1.0 - p) ** limits.YAGLOM_ATOMS) / np.sum(cond.survive_w)
         assert est.tail_mass == pytest.approx(tail, rel=1e-9)
         assert 0.5 < est.tail_mass < 0.7

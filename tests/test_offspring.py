@@ -220,6 +220,8 @@ class TestConstruction:
             FiniteSupport([0.5, 0.4])
         with pytest.raises(ValidationError):
             FiniteSupport([1.1, -0.1])
+        with pytest.raises(ValidationError, match="^probs:"):
+            FiniteSupport([0.5, math.nan, 0.5])
 
     def test_lf_from_moments_roundtrip(self):
         law = lf_from_moments(1.0, 2.0)

@@ -230,6 +230,13 @@ class TestInclusionExclusion:
         with pytest.raises(ValidationError):
             inclusion_exclusion_check(ss_ref(), 7, 5, 10, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one(self, k):
+        # k = 0 gave a vacuous passing report and k = -2 a negative mean
+        with pytest.raises(ValidationError) as info:
+            inclusion_exclusion_check(ss_ref(), k, 10, 100, seed=0)
+        assert info.value.field == "k"
+
 
 class TestAlphaK:
     def test_k1_is_exactly_one(self):

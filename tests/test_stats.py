@@ -17,7 +17,7 @@ def _loop_weighted_pmf(values, weights):
         ind = (values == v).astype(float)
         p = float(np.sum(weights * ind)) / total
         resid = weights * (ind - p)
-        se = math.sqrt(float(np.sum(resid**2))) / total if n > 1 else 0.0
+        se = math.sqrt(float(np.sum(resid**2)) * n / (n - 1)) / total if n > 1 else 0.0
         out[int(v)] = (p, se)
     return out
 
@@ -33,6 +33,9 @@ def test_weighted_pmf_matches_loop(seed):
     for atom, (p, se) in ref.items():
         assert got[atom][0] == pytest.approx(p, rel=1e-12)
         assert got[atom][1] == pytest.approx(se, rel=1e-9)
+        # the SE convention of every other ratio in the package
+        ratio = ratio_and_se(weights * (values == atom), weights)
+        assert got[atom] == pytest.approx(ratio, rel=1e-9)
 
 
 def test_weighted_pmf_point_mass():
