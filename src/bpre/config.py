@@ -33,6 +33,19 @@ def strict_float(value: Any) -> float:
     return float(value)
 
 
+def positive_float(value: Any) -> float:
+    """A float above 0 from ``strict_float``; rejects NaN."""
+    value = strict_float(value)
+    if not value > 0.0:
+        raise ValueError("a component weight must be positive")
+    return value
+
+
+def renamed(exc: ValidationError, field: str) -> ValidationError:
+    """``exc`` naming ``field``, the config entry its value came from."""
+    return ValidationError(exc.message, field=field)
+
+
 def convert(to: Callable[[Any], Any], value: Any, field: str) -> Any:
     """``to(value)``; a value that does not convert is a ValidationError
     naming ``field``."""
@@ -57,16 +70,20 @@ def law_from_config(spec: Any, path: str = "law") -> OffspringLaw:
         body = spec["lf"]
         if not isinstance(body, dict) or set(body) != {"A", "B"}:
             raise ValidationError("lf law needs exactly fields A and B", field=path)
-        return LinearFractional(
-            *(convert(strict_float, body[name], f"{path}.lf.{name}") for name in ("A", "B"))
-        )
+        a, b = (convert(strict_float, body[name], f"{path}.lf.{name}") for name in ("A", "B"))
+        try:
+            return LinearFractional(a, b)
+        except ValidationError as exc:  # names A or B
+            raise renamed(exc, f"{path}.lf.{exc.field}") from None
     if "fs" in spec:
         body = spec["fs"]
         if not isinstance(body, list):
             raise ValidationError("fs law needs a probability list", field=path)
-        return FiniteSupport(
-            [convert(strict_float, v, f"{path}.fs[{j}]") for j, v in enumerate(body)]
-        )
+        probs = [convert(strict_float, v, f"{path}.fs[{j}]") for j, v in enumerate(body)]
+        try:
+            return FiniteSupport(probs)
+        except ValidationError as exc:
+            raise renamed(exc, f"{path}.fs") from None
     raise ValidationError(f"unknown law family {set(spec)}", field=path)
 
 
@@ -96,10 +113,13 @@ def model_from_config(spec: Any, path: str = "model") -> EnvironmentModel:
         comps.append(
             (
                 law_from_config(entry["law"], path=f"{path}.components[{i}].law"),
-                convert(strict_float, entry["weight"], f"{path}.components[{i}].weight"),
+                convert(positive_float, entry["weight"], f"{path}.components[{i}].weight"),
             )
         )
-    return EnvironmentModel(comps)
+    try:
+        return EnvironmentModel(comps)
+    except ValidationError as exc:  # names components
+        raise renamed(exc, f"{path}.{exc.field}") from None
 
 
 def env_from_config(spec: Any, path: str = "env") -> EnvSequence:

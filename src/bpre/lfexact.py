@@ -160,8 +160,13 @@ def lf_minorant(law: OffspringLaw) -> LinearFractional:
 
 def any_survive(log_q: np.ndarray, k: int) -> np.ndarray:
     """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines`` from log q, stable for tiny q."""
+    return _any_survive(np.exp(np.minimum(log_q, 0.0)), k)
+
+
+def _any_survive(q: np.ndarray, k: int) -> np.ndarray:
+    """``any_survive`` from q <= 1 itself."""
     with np.errstate(divide="ignore"):
-        return -np.expm1(k * np.log1p(-np.exp(np.minimum(log_q, 0.0))))
+        return -np.expm1(k * np.log1p(-q))
 
 
 def surviving_lines(log_q: np.ndarray, k: int):
@@ -175,7 +180,8 @@ def surviving_lines(log_q: np.ndarray, k: int):
         return
     q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_norm = np.log(any_survive(log_q, k) / q)
+        # min(e**log q, 1) is e**min(log q, 0), the q of ``any_survive``
+        log_norm = np.log(_any_survive(np.minimum(q, 1.0), k) / q)
         # where q is not a normal float, P(J >= 1)/q is k to double precision
         log_norm[~(q >= np.finfo(float).tiny)] = math.log(k)
         # log(1 - q) to an ulp of 1, which is all an exponent needs; -inf at q = 1

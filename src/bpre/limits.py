@@ -37,7 +37,9 @@ from .errors import (
     ConditioningStarvationError,
     ValidationError,
 )
-from .lfexact import SurvivorTail, _step_table, conditioned_law, lf_forward, surviving_lines
+from .lfexact import (
+    SurvivorTail, _step_table, conditioned_law, lf_forward, log_survival_profile, surviving_lines,
+)
 from .offspring import FiniteSupport, pgf
 from .regime import expected_mean, regime_of
 from .simcore import (
@@ -51,7 +53,6 @@ from .stats import (
     column_moments,
     ratio_and_se,
     weighted_means_and_se,
-    weighted_median,
     weighted_pmf,
 )
 
@@ -464,7 +465,7 @@ class QProcessRun:
     regime: str
     method: str  # exact kernel chain, or finite-horizon approximation
     horizon: int
-    medians: tuple[float, ...]  # per-generation median population
+    medians: tuple[float, ...]  # per generation, smallest z with P(Y_t <= z) >= 1/2
     final_pmf: dict[int, tuple[float, float]] | None
     overflow_mass: float
     reps: int
@@ -528,14 +529,13 @@ def qprocess_run(
             return (traj,)
 
         (traj,) = streams.run_chunks(chunk, reps, seed, purpose)
-        medians = tuple(float(np.median(traj[:, i])) for i in range(horizon + 1))
-        final_pmf = weighted_pmf(traj[:, -1], np.ones(len(traj)))
+        ones = np.ones(len(traj))
         return QProcessRun(
             regime=regime,
             method="exact-kernel-chain",
             horizon=horizon,
-            medians=medians,
-            final_pmf=final_pmf,
+            medians=_sampled_medians(traj, ones),
+            final_pmf=weighted_pmf(traj[:, -1], ones),
             overflow_mass=0.0,
             reps=reps,
             seed_info=streams.seed_provenance(seed, purpose),
@@ -546,17 +546,14 @@ def qprocess_run(
         return _qprocess_closed_form(model, k, horizon, reps, seed, method)
     cond = conditioned_trajectories(model, k, horizon, QPROCESS_LOOKAHEAD, reps, seed)
     (traj, over), survive_w = cond.drawn, cond.survive_w
-    ok = ~over
     total_w = float(np.sum(survive_w))
-    medians = tuple(
-        weighted_median(traj[ok, i], survive_w[ok]) for i in range(horizon + 1)
-    )
-    overflow_mass = float(np.sum(survive_w[~ok])) / total_w if total_w > 0 else 0.0
+    overflow_mass = float(np.sum(survive_w[over])) / total_w if total_w > 0 else 0.0
+    kept = np.where(over, 0.0, survive_w)
     return QProcessRun(
         regime="WS",
         method=method,
         horizon=horizon,
-        medians=medians,
+        medians=_sampled_medians(traj, kept),
         final_pmf=None,
         overflow_mass=overflow_mass,
         reps=cond.reps_used,
@@ -565,26 +562,22 @@ def qprocess_run(
 
 
 def _qprocess_closed_form(model, k, horizon, reps, seed, method) -> QProcessRun:
-    """The WS ``qprocess_run`` of an all-LF model: each median is the
-    smallest z at which the weighted mean over the drawn environments of
-    P(Z_t <= z | Z_n > 0, environment), n = horizon + QPROCESS_LOOKAHEAD,
-    reaches 1/2, as in ``weighted_median``. The draws, escalation and
-    provenance are those of ``conditioned_trajectories``."""
+    """The WS ``qprocess_run`` of an all-LF model: each median is that of the
+    weighted mean over the drawn environments of P(Z_t > z, Z_n > 0 |
+    environment), n = horizon + QPROCESS_LOOKAHEAD. The draws, escalation
+    and provenance are those of ``conditioned_trajectories``; the survival
+    profile is read from the record after the draw."""
     cond = draw_conditioned_env(
-        model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, f"qtraj-k{k}-h{horizon}",
-        lambda batch, lu, rng: (lu[:, : horizon + 1],),
+        model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, f"qtraj-k{k}-h{horizon}"
     )
-    (lu,), env = cond.drawn, cond.env
-    total = float(cond.survive_w.sum())
-    medians, guess = [], 1
-    for tail in _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w):
-        guess = _tail_median(tail, total, guess)
-        medians.append(float(guess))
+    env = cond.env
+    lu = log_survival_profile(model, env)
+    tails = _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w)
     return QProcessRun(
         regime="WS",
         method=f"{method}+closed-form",
         horizon=horizon,
-        medians=tuple(medians),
+        medians=_medians(tails, float(cond.survive_w.sum())),
         final_pmf=None,
         overflow_mass=0.0,
         reps=cond.reps_used,
@@ -601,7 +594,26 @@ def _marginal_tails(model, k, lu, idx, w):
         yield SurvivorTail.of(s, g, lu[:, t], k, w)
 
 
-def _tail_median(tail: SurvivorTail, total: float, guess: int) -> int:
+def _sampled_medians(traj, w) -> tuple[float, ...]:
+    """``_medians`` of the columns of the sampled trajectories ``traj``, rows
+    weighted by ``w``: the tail of column t is z -> w (Y_t > z)."""
+    return _medians([lambda z, col=col: w[col > z] for col in traj.T], float(w.sum()))
+
+
+def _medians(tails, total: float) -> tuple[float, ...]:
+    """The ``_tail_median`` of each tail in turn, each search started from
+    the median before it: per generation, the smallest z with weighted
+    P(Y_t <= z) >= 1/2. NaN at every generation when ``total`` is 0."""
+    if total == 0.0:
+        return tuple(math.nan for _ in tails)
+    medians, guess = [], 1
+    for tail in tails:
+        guess = _tail_median(tail, total, guess)
+        medians.append(float(guess))
+    return tuple(medians)
+
+
+def _tail_median(tail, total: float, guess: int) -> int:
     """Smallest z with tail(z).sum() <= total / 2, where tail(0) sums to
     ``total``: steps from ``guess`` >= 1 by doubling strides to a bracket,
     then bisects it."""

@@ -145,8 +145,9 @@ MAX_DP_HORIZON = 64
 
 
 def _lattice_spacing(model: EnvironmentModel) -> float:
-    """Common lattice spacing of the nonzero log means, or raise."""
-    values = [v for v in model.log_means if abs(v) > LATTICE_TOL]
+    """Common lattice spacing of the nonzero finite log means, or raise; a
+    zero-mean component's step, -inf, is on no lattice and sets none."""
+    values = [v for v in model.log_means if LATTICE_TOL < abs(v) < math.inf]
     if not values:
         return 0.0  # all steps are zero
     g = abs(values[0])
@@ -164,7 +165,7 @@ def _lattice_spacing(model: EnvironmentModel) -> float:
             + ", ".join(f"{v:.12g}" for v in model.log_means)
         )
     for law, v in zip(model.laws, model.log_means):
-        if abs(v - round(v / g) * g) > LATTICE_TOL:
+        if abs(v) < math.inf and abs(v - round(v / g) * g) > LATTICE_TOL:
             raise NonLatticeError(
                 f"component with mean {moments(law)[0]:.12g} is off the lattice "
                 f"(log mean {v:.12g}, spacing {g:.12g})"
@@ -175,8 +176,9 @@ def _lattice_spacing(model: EnvironmentModel) -> float:
 def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
     """Exact P(running minimum >= -x) by dynamic programming on the lattice.
 
-    Requires every log mean on a common lattice and x a lattice point.
-    The walk is absorbed as soon as it steps below -x.
+    Requires every finite log mean on a common lattice and x a lattice
+    point. The walk is absorbed as soon as it steps below -x, and a
+    zero-mean component's step, -inf, takes it below every finite -x.
     """
     _check_level(x)
     if n < 0:
@@ -186,16 +188,21 @@ def ln_tail_exact(model: EnvironmentModel, n: int, x: float) -> float:
             f"exact oracle capped at horizon {MAX_DP_HORIZON}, got {n}", field="n"
         )
     spacing = _lattice_spacing(model)
-    if spacing == 0.0 or x == math.inf:
-        return 1.0  # zero-drift degenerate walk never goes below 0, none below -inf
+    if x == math.inf:
+        return 1.0  # no step goes below -inf
+    finite = model.log_means > -math.inf
+    if spacing == 0.0:
+        # every finite step is 0, so the walk leaves 0 only by a -inf step
+        return (1.0 - math.fsum(model.weights[~finite])) ** n
     x_units_f = x / spacing
     x_units = round(x_units_f)
     if abs(x_units_f - x_units) > 1e-6:
         raise ValidationError(
             f"x = {x} is not on the lattice with spacing {spacing:.12g}", field="x"
         )
-    step_units = [int(round(v / spacing)) for v in model.log_means]
-    weights = [w for _, w in model.components]
+    # the mass of a -inf step leaves the walk, so it has no entry here
+    step_units = [int(round(v / spacing)) for v in model.log_means[finite]]
+    weights = model.weights[finite].tolist()
     floor_units = -x_units
     dist: dict[int, float] = {0: 1.0}
     for _ in range(n):

@@ -163,13 +163,3 @@ def linear_r_squared(x: np.ndarray, y: np.ndarray) -> float:
         return 1.0
     return 1.0 - ss_res / ss_tot
 
-
-def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values)
-    v = np.asarray(values, dtype=float)[order]
-    w = np.asarray(weights, dtype=float)[order]
-    cum = np.cumsum(w)
-    if not len(cum) or cum[-1] == 0.0:
-        return math.nan
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(v[min(idx, len(v) - 1)])

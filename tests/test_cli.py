@@ -312,9 +312,10 @@ class TestCliEndToEnd:
     @pytest.mark.parametrize(
         "field, components",
         [
-            ("components", [{"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": math.nan},
-                            {"law": {"lf": {"A": 0.1, "B": 0.5}}, "weight": 0.5}]),
-            ("probs", [{"law": {"fs": [0.5, math.nan, 0.5]}, "weight": 1.0}]),
+            ("model.components[0].weight",
+             [{"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": math.nan},
+              {"law": {"lf": {"A": 0.1, "B": 0.5}}, "weight": 0.5}]),
+            ("model.components[0].law.fs", [{"law": {"fs": [0.5, math.nan, 0.5]}, "weight": 1.0}]),
         ],
         ids=["weight-nan", "fs-nan"],
     )
@@ -328,6 +329,32 @@ class TestCliEndToEnd:
         code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
         assert (code, out) == (EXIT_VALIDATION, "")
         assert f"{field}:" in err
+
+    @pytest.mark.parametrize(
+        "field, components",
+        [
+            ("model.components[1].weight",
+             [{"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": 1.5},
+              {"law": {"lf": {"A": 0.1, "B": 0.5}}, "weight": -0.5}]),
+            ("model.components[1].law.fs",
+             [{"law": {"lf": {"A": 0.25, "B": 0.5}}, "weight": 0.5},
+              {"law": {"fs": [0.5, -0.5, 1.0]}, "weight": 0.5}]),
+            ("model.components[0].law.lf.A", [{"law": {"lf": {"A": 1.2, "B": 0.5}}, "weight": 1.0}]),
+            ("model.components[1].law.lf.B",
+             [{"law": {"fs": [0.5, 0.5]}, "weight": 0.5},
+              {"law": {"lf": {"A": 0.2, "B": 1.5}}, "weight": 0.5}]),
+            ("model.components", [{"law": {"lf": {"A": 0.2, "B": 0.5}}, "weight": 0.7}]),
+        ],
+        ids=["weight-negative", "fs-negative", "A-above-1", "B-above-1", "weights-sum"],
+    )
+    def test_bad_value_in_model_names_its_entry(self, field, components, capsys, tmp_path):
+        # a value out of its law's range is named by its path in the config,
+        # so the bad entry of a many-component model can be found
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"op": "regime", "model": {"components": components}, "seed": 1}))
+        code, out, err = run_cli(["run", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert f"validation error: {field}: " in err
 
     def test_quenched_rejects_format_flag(self, capsys, tmp_path):
         # quenched has no records, so there is nothing to write as CSV

@@ -74,6 +74,14 @@ def test_finite_support_qprocess():
     assert (value.hex(), se.hex()) == ("0x1.b0cf87d9c54a7p-2", "0x1.a214fbb61bb9cp-7")
 
 
+def test_ss_qprocess_medians():
+    # each median is the smallest z with P(Y_t <= z) >= 1/2, as in every
+    # Q-process branch; the ECDF of Y_7 at 3 is exactly 1/2, where the
+    # average of the two middle values, np.median, gave 3.5
+    run = qprocess_run(ss_ref(), 1, 10, 1500, seed=2)
+    assert run.medians == (1.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 3.0, 4.0, 4.0, 4.0)
+
+
 def test_ws_qprocess_medians():
     # medians of the closed-form conditioned laws, integrated over the drawn
     # environments; the sampled trajectories gave (2, 6, 16, 30, 37, 35, 63)

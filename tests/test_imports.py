@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import bpre
-from bpre.environment import EnvBatch
+from bpre.environment import EnvBatch, EnvironmentModel, ss_ref, ws_ref
+from bpre.offspring import FiniteSupport
 from bpre.simcore import ConditionedEnvSamples, EnvSamples
 
 MODULES = sorted(
@@ -323,10 +324,11 @@ def test_cli_ops_import_no_scipy():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-# the estimators that pass ``then`` to ``draw_conditioned_env``: each draws on
-# the chunk's stream or reads the survival profile, which the record does
-# not keep; functionals of the environments themselves are read from ``env``
-CONDITIONED_DRAW_CALLBACKS = {"yaglom", "conditioned_trajectories", "_qprocess_closed_form"}
+# the estimators that pass ``then`` to ``draw_conditioned_env``: each draws
+# populations on the chunk's stream, which the record does not keep;
+# functionals of the environments themselves, the survival profile
+# included, are read from ``env`` after the draw
+CONDITIONED_DRAW_CALLBACKS = {"yaglom", "conditioned_trajectories"}
 
 
 def passes_then(node: ast.AST) -> bool:
@@ -364,3 +366,29 @@ def test_then_check_sees_a_callback():
     assert passes_then(ast.parse("draw_conditioned_env(m, k, n, r, s, p, f)", mode="eval").body)
     assert passes_then(ast.parse("simcore.draw_conditioned_env(m, k, n, r, s, p, then=f)", mode="eval").body)
     assert not passes_then(ast.parse("draw_conditioned_env(m, k, n, r, s, p)", mode="eval").body)
+
+
+def test_one_qprocess_median(monkeypatch):
+    # every branch of qprocess_run, the SS/IS chain and the closed-form and
+    # sampled WS laws, reports its medians through the one weighted-tail
+    # search, and no other median is left in limits or stats
+    from bpre import limits
+
+    assert "weighted_median" not in module_definitions("stats")
+    limits_tree = ast.parse((Path(bpre.__file__).parent / "limits.py").read_text(encoding="utf-8"))
+    assert names_in(limits_tree).isdisjoint({"median", "weighted_median"})
+    searches = []
+    search = limits._tail_median
+    monkeypatch.setattr(limits, "_tail_median", lambda *a: searches.append(a) or search(*a))
+    fs_ws = EnvironmentModel(
+        [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.3, 0.3, 0.2, 0.2)), 0.5)]
+    )
+    for model, method in [
+        (ss_ref(), "exact-kernel-chain"),
+        (ws_ref(), "finite-horizon-approximation(lookahead=10)+closed-form"),
+        (fs_ws, "finite-horizon-approximation(lookahead=10)"),
+    ]:
+        searches.clear()
+        run = limits.qprocess_run(model, 1, 3, 512, seed=1)
+        assert run.method == method
+        assert len(searches) == len(run.medians) == 4

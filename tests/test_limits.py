@@ -400,6 +400,18 @@ class TestQProcessRun:
             assert limits._tail_median(tail, total, 1) == int(np.argmax(want >= 0.5))
         assert t == horizon
 
+    def test_sampled_medians_match_the_weighted_cdf(self):
+        # the search against the smallest z whose weighted CDF reaches 1/2,
+        # on sampled columns with ties, zero weights and wide spreads
+        rng = stream(31, "t")
+        for scale in (1, 5, 1000):
+            traj = 1 + rng.geometric(1.0 / scale, size=(300, 6))
+            w = rng.random(300) * (rng.random(300) > 0.2)
+            for col, median in zip(traj.T, limits._sampled_medians(traj, w)):
+                values = np.unique(col)
+                cdf = np.array([w[col <= v].sum() for v in values])
+                assert median == values[np.argmax(cdf >= 0.5 * w.sum())]
+
     def test_ws_closed_form_run(self):
         run = qprocess_run(ws_ref(), 2, 4, 2000, seed=30)
         assert run.method == f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})+closed-form"

@@ -17,7 +17,7 @@ from bpre.environment import (
 )
 from bpre.errors import NonLatticeError, ValidationError
 from bpre.lfexact import quenched_survival
-from bpre.offspring import geometric_lf, moments
+from bpre.offspring import FiniteSupport, geometric_lf, moments
 from bpre.rwalk import (
     WalkPath,
     ln_tail,
@@ -113,6 +113,25 @@ class TestExactTail:
     def test_horizon_cap(self):
         with pytest.raises(ValidationError):
             ln_tail_exact(ws_ref(), 65, 0.0)
+
+    @pytest.mark.parametrize(
+        "live, x",
+        [
+            ((0.3, 0.3, 0.2, 0.2), 0.0),
+            ((0.3, 0.3, 0.2, 0.2), math.log(1.3)),  # one lattice step
+            ((0.5, 0.0, 0.5), 0.0),
+            ((0.5, 0.0, 0.5), 1.0),
+        ],
+        ids=["mean-1.3-x0", "mean-1.3-x1", "mean-1-x0", "mean-1-x1"],
+    )
+    def test_zero_mean_step_leaves_every_level(self, live, x):
+        # the zero-mean component's step is -inf, below every finite -x, and
+        # the other never steps down: the walk stays above -x with 0.5**3
+        model = EnvironmentModel([(FiniteSupport((1.0,)), 0.5), (FiniteSupport(live), 0.5)])
+        assert ln_tail_exact(model, 3, x) == 0.125
+        assert ln_tail_exact(model, 3, math.inf) == 1.0
+        est = ln_tail(model, 3, x, 20000, seed=6)
+        assert abs(est.value - 0.125) < 4 * est.std_error
 
 
 class TestMonteCarloTail:

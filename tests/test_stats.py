@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_median, weighted_pmf
+from bpre.limits import _sampled_medians
+from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_pmf
 
 
 def _loop_weighted_pmf(values, weights):
@@ -49,10 +50,11 @@ def test_weighted_pmf_zero_weight_is_empty():
 
 
 def test_weighted_median_without_weight_is_nan():
-    # a sampled WS Q-process whose every replicate overflows has no rows left
-    assert math.isnan(weighted_median(np.array([], dtype=np.int64), np.array([])))
-    assert math.isnan(weighted_median(np.array([1, 2]), np.zeros(2)))
-    assert weighted_median(np.array([3, 1, 2]), np.ones(3)) == 2.0
+    # the median search of every Q-process branch, on one generation; a
+    # sampled WS Q-process whose every replicate overflows has no weight left
+    assert math.isnan(*_sampled_medians(np.zeros((0, 1), dtype=np.int64), np.array([])))
+    assert math.isnan(*_sampled_medians(np.array([[1], [2]]), np.zeros(2)))
+    assert _sampled_medians(np.array([[3], [1], [2]]), np.ones(3)) == (2.0,)
 
 
 def test_ratio_of_zero_denominator():
