@@ -6,8 +6,10 @@ each drawn environment contributes its exact law, the Yaglom law through
 ``lfexact.conditioned_law`` and the marginals of the weakly subcritical
 Q-process through ``lfexact.SurvivorTail``. Conditioned populations (the
 Yaglom skeleton and the WS Q-process trajectories) are sampled only for
-finite-support and mixed models; the SS/IS Q-process steps its exact
-kernel for every model.
+finite-support and mixed models, by one sampler, ``_sample_populations``,
+after the conditioned draw: it reads the draw's record (environments and
+log q), the survival profile of those environments and a stream of its
+own. The SS/IS Q-process steps its exact kernel for every model.
 
 Sampling Z_n given survival is done exactly, per environment, through the
 prolific-skeleton decomposition: an individual is prolific when it has a
@@ -44,7 +46,6 @@ from .offspring import FiniteSupport, pgf
 from .regime import expected_mean, regime_of
 from .simcore import (
     METHOD_EXACT,
-    ConditionedEnvSamples,
     check_k,
     draw_conditioned_env,
     evolve_lineages,
@@ -191,26 +192,43 @@ def conditioned_binomial_positive(k: int, log_q: np.ndarray, rng) -> np.ndarray:
     return picks
 
 
-# --- conditioned environment + skeleton sampling ------------------------------
+# --- populations sampled given the conditioned draw ----------------------------
 
 
-def _evolve_skeleton(model, idx, lu, z0, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve prolific counts generation by generation for a whole chunk.
+def _sample_populations(cond, lu, k, generations, dressed, seed, purpose):
+    """Populations of every replicate of the conditioned draw ``cond``, given
+    its environments and their log survival profile ``lu``.
 
-    ``lu`` is the chunk's log survival profile. Returns (final counts,
-    overflow mask); overflowed replicates are frozen at zero and must be
-    folded into reported tail mass.
+    The lines of the k initial particles alive at the horizon are drawn by
+    ``conditioned_binomial_positive``, then ``generations`` generations by
+    ``_generation``. The skeleton (``dressed`` false) steps the prolific
+    individuals alone and keeps the last generation's count; the dressed
+    trajectories also draw the doomed individuals and keep the totals Z_0..
+    Z_generations. Rows that pass ``POPULATION_CAP`` are frozen at zero and
+    flagged. Chunk i of the rows draws from stream (seed, purpose + "-pop",
+    i). Returns (sizes, overflow mask).
     """
-    z = z0.astype(np.int64)
-    overflow = np.zeros(len(z), dtype=bool)
-    for i in range(idx.shape[1]):
-        if not z.any():
-            break
-        z, _ = _generation(model, idx[:, i], lu[:, i + 1], None, z, None, rng)
-        over = z > POPULATION_CAP
-        overflow |= over
-        z[over] = 0
-    return z, overflow
+    model, idx = cond.env.model, cond.env.idx
+
+    def chunk(rng, count, start):
+        rows = slice(start, start + count)
+        prolific = conditioned_binomial_positive(k, cond.log_q[rows], rng)
+        doomed = k - prolific if dressed else None
+        sizes = [np.full(count, k)]
+        overflow = np.zeros(count, dtype=bool)
+        for i in range(generations):
+            prolific, doomed = _generation(
+                model, idx[rows, i], lu[rows, i + 1], lu[rows, i], prolific, doomed, rng
+            )
+            over = (prolific if doomed is None else prolific + doomed) > POPULATION_CAP
+            overflow |= over
+            prolific[over] = 0
+            if dressed:
+                doomed[over] = 0
+                sizes.append(prolific + doomed)
+        return (np.stack(sizes, axis=1) if dressed else prolific), overflow
+
+    return streams.run_chunks(chunk, cond.reps_used, seed, f"{purpose}-pop")
 
 
 @dataclass(frozen=True)
@@ -248,55 +266,58 @@ def yaglom(
     (importance weight) x P(survival | environment). For an all-LF model the
     conditioned law of each environment has a closed form
     (``lfexact.conditioned_law``), and the estimate is its weighted mean.
-    Otherwise each environment carries one sample: the number of surviving
-    initial lineages is an exactly-sampled conditioned binomial, and each
-    surviving lineage's population an exact skeleton sample.
+    Otherwise each environment carries one sample of Z_n, the skeleton of
+    ``_sample_populations``: the number of surviving initial lineages is an
+    exactly-sampled conditioned binomial, and each surviving lineage's
+    population an exact skeleton sample.
     """
     purpose = f"yaglom-k{k}-n{n}"
+    cond = draw_conditioned_env(model, k, n, reps, seed, purpose)
     if model.all_linear_fractional:
-        return _yaglom_closed_form(model, k, n, reps, seed, purpose)
-
-    def then(batch, lu, rng):
-        n_alive = conditioned_binomial_positive(k, lu[:, 0], rng)
-        return _evolve_skeleton(model, batch.idx, lu, n_alive, rng)
-
-    cond = draw_conditioned_env(model, k, n, reps, seed, purpose, then)
-    (z, overflow), survive_w = cond.drawn, cond.survive_w
-    total_w = float(np.sum(survive_w))
-    ok = ~overflow
-    ok_fraction = float(np.sum(survive_w[ok])) / total_w if total_w > 0 else 0.0
-    # pmf mass is scaled so that pmf + tail_mass accounts for all weight
-    pmf = {
-        size: (p * ok_fraction, se * ok_fraction)
-        for size, (p, se) in weighted_pmf(z[ok], survive_w[ok]).items()
-    }
-    tail_mass = 1.0 - ok_fraction
-    pgf_values = []
-    for s in S_GRID:
-        if s >= 1.0:
-            pgf_values.append(1.0)
-        else:
-            vals = np.where(overflow, 0.0, np.power(s, z))
-            pgf_values.append(float(np.sum(survive_w * vals) / total_w))
+        pmf, pgf_values, tail_mass = _closed_form_law(cond, k)
+        method = f"{cond.method}+closed-form"
+    else:
+        lu = log_survival_profile(model, cond.env)
+        z, overflow = _sample_populations(cond, lu, k, n, False, seed, purpose)
+        pmf, pgf_values, tail_mass = _sampled_law(z, overflow, cond.survive_w)
+        method = cond.method
     return YaglomEstimate(
         k=k,
         n=n,
         pmf=pmf,
         s_grid=S_GRID,
-        pgf_values=tuple(pgf_values),
+        pgf_values=pgf_values,
         tail_mass=tail_mass,
         effective_events=cond.effective_events,
         reps_used=cond.reps_used,
-        method=cond.method,
+        method=method,
         seed_info=cond.seed_info,
     )
 
 
-def _yaglom_closed_form(model, k, n, reps, seed, purpose) -> YaglomEstimate:
-    """``yaglom`` of an all-LF model: the weighted mean over environments of
-    the closed-form conditioned law, atoms 1..YAGLOM_ATOMS and the pgf,
-    integrated one block of CLOSED_FORM_BLOCK replicates at a time."""
-    cond = draw_conditioned_env(model, k, n, reps, seed, purpose)
+def _sampled_law(z, overflow, survive_w):
+    """(pmf, pgf values, tail mass) of the sampled sizes ``z`` weighted by
+    ``survive_w``; overflowed rows are the tail mass, and the pmf mass is
+    scaled so that pmf + tail mass accounts for all weight."""
+    total_w = float(np.sum(survive_w))
+    kept = np.where(overflow, 0.0, survive_w)
+    ok = ~overflow
+    ok_fraction = float(np.sum(kept)) / total_w if total_w > 0 else 0.0
+    pmf = {
+        size: (p * ok_fraction, se * ok_fraction)
+        for size, (p, se) in weighted_pmf(z[ok], survive_w[ok]).items()
+    }
+    pgf_values = tuple(
+        1.0 if s >= 1.0 else float(np.sum(kept * np.power(s, z)) / total_w) for s in S_GRID
+    )
+    return pmf, pgf_values, 1.0 - ok_fraction
+
+
+def _closed_form_law(cond, k):
+    """(pmf, pgf values, tail mass) of an all-LF draw: the weighted mean over
+    environments of the closed-form conditioned law, atoms 1..YAGLOM_ATOMS
+    and the pgf, integrated one block of CLOSED_FORM_BLOCK replicates at a
+    time."""
     s_n, log_q = cond.env.s_n, cond.log_q
     # the largest weight in [0.5, 1), so that squared weights do not underflow
     w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
@@ -309,17 +330,10 @@ def _yaglom_closed_form(model, k, n, reps, seed, purpose) -> YaglomEstimate:
         pgf_sum += np.einsum("ij,i->j", pgf_rows, w[rows])
     values, ses = weighted_means_and_se(moments, w)
     pgf_values = pgf_sum / float(w.sum())
-    return YaglomEstimate(
-        k=k,
-        n=n,
-        pmf={z: (float(v), float(se)) for z, v, se in zip(range(1, YAGLOM_ATOMS + 1), values, ses)},
-        s_grid=S_GRID,
-        pgf_values=tuple(1.0 if s >= 1.0 else float(g) for s, g in zip(S_GRID, pgf_values)),
-        tail_mass=max(0.0, 1.0 - math.fsum(values)),
-        effective_events=cond.effective_events,
-        reps_used=cond.reps_used,
-        method=f"{cond.method}+closed-form",
-        seed_info=cond.seed_info,
+    return (
+        {z: (float(v), float(se)) for z, v, se in zip(range(1, YAGLOM_ATOMS + 1), values, ses)},
+        tuple(1.0 if s >= 1.0 else float(g) for s, g in zip(S_GRID, pgf_values)),
+        max(0.0, 1.0 - math.fsum(values)),
     )
 
 
@@ -509,9 +523,10 @@ def qprocess_run(
     SS/IS: the exact one-step kernel drives the chain. WS: no exact kernel
     exists, so Z_t is conditioned on survival ``QPROCESS_LOOKAHEAD``
     generations past the horizon (finite-horizon approximation, labeled as
-    such in the output). For an all-LF model each median comes from the
-    exact conditioned tails of the drawn environments; otherwise the
-    trajectories are sampled.
+    such in the output). One conditioned draw and its survival profile
+    serve both WS laws: for an all-LF model each median comes from the
+    exact conditioned tails of the drawn environments; otherwise the dressed
+    trajectories of ``_sample_populations`` are sampled given them.
     """
     check_k(k)
     if horizon < 0:
@@ -540,46 +555,26 @@ def qprocess_run(
             reps=reps,
             seed_info=streams.seed_provenance(seed, purpose),
         )
-    # WS: finite-horizon conditioned laws
+    # WS: conditioned on survival QPROCESS_LOOKAHEAD generations past the horizon
     method = f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
+    purpose = f"qtraj-k{k}-h{horizon}"
+    cond = draw_conditioned_env(model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, purpose)
+    lu = log_survival_profile(model, cond.env)
+    total_w = float(cond.survive_w.sum())
     if model.all_linear_fractional:
-        return _qprocess_closed_form(model, k, horizon, reps, seed, method)
-    cond = conditioned_trajectories(model, k, horizon, QPROCESS_LOOKAHEAD, reps, seed)
-    (traj, over), survive_w = cond.drawn, cond.survive_w
-    total_w = float(np.sum(survive_w))
-    overflow_mass = float(np.sum(survive_w[over])) / total_w if total_w > 0 else 0.0
-    kept = np.where(over, 0.0, survive_w)
+        tails = _marginal_tails(model, k, lu, cond.env.idx[:, :horizon], cond.env.w)
+        medians, overflow_mass, method = _medians(tails, total_w), 0.0, f"{method}+closed-form"
+    else:
+        traj, over = _sample_populations(cond, lu, k, horizon, True, seed, purpose)
+        medians = _sampled_medians(traj, np.where(over, 0.0, cond.survive_w))
+        overflow_mass = float(np.sum(cond.survive_w[over])) / total_w if total_w > 0 else 0.0
     return QProcessRun(
         regime="WS",
         method=method,
         horizon=horizon,
-        medians=_sampled_medians(traj, kept),
+        medians=medians,
         final_pmf=None,
         overflow_mass=overflow_mass,
-        reps=cond.reps_used,
-        seed_info=cond.seed_info,
-    )
-
-
-def _qprocess_closed_form(model, k, horizon, reps, seed, method) -> QProcessRun:
-    """The WS ``qprocess_run`` of an all-LF model: each median is that of the
-    weighted mean over the drawn environments of P(Z_t > z, Z_n > 0 |
-    environment), n = horizon + QPROCESS_LOOKAHEAD. The draws, escalation
-    and provenance are those of ``conditioned_trajectories``; the survival
-    profile is read from the record after the draw."""
-    cond = draw_conditioned_env(
-        model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, f"qtraj-k{k}-h{horizon}"
-    )
-    env = cond.env
-    lu = log_survival_profile(model, env)
-    tails = _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w)
-    return QProcessRun(
-        regime="WS",
-        method=f"{method}+closed-form",
-        horizon=horizon,
-        medians=_medians(tails, float(cond.survive_w.sum())),
-        final_pmf=None,
-        overflow_mass=0.0,
         reps=cond.reps_used,
         seed_info=cond.seed_info,
     )
@@ -637,51 +632,6 @@ def _tail_median(tail, total: float, guess: int) -> int:
         else:
             hi = mid
     return hi
-
-
-def conditioned_trajectories(
-    model: EnvironmentModel,
-    k: int,
-    horizon: int,
-    lookahead: int,
-    reps: int,
-    seed: int = 0,
-) -> ConditionedEnvSamples:
-    """Population trajectories Z_0..Z_horizon given survival at horizon+lookahead.
-
-    Returns the conditioned draw with ``drawn`` = (trajectories, overflow
-    mask); statistics of the rows weighted by ``survive_w`` approximate the
-    conditioned law.
-    """
-    return draw_conditioned_env(
-        model, k, horizon + lookahead, reps, seed, f"qtraj-k{k}-h{horizon}",
-        lambda batch, lu, rng: _dressed_trajectories(model, k, horizon, batch.idx, lu, rng),
-    )
-
-
-def _dressed_trajectories(model, k, record, idx, lu, rng):
-    """Full conditioned population trajectories (prolific + doomed parts).
-
-    Prolific individuals carry the skeleton; each prolific parent also
-    spawns doomed children, and doomed subtrees evolve under the
-    extinction-conditioned offspring law. ``lu`` is the log survival profile
-    of the environments ``idx``. Records Z_0..Z_record; returns
-    (trajectories, overflow mask).
-    """
-    count = len(idx)
-    prolific = conditioned_binomial_positive(k, lu[:, 0], rng)
-    doomed = k - prolific
-    overflow = np.zeros(count, dtype=bool)
-    traj = np.zeros((count, record + 1), dtype=np.int64)
-    traj[:, 0] = k
-    for i in range(record):
-        prolific, doomed = _generation(model, idx[:, i], lu[:, i + 1], lu[:, i], prolific, doomed, rng)
-        over = prolific + doomed > POPULATION_CAP
-        overflow |= over
-        prolific[over] = 0
-        doomed[over] = 0
-        traj[:, i + 1] = prolific + doomed
-    return traj, overflow
 
 
 # --- environment posterior ------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     UnderflowError,
     ValidationError,
 )
-from .lfexact import any_survive, log_survival, log_survival_profile, surviving_lines
+from .lfexact import any_survive, log_survival, surviving_lines
 from .offspring import sample_many
 from .regime import _dphi, check_k, expected_mean, regime_of, solve_alpha, solve_gamma_tilde
 from .stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se
@@ -351,8 +351,7 @@ class ConditionedEnvSamples:
     tilt plan they were drawn under; its ``w`` is the importance weight.
     ``survive_w`` is the per-replicate product (importance weight) x
     P(some lineage survives | environment); every conditional expectation is
-    a ratio of weighted means against it. ``drawn`` holds the per-replicate
-    arrays of the ``then`` callback of ``draw_conditioned_env``, if any.
+    a ratio of weighted means against it.
     """
 
     env: EnvBatch
@@ -362,7 +361,6 @@ class ConditionedEnvSamples:
     reps_used: int
     effective_events: float
     seed_info: str
-    drawn: tuple[np.ndarray, ...] = ()
 
 
 def run_conditioned(chunk_fn, reps: int, seed: int, purpose: str):
@@ -400,7 +398,6 @@ def draw_conditioned_env(
     reps: int,
     seed: int,
     purpose: str,
-    then: Callable[[EnvBatch, np.ndarray, np.random.Generator], tuple] | None = None,
 ) -> ConditionedEnvSamples:
     """Environments conditioned on survival from k particles: the draw of
     every estimator that conditions on survival.
@@ -408,27 +405,20 @@ def draw_conditioned_env(
     Draws are tilted at the minimizing exponent in the intermediate and
     weakly subcritical regimes (the tilted walk is centered there) and plain
     in the strongly subcritical one, and ``run_conditioned`` escalates them.
-    The record keeps the environments, so functionals of them (S_n, the
-    component indices, the weights) are read from ``env`` after the draw.
-    ``then(batch, lu, rng)``, when given, receives each chunk's
-    environments, their log survival profile and the chunk's stream, and
-    returns further per-replicate arrays drawn after the environments; they
-    come back in ``drawn``. Without ``then`` the survival-only kernel runs.
+    Each chunk runs the survival-only kernel. The record keeps the
+    environments, so functionals of them (S_n, the component indices, the
+    weights, the survival profile) and populations sampled given them are
+    read from ``env`` after the draw.
     """
     check_k(k)
     plan = tilt_plan(model, solve_alpha(model)[0]) if regime_of(model) in ("IS", "WS") else None
 
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
-        if then is None:
-            log_q, drawn = log_survival(model, batch), ()
-        else:
-            lu = log_survival_profile(model, batch)
-            # column 0 of the profile has the same bits as log_survival
-            log_q, drawn = lu[:, 0], then(batch, lu, rng)
-        return (batch.w * any_survive(log_q, k), log_q, batch.codes, *drawn)
+        log_q = log_survival(model, batch)
+        return batch.w * any_survive(log_q, k), log_q, batch.codes
 
-    (survive_w, log_q, codes, *drawn), total, eff = run_conditioned(chunk, reps, seed, purpose)
+    (survive_w, log_q, codes), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
         env=EnvBatch(model, n, codes, plan),
         log_q=log_q,
@@ -437,7 +427,6 @@ def draw_conditioned_env(
         reps_used=total,
         effective_events=eff,
         seed_info=streams.seed_provenance(seed, purpose),
-        drawn=tuple(drawn),
     )
 
 

@@ -23,8 +23,9 @@ CHUNK_SIZE = 4096
 BIT_GENERATOR = np.random.SFC64
 # Version of the way draws are laid out on the streams, printed in every
 # ``seed_provenance`` string; 3 draws environments one block code per SFC64
-# uniform, one block row of the chunk at a time.
-STREAM_LAYOUT = 3
+# uniform, one block row of the chunk at a time, and 4 draws the populations
+# sampled given a conditioned draw on streams of their own.
+STREAM_LAYOUT = 4
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 

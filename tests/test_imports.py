@@ -52,8 +52,7 @@ AGGREGATE_SAMPLER = (
     "_lf_totals",
     "_fs_totals",
     "_neg_binomial",
-    "_evolve_skeleton",
-    "_dressed_trajectories",
+    "_sample_populations",
     "_marginal_tails",
     "SurvivorTail",
     "lf_forward",
@@ -324,13 +323,6 @@ def test_cli_ops_import_no_scipy():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-# the estimators that pass ``then`` to ``draw_conditioned_env``: each draws
-# populations on the chunk's stream, which the record does not keep;
-# functionals of the environments themselves, the survival profile
-# included, are read from ``env`` after the draw
-CONDITIONED_DRAW_CALLBACKS = {"yaglom", "conditioned_trajectories"}
-
-
 def passes_then(node: ast.AST) -> bool:
     """True for a ``draw_conditioned_env`` call given a seventh argument or ``then=``."""
     return (
@@ -342,24 +334,28 @@ def passes_then(node: ast.AST) -> bool:
 
 def test_conditioned_draw_keeps_its_environments():
     # the record carries the drawn environments, whose ``w`` is the
-    # importance weight; the draw hands ``then`` the profile it computed,
-    # with no lazy closure beside the chunk
+    # importance weight, and nothing drawn after them: functionals of the
+    # environments, the survival profile included, and the populations
+    # sampled given them are read from ``env`` after the draw, so the draw
+    # takes no callback and no caller passes one
     names = {f.name for f in dataclasses.fields(ConditionedEnvSamples)}
-    assert "env" in names and "w" not in names
+    assert "env" in names and names.isdisjoint({"w", "drawn"})
     draw = module_definitions("simcore")["draw_conditioned_env"]
+    params = [arg.arg for arg in draw.args.args + draw.args.kwonlyargs]
+    assert params == ["model", "k", "n", "reps", "seed", "purpose"]
     nested = [
         getattr(sub, "name", "lambda")
         for sub in ast.walk(draw)
         if isinstance(sub, (ast.FunctionDef, ast.Lambda)) and sub is not draw
     ]
     assert nested == ["chunk"], nested
-    callers = {
-        name
-        for module in ("simcore", "limits")
-        for name, node in module_definitions(module).items()
-        if any(passes_then(sub) for sub in ast.walk(node))
-    }
-    assert callers == CONDITIONED_DRAW_CALLBACKS
+    callers = [
+        path.stem
+        for path in MODULES
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if passes_then(sub)
+    ]
+    assert callers == []
 
 
 def test_then_check_sees_a_callback():

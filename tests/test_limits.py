@@ -14,7 +14,7 @@ from bpre.environment import (
     ss_ref,
     ws_ref,
 )
-from bpre import lfexact, limits, streams
+from bpre import lfexact, limits, simcore, streams
 from bpre.errors import ConditioningStarvationError, ValidationError
 from bpre.lfexact import conditioned_law, log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
@@ -26,7 +26,6 @@ from bpre.limits import (
     _pair_table,
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
-    conditioned_trajectories,
     env_posterior,
     functional_residual,
     qprocess_kernel,
@@ -55,6 +54,9 @@ FS_SS = EnvironmentModel(
 )
 FS_WS = EnvironmentModel(
     [(FiniteSupport([0.5, 0.3, 0.2]), 0.5), (FiniteSupport([0.3, 0.3, 0.2, 0.2]), 0.5)]
+)
+MIXED = EnvironmentModel(
+    [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
 )
 
 
@@ -196,6 +198,19 @@ class TestYaglom:
             assert abs(value - exact[z - 1]) < 4 * se
         np.testing.assert_allclose(est.pgf_values, weight @ pgf_rows / weight.sum(), atol=0.02)
 
+    @pytest.mark.parametrize("model", [FS_WS, MIXED], ids=["fs-ws", "mixed"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sampled_matches_enumeration(self, model, k):
+        # the sampled skeleton against P(Z_n = z | Z_n > 0) over every one of
+        # the 2**n environments (lookahead 0: the law at the horizon itself)
+        n = 6
+        _, _, joint, alive = _enumerated_marginals(model, k, n, 80, lookahead=0)
+        est = yaglom(model, k, n, 10000, seed=40 + k)
+        assert not est.method.endswith("+closed-form")
+        for z in range(1, 7):
+            value, se = est.pmf[z]
+            assert abs(value - joint[n][z] / alive) < 4 * se
+
     def test_pgf_monotone_and_normalized(self):
         est = yaglom(ws_ref(), 1, 10, 10**4, seed=9)
         vals = np.array(est.pgf_values)
@@ -225,22 +240,54 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("threads", ["2", "4"])
     def test_threads_match_one_thread_bitwise(self, monkeypatch, threads):
-        # the Yaglom law of FS_WS at k 1, n 12, 600 replicates, in chunks of
-        # 200 so that three chunks run at once; the tables are rebuilt under
-        # the threads, with a short switch interval
+        # the Yaglom law of FS_WS at k 1, n 12 and its WS Q-process at k 2,
+        # h 5, 600 replicates each, in chunks of 200 so that the draw and the
+        # population sampler each run three chunks at once; the tables are
+        # rebuilt under the threads, with a short switch interval
         monkeypatch.setattr(streams, "CHUNK_SIZE", 200)
         monkeypatch.setenv(streams.THREADS_ENV_VAR, "1")
-        one = yaglom(FS_WS, 1, 12, 600, seed=3)
+
+        def runs():
+            return yaglom(FS_WS, 1, 12, 600, seed=3), qprocess_run(FS_WS, 2, 5, 600, seed=3)
+
+        one = runs()
         for cached in (_pair_table, lfexact._step_table, solve_alpha):
             cached.cache_clear()
         monkeypatch.setenv(streams.THREADS_ENV_VAR, threads)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = yaglom(FS_WS, 1, 12, 600, seed=3)
+            many = runs()
         finally:
             sys.setswitchinterval(interval)
+        assert one[1].method == "finite-horizon-approximation(lookahead=10)"
         assert repr(many) == repr(one)
+
+
+class TestPopulationSampler:
+    def test_covers_every_row_of_an_escalated_draw(self, monkeypatch):
+        # an effective-event target that no draw reaches escalates 300
+        # replicates to 2400, in rounds of 300, 300, 600 and 1200 rows cut
+        # into chunks of 200; the sampler then runs its own chunks over the
+        # whole record, so the rows of every round get a population
+        monkeypatch.setattr(streams, "CHUNK_SIZE", 200)
+        monkeypatch.setattr(simcore, "MIN_EFFECTIVE_EVENTS", math.inf)
+        cond = draw_conditioned_env(FS_WS, 2, 8, 300, 5, "yaglom-k2-n8")
+        assert cond.reps_used == 2400
+        lu = log_survival_profile(FS_WS, cond.env)
+        calls = []
+        run_chunks = streams.run_chunks
+        monkeypatch.setattr(streams, "run_chunks", lambda *a: calls.append(a[1:]) or run_chunks(*a))
+        z, overflow = limits._sample_populations(cond, lu, 2, 8, False, 5, "yaglom-k2-n8")
+        traj, over = limits._sample_populations(cond, lu, 2, 8, True, 5, "yaglom-k2-n8")
+        assert calls == [(2400, 5, "yaglom-k2-n8-pop")] * 2
+        assert z.shape == (2400,) and traj.shape == (2400, 9)
+        assert not overflow.any() and not over.any()
+        # every prolific individual has a descendant at the horizon
+        assert (z >= 1).all() and (traj[:, 0] == 2).all() and (traj[:, -1] >= 1).all()
+        est = yaglom(FS_WS, 2, 8, 300, seed=5)
+        assert est.reps_used == 2400
+        assert est.pmf == weighted_pmf(z, cond.survive_w)
 
 
 class TestFunctionalResidual:
@@ -334,8 +381,8 @@ class TestQProcessRun:
         # exact one-step kernel vs finite-lookahead conditioned trajectories;
         # from k = 2 a doomed initial parent also has children
         row = qprocess_kernel(model, k, state_cap=64).probs
-        cond = conditioned_trajectories(model, k, 1, 15, 3 * 10**4, seed=16)
-        (traj, over), w = cond.drawn, cond.survive_w
+        cond, traj, over = _trajectories(model, k, 1, 15, 3 * 10**4, seed=16)
+        w = cond.survive_w
         ok = ~over
         emp = weighted_pmf(traj[ok, 1], w[ok])
         neff = kish_neff(w[ok])
@@ -349,8 +396,8 @@ class TestQProcessRun:
         # Z_1, Z_2 given survival at generation 3 from k = 2, against whole
         # simulated populations: doomed parents reproduce with x well below 1
         k, n = 2, 3
-        cond = conditioned_trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
-        (traj, _), w = cond.drawn, cond.survive_w
+        cond, traj, _ = _trajectories(model, k, 2, n - 2, 3 * 10**4, seed=27)
+        w = cond.survive_w
         rng = stream(28, "t")
         pops = evolve_lineages(model, draw_env_batch(model, n, rng, 3 * 10**4).idx, k, rng)
         sizes = pops.sum(axis=2)
@@ -379,8 +426,7 @@ class TestQProcessRun:
     def test_ws_populations_do_not_overflow(self):
         # the sampled trajectories, which the WS chain of a non-LF model
         # runs on, stay below POPULATION_CAP over a long horizon
-        cond = conditioned_trajectories(ws_ref(), 1, 20, QPROCESS_LOOKAHEAD, 10000, seed=1)
-        _, over = cond.drawn
+        _, _, over = _trajectories(ws_ref(), 1, 20, QPROCESS_LOOKAHEAD, 10000, seed=1)
         assert not over.any()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -418,7 +464,7 @@ class TestQProcessRun:
         assert run.overflow_mass == 0.0
         assert run.medians[0] == 2.0
         # the same draws, escalation and provenance as the sampled trajectories
-        cond = conditioned_trajectories(ws_ref(), 2, 4, QPROCESS_LOOKAHEAD, 2000, seed=30)
+        cond, _, _ = _trajectories(ws_ref(), 2, 4, QPROCESS_LOOKAHEAD, 2000, seed=30)
         assert (run.reps, run.seed_info) == (cond.reps_used, cond.seed_info)
 
     def test_fs_ws_samples_match_enumeration(self):
@@ -429,7 +475,7 @@ class TestQProcessRun:
         assert run.regime == "WS"
         assert run.method == f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
         assert run.overflow_mass == 0.0
-        cond = conditioned_trajectories(FS_WS, k, horizon, QPROCESS_LOOKAHEAD, reps, seed=29)
+        cond, _, _ = _trajectories(FS_WS, k, horizon, QPROCESS_LOOKAHEAD, reps, seed=29)
         slack = 4 * 0.5 / math.sqrt(cond.effective_events)
         _, _, joint, alive = _enumerated_marginals(FS_WS, k, horizon, 40)
         for t, median in enumerate(run.medians):
@@ -498,6 +544,15 @@ class TestEnvPosterior:
             env_posterior(ss_ref(), 1, 3, 23, 100, seed=0)
 
 
+def _trajectories(model, k, horizon, lookahead, reps, seed):
+    """The conditioned draw of a WS ``qprocess_run`` at ``lookahead``, and
+    its dressed trajectories Z_0..Z_horizon and overflow mask."""
+    purpose = f"qtraj-k{k}-h{horizon}"
+    cond = draw_conditioned_env(model, k, horizon + lookahead, reps, seed, purpose)
+    lu = log_survival_profile(model, cond.env)
+    return (cond, *limits._sample_populations(cond, lu, k, horizon, True, seed, purpose))
+
+
 def _offspring_pmf(law, cap: int) -> np.ndarray:
     """P(one parent has c children), c = 0..cap."""
     if isinstance(law, LinearFractional):
@@ -513,17 +568,18 @@ def _offspring_pgf(law, s: np.ndarray) -> np.ndarray:
     return sum(p * s**c for c, p in enumerate(law.probs))
 
 
-def _enumerated_marginals(model, k, horizon, cap):
-    """Every environment of n = horizon + QPROCESS_LOOKAHEAD generations and
-    its probability; for t = 0..horizon the annealed P(Z_t = z, Z_n > 0),
-    z = 0..cap; and P(Z_n > 0); all from k particles.
+def _enumerated_marginals(model, k, horizon, cap, lookahead=QPROCESS_LOOKAHEAD):
+    """Every environment of n = horizon + lookahead generations and its
+    probability; for t = 0..horizon the annealed P(Z_t = z, Z_n > 0),
+    z = 0..cap; and P(Z_n > 0); all from k particles. At lookahead 0 the
+    last of these is P(Z_n = z) for z >= 1, the Yaglom law times P(Z_n > 0).
 
     Per environment the law of Z_t steps by convolution powers of the
     offspring pmfs, truncated at cap (choose cap so that Z_{horizon-1} stays
     below it), and P(Z_n > 0 | Z_t = z) = 1 - F^z, with F the pgf of
     generations t..n-1 composed at 0.
     """
-    n = horizon + QPROCESS_LOOKAHEAD
+    n = horizon + lookahead
     idx = np.array(list(itertools.product(range(len(model.laws)), repeat=n)), dtype=np.uint8)
     prob = model.weights[idx].prod(axis=1)
     powers = []
@@ -542,6 +598,8 @@ def _enumerated_marginals(model, k, horizon, cap):
     joint = []
     for t in range(horizon + 1):
         joint.append(prob @ (law_t * (1.0 - dead[t][:, None] ** np.arange(cap + 1))))
+        if t == n:
+            break
         for comp in range(len(model.laws)):
             rows = idx[:, t] == comp
             law_t[rows] = law_t[rows] @ powers[comp]
