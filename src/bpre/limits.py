@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import streams
-from .environment import EnvironmentModel, _read_only, draw_env_batch
+from .environment import EnvironmentModel, TiltPlan, _read_only, draw_env_batch
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
@@ -486,16 +486,13 @@ class QProcessRun:
     seed_info: str
 
 
-def _chain_step(model, gamma, y, rng):
-    """One exact kernel step of the chain conditioned to survive forever.
-
-    Picks the component size-biased by its mean, then draws the size-biased
-    sum: y-1 plain offspring plus one size-biased offspring (for a
-    linear-fractional law, the sum of two shifted geometrics).
+def _chain_step(model, comp, y, rng):
+    """One exact kernel step of the chain conditioned to survive forever,
+    row r in component comp[r] (drawn size-biased by its mean): y-1 plain
+    offspring plus one size-biased offspring (for a linear-fractional law,
+    the sum of two shifted geometrics).
     """
     table = _step_table(model)
-    pick_p = model.weights * model.means / gamma
-    comp = streams.categorical(rng, pick_p / pick_p.sum(), len(y))
     out = np.empty_like(y)
     lf = table.lf[comp]
     if lf.any():
@@ -507,7 +504,7 @@ def _chain_step(model, gamma, y, rng):
         sizes = np.arange(len(probs))
         biased = sizes * probs
         plain = _fs_totals(rng, y[rows] - 1, probs, sizes)
-        out[rows] = plain + streams.categorical(rng, biased / biased.sum(), len(plain))
+        out[rows] = plain + rng.choice(len(probs), len(plain), p=biased / biased.sum())
     return out
 
 
@@ -533,14 +530,19 @@ def qprocess_run(
         raise ValidationError(f"horizon must be >= 0, got {horizon}", field="horizon")
     regime = regime_of(model)
     if regime in ("SS", "IS"):
+        # the spine's environments follow the mean-size-biased law w m / gamma,
+        # the tilt by m; built here because tilt_plan rejects a model with a
+        # zero-mean component, to which this law gives weight 0
         gamma = expected_mean(model)
+        plan = TiltPlan(1.0, gamma, model.weights * model.means / gamma)
         purpose = "qprocess"
 
         def chunk(rng, count, start):
+            comp = draw_env_batch(model, horizon, rng, count, plan).idx
             traj = np.empty((count, horizon + 1), dtype=np.int64)
             traj[:, 0] = k
             for i in range(horizon):
-                traj[:, i + 1] = _chain_step(model, gamma, traj[:, i], rng)
+                traj[:, i + 1] = _chain_step(model, comp[:, i], traj[:, i], rng)
             return (traj,)
 
         (traj,) = streams.run_chunks(chunk, reps, seed, purpose)

@@ -14,7 +14,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ValidationError
-from .streams import categorical
 
 PROB_TOL = 1e-12
 
@@ -100,7 +99,7 @@ def sample(law: OffspringLaw, stream: np.random.Generator) -> int:
         if stream.random() < p0:
             return 0
         return int(stream.geometric(1.0 - law.B))
-    return int(categorical(stream, law.probs, ()))
+    return int(stream.choice(len(law.probs), p=law.probs))
 
 
 def sample_many(law: OffspringLaw, size: int, stream: np.random.Generator) -> np.ndarray:
@@ -112,7 +111,7 @@ def sample_many(law: OffspringLaw, size: int, stream: np.random.Generator) -> np
         u = stream.random(size)
         geo = stream.geometric(1.0 - law.B, size=size)
         return np.where(u < p0, 0, geo).astype(np.int64)
-    return categorical(stream, law.probs, size).astype(np.int64)
+    return stream.choice(len(law.probs), size, p=law.probs)
 
 
 def lf_from_moments(m: float, f2: float) -> LinearFractional:

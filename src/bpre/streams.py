@@ -23,9 +23,10 @@ CHUNK_SIZE = 4096
 BIT_GENERATOR = np.random.SFC64
 # Version of the way draws are laid out on the streams, printed in every
 # ``seed_provenance`` string; 3 draws environments one block code per SFC64
-# uniform, one block row of the chunk at a time, and 4 draws the populations
-# sampled given a conditioned draw on streams of their own.
-STREAM_LAYOUT = 4
+# uniform, one block row of the chunk at a time, 4 draws the populations
+# sampled given a conditioned draw on streams of their own, and 5 draws the
+# SS/IS Q-process chain's environments as block codes before its offspring.
+STREAM_LAYOUT = 5
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 
@@ -41,25 +42,6 @@ def stream(seed: int, purpose: str, chunk_index: int = 0) -> np.random.Generator
         entropy=seed, spawn_key=(purpose_code(purpose), chunk_index)
     )
     return np.random.Generator(BIT_GENERATOR(ss))
-
-
-def categorical(rng: np.random.Generator, p, shape) -> np.ndarray:
-    """Indices in range(len(p)) drawn with probabilities ``p``.
-
-    Bit-identical to ``rng.choice(len(p), size=shape, p=p)``: the same
-    uniforms are compared against the same normalised CDF. Each index counts
-    the inner edges at or below its uniform, as ``searchsorted(side="right")``
-    does, so an edge at 0 (a zero-probability first entry) always counts. The
-    last edge is 1 and no uniform reaches it. Indices have the narrowest
-    unsigned dtype that holds len(p) - 1 (uint8 up to 256 entries).
-    """
-    cdf = np.asarray(p, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(shape)
-    idx = (u >= cdf[0]).astype(np.min_scalar_type(len(cdf) - 1))
-    for edge in cdf[1:-1]:
-        idx += u >= edge
-    return idx
 
 
 def seed_provenance(seed: int, purpose: str) -> str:
@@ -96,10 +78,10 @@ def run_chunks(
     of the worker count. Chunk streams are numbered from ``first_chunk``, so
     a later call can continue the streams of an earlier one.
     """
-    if reps < 1:
-        raise ValidationError(f"replicate count must be >= 1, got {reps}", field="reps")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}", field="seed")
+    for field, value, low in (("reps", reps, 1), ("seed", seed, 0)):
+        # a bool is an int to Python: True would run as seed 1
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValidationError(f"{field} must be an integer >= {low}, got {value!r}", field=field)
     bounds = list(chunk_bounds(reps))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 

@@ -1,14 +1,33 @@
 """Reference computations the tests check the package against: a decimal
 survival recursion independent of the float kernel, and a chi-square
-goodness-of-fit p-value."""
+goodness-of-fit p-value; and the equal-weight geometric models several test
+modules share."""
 
 import math
 from decimal import Decimal, localcontext
 
-from bpre.offspring import LinearFractional
+import numpy as np
+
+from bpre.environment import EnvironmentModel
+from bpre.offspring import LinearFractional, geometric_lf
 
 DECIMAL_DIGITS = 50
 _LN10 = math.log(10.0)
+
+
+def lf_model(means):
+    """Equal-weight mixture of the geometric laws with the given means."""
+    k = len(means)
+    return EnvironmentModel([(geometric_lf(m), 1.0 / k) for m in means])
+
+
+MODELS = {
+    1: lf_model([0.7]),
+    2: lf_model([0.5, 1.5]),
+    3: lf_model([0.3, 0.9, 2.0]),
+    5: lf_model([0.2, 0.5, 0.8, 1.3, 2.5]),
+    300: lf_model(np.linspace(0.2, 2.5, 300)),  # past 256 entries: uint16 indices
+}
 
 
 def decimal_step(law):

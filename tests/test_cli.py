@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bpre import cli, simcore, streams
 from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, build_parser, main, run
 from bpre.config import config_from_dict, model_from_config, model_hash
-from bpre.environment import ss_ref
+from bpre.environment import ss_ref, ws_ref
 from bpre.errors import BpreError, ValidationError
 
 
@@ -281,6 +282,29 @@ class TestCliEndToEnd:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert field in err_text
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("seed", {"seed": 1.5}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": -1}),
+            ("reps", {"reps": 2.5}),
+            ("reps", {"reps": True}),
+        ],
+        ids=["seed-1.5", "seed-true", "seed-negative", "reps-2.5", "reps-true"],
+    )
+    def test_library_rejects_inexact_seed_and_reps(self, field, raw):
+        # called without the config parser, 1.5 and 2.5 raised numpy
+        # TypeErrors and a seed of True ran as seed 1
+        args = {"seed": 1, "reps": 100, **raw}
+        with pytest.raises(ValidationError) as err:
+            simcore.annealed_survival(ws_ref(), 1, 5, args["reps"], seed=args["seed"])
+        assert err.value.field == field
+
+    def test_library_takes_numpy_integer_seed_and_reps(self):
+        est = simcore.annealed_survival(ws_ref(), 1, 5, np.int64(100), seed=np.int64(1))
+        assert est == simcore.annealed_survival(ws_ref(), 1, 5, 100, seed=1)
 
     @pytest.mark.parametrize(
         "field, component",

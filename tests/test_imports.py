@@ -106,6 +106,57 @@ def test_environment_draws_block_codes_only():
     assert "_draw_codes" in names_in(module_definitions("environment")["draw_env_batch"])
 
 
+def imports_from_streams(tree: ast.Module) -> list[str]:
+    """Names a module imports from ``streams`` or of it, at any depth."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module == "streams" or alias.name == "streams"
+    ]
+
+
+def test_one_environment_draw():
+    # draw_env_batch draws every environment, the SS/IS Q-process chain's
+    # mean-size-biased spine included: no package module defines or names a
+    # categorical sampler of its own, offspring draws through Generator.choice
+    # and takes nothing from streams, and the chain step reads its components
+    # from the batch its chunk drew instead of drawing them per generation
+    for path in MODULES + [Path(bpre.__file__)]:
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
+        assert "categorical" not in names_in(module) | defined, path.stem
+    offspring = ast.parse((Path(bpre.__file__).parent / "offspring.py").read_text(encoding="utf-8"))
+    assert imports_from_streams(offspring) == []
+    step = module_definitions("limits")["_chain_step"]
+    assert [arg.arg for arg in step.args.args] == ["model", "comp", "y", "rng"]
+    assert names_in(step).isdisjoint({"draw_env_batch", "_draw_codes", "weights", "means", "gamma"})
+    assert "draw_env_batch" in names_in(module_definitions("limits")["qprocess_run"])
+    assert ("limits", "_chain_step") in STEP_TABLE_READERS
+    assert ("limits", "_chain_step") in FAMILY_GATHERS
+
+
+def test_test_modules_import_no_test_module():
+    # shared fixtures live in tests/helpers.py, so one test module failing
+    # to collect does not stop the modules that use its fixtures
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not [name for name in names if name.startswith("test_")], path.name
+
+
+def test_streams_import_check_sees_an_import():
+    assert imports_from_streams(ast.parse("from .streams import categorical")) == ["categorical"]
+    assert imports_from_streams(ast.parse("from . import streams")) == ["streams"]
+    assert imports_from_streams(ast.parse("from .errors import ValidationError")) == []
+
+
 def test_one_survival_recursion():
     # the survival step is defined once, in the batch kernel of lfexact, and
     # the quenched survival of one sequence runs that kernel

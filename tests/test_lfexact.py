@@ -36,8 +36,7 @@ from bpre.offspring import FiniteSupport, LinearFractional, geometric_lf, moment
 from bpre.rwalk import WalkPath, walk_stats
 from bpre.simcore import evolve_lineages
 from bpre.streams import stream
-from helpers import reference_log_profile
-from test_streams import MODELS
+from helpers import MODELS, reference_log_profile
 
 LF = LinearFractional(0.25, 0.5)  # critical geometric: f(s) = 1/(2-s)
 

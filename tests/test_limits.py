@@ -58,6 +58,15 @@ FS_WS = EnvironmentModel(
 MIXED = EnvironmentModel(
     [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
 )
+# SS mixtures with a zero-mean component, first or last: means {0, 0.7}
+ZERO_MEAN_SS = {
+    "first": EnvironmentModel(
+        [(FiniteSupport([1.0]), 0.3), (FiniteSupport([0.5, 0.3, 0.2]), 0.7)]
+    ),
+    "last": EnvironmentModel(
+        [(FiniteSupport([0.5, 0.3, 0.2]), 0.7), (FiniteSupport([1.0]), 0.3)]
+    ),
+}
 
 
 def test_survival_profile_matches_quenched():
@@ -375,6 +384,43 @@ class TestQProcessRun:
             se = max(se, math.sqrt(row[state] * (1 - row[state]) / reps))
             assert abs(p_emp - row[state]) < 4 * se + 1e-12
 
+    @pytest.mark.parametrize(
+        "model, horizon, cap", [(FS_SS, 5, 64), (ss_ref(), 4, 128)], ids=["fs-ss", "ss-ref"]
+    )
+    def test_chain_matches_exact_law(self, model, horizon, cap):
+        # the sampled Y_h against pi_h = pi_0 P^h, stepped through the exact
+        # kernel rows; atoms, not medians: P(Y_1 <= 2) is exactly 1/2 on ss-ref
+        reps = 20000
+        kernel = np.zeros((cap + 1, cap + 1))
+        for state in range(1, cap + 1):
+            kernel[state] = qprocess_kernel(model, state, state_cap=cap).probs
+        law = np.zeros(cap + 1)
+        law[1] = 1.0
+        for _ in range(horizon):
+            law = law @ kernel
+        assert 1.0 - law.sum() < 1e-6
+        _assert_atoms_match(qprocess_run(model, 1, horizon, reps, seed=29).final_pmf, law, reps)
+
+    @pytest.mark.parametrize("model", ZERO_MEAN_SS.values(), ids=ZERO_MEAN_SS.keys())
+    def test_zero_mean_component_never_drawn(self, model, monkeypatch):
+        # the chain draws its spine's components with draw_env_batch under the
+        # mean-size-biased plan, which gives the zero-mean component weight 0
+        # (tilt_plan rejects such a model); its one-step law is the kernel row
+        zero = model.laws.index(FiniteSupport([1.0]))
+        batches = []
+        draw = limits.draw_env_batch
+        monkeypatch.setattr(limits, "draw_env_batch", lambda *a: batches.append(draw(*a)) or batches[-1])
+        reps = 20000
+        row = qprocess_kernel(model, 1, state_cap=16).probs
+        run = qprocess_run(model, 1, 1, reps, seed=30)
+        assert len(batches) == -(-reps // streams.CHUNK_SIZE)
+        for batch in batches:
+            assert batch.plan.weights[zero] == 0.0
+            assert np.all(batch.idx != zero)
+        _assert_atoms_match(run.final_pmf, row, reps)
+        # the exact law's medians; its CDF at 2 is 0.58 or more, at 1 0.43 or less
+        assert qprocess_run(model, 1, 5, 2000, seed=1).medians == (1.0, 2.0, 2.0, 2.0, 2.0, 2.0)
+
     @pytest.mark.parametrize("model", [ss_ref(), FS_SS], ids=["ss-ref", "fs-ss"])
     @pytest.mark.parametrize("k", [1, 2])
     def test_kernel_matches_conditioned_chain(self, model, k):
@@ -542,6 +588,17 @@ class TestEnvPosterior:
             env_posterior(ss_ref(), 1, 6, 2, 100, seed=0)
         with pytest.raises(ValidationError):
             env_posterior(ss_ref(), 1, 3, 23, 100, seed=0)
+
+
+def _assert_atoms_match(pmf, law, reps):
+    """Every atom of the sampled ``pmf`` lies on the support of the exact
+    ``law`` and within 4 binomial SE of it (the larger of the sample's SE
+    and the law's)."""
+    assert set(pmf) <= set(np.flatnonzero(law))
+    for state in range(len(law)):
+        p_emp, se = pmf.get(state, (0.0, 0.0))
+        se = max(se, math.sqrt(law[state] * (1 - law[state]) / reps))
+        assert abs(p_emp - law[state]) < 4 * se + 1e-12, state
 
 
 def _trajectories(model, k, horizon, lookahead, reps, seed):

@@ -27,7 +27,7 @@ from bpre.rwalk import (
     walk_stats,
 )
 from bpre.streams import stream
-from test_streams import MODELS
+from helpers import MODELS
 
 
 def unit_lattice_model(p_up=1.0 / 3.0):
