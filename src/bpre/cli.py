@@ -112,7 +112,8 @@ def _floats(value: Any) -> list[float]:
 # values a config or a flag gives (a parameter whose default is None also
 # takes None). Each parameter is one flag, ``--`` plus its name with ``_``
 # written ``-``, save those in ``_FLAGS``, and ``--seed`` is required unless
-# the ``reps`` default is None. A handler returns the payload and rows of
+# the op draws nothing: its ``reps`` default is None, or a flag of
+# ``_EXACT_FLAGS`` is given. A handler returns the payload and rows of
 # (estimand, value, std_error, reps, method).
 
 
@@ -326,6 +327,19 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
             fh.write(text + "\n")
 
 
+# the parameter of an op that, when given, makes it exact: it draws nothing,
+# so its flag needs no --seed
+_EXACT_FLAGS = {"qprocess": "kernel_state"}
+
+
+def _draws(op: str, params: dict) -> bool:
+    """Whether ``op`` with the parsed flags ``params`` draws random numbers."""
+    if _SIGNATURES[op].parameters["reps"].default is None:
+        return False
+    exact = _EXACT_FLAGS.get(op)
+    return exact is None or exact not in params
+
+
 # parsed arguments that are config fields, not operation parameters
 _CONFIG_FIELDS = ("model", "seed", "reps", "out", "format")
 # the flags whose names are not their parameter's
@@ -338,7 +352,7 @@ def _op_parser(sub, name: str, op: str) -> None:
     sig, doc = _SIGNATURES[op], OP_HANDLERS[op].__doc__.splitlines()[0]
     parser = sub.add_parser(name, help=doc, description=doc, argument_default=argparse.SUPPRESS)
     parser.add_argument("--model", required=True, help="builtin name or path to a model JSON file")
-    parser.add_argument("--seed", type=int, required=sig.parameters["reps"].default is not None)
+    parser.add_argument("--seed", type=int)  # required where _dispatch finds the op draws
     parser.add_argument("--reps", type=int)
     parser.add_argument("--out")
     parser.add_argument("--format", choices=["json", "csv"])
@@ -412,8 +426,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         op = params.pop("command")
         if "walk_command" in params:
             op = f"{op}-{params.pop('walk_command')}"
-        raw = {"op": op, "seed": 0}
+        raw = {"op": op}
         raw.update((key, params.pop(key)) for key in _CONFIG_FIELDS if key in params)
+        if "seed" not in raw:
+            if _draws(op, params):
+                build_parser().error("the following arguments are required: --seed")
+            raw["seed"] = 0
         raw["model"] = _model_spec_from_arg(raw["model"])
         config = config_from_dict({**raw, "params": params})
     _write_output(run(config), config.out, config.format)

@@ -197,38 +197,87 @@ def surviving_lines(log_q: np.ndarray, k: int):
         yield np.exp(log_line, out=log_line)
 
 
+# replicates per block of ``conditioned_law``. Its (atoms, replicates) work
+# arrays are allocated once per call and stay at 256 KB or less for 64
+# atoms; arrays allocated afresh per block were mapped and faulted in on
+# every block, which made the law two to three times slower
+CONDITIONED_LAW_BLOCK = 512
+
+
 def conditioned_law(
-    log_q: np.ndarray, s_n: np.ndarray, k: int, atoms: int, s_grid
+    log_q: np.ndarray, s_n: np.ndarray, k: int, w: np.ndarray, atoms: int, s_grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Law of Z_n given Z_n > 0 from k particles, per all-LF environment.
+    """Weighted sums of the law of Z_n given Z_n > 0 from k particles, over
+    all-LF environments with weights ``w``.
 
     ``log_q`` and ``s_n`` are each replicate's log survival probability and
     log-mean sum. Given the environment, the number J of surviving lines
     follows ``surviving_lines``, and Z_n - J is NegBin(J, p) with
     p = q e^{-S_n} = 1/(1 + G_n); one line alone is Geometric(p) on
-    {1, 2, ...}. Returns the (replicates, atoms) pmf of Z_n = 1..atoms and
-    the (replicates, len(s_grid)) pgf, both column-major. Replicates with
-    q = 0 get the point mass at 1.
+    {1, 2, ...}. With x the pmf of Z_n = 1..atoms of a replicate and G its
+    pgf, returns the (3, atoms) sums over the replicates of w x, w**2 x and
+    w**2 x**2, and the sums of w G(s) for s in ``s_grid``. Replicates with
+    q = 0 have the point mass at 1.
+
+    The replicates are taken CONDITIONED_LAW_BLOCK at a time. In a block,
+    the powers (1-p)**m are built by doubling, and line j adds
+    w P(J = j) p**j C(z-1, j-1) (1-p)**(z-j) to w x at every z >= j. For
+    k = 1, w p is folded into the first power, so the powers are w x itself.
     """
+    s = np.asarray(s_grid, dtype=float)[:, None]
+    inv_s = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0.0)
+    # row j - 2 holds C(z-1, j-1) at z = j + m, the cumulative product over z
+    # of z/(z+1-j) = (m+j)/(m+1)
+    m = np.arange(atoms - 1)
+    ratios = (m + np.arange(2, min(k, atoms) + 1)[:, None]) / (m + 1)
+    choose = np.cumprod(np.hstack([np.ones((len(ratios), 1)), ratios]), axis=1)
+    size = min(len(log_q), CONDITIONED_LAW_BLOCK)
+    powers = np.empty((atoms, size))
+    wx = powers if k == 1 else np.empty((atoms, size))
+    buf = None if k == 1 else np.empty((atoms, size))
     with np.errstate(invalid="ignore"):  # -inf - -inf in dead rows
         log_p = np.minimum(np.where(log_q > -np.inf, log_q - s_n, 0.0), 0.0)  # p <= 1
-    p, fail = np.exp(log_p), -np.expm1(log_p)
-    # E[s**Z | env, alive] = sum_j P(J = j) h**j, h = s p / (1 - (1-p) s)
-    s = np.asarray(s_grid, dtype=float)[:, None]
-    h = s * p / (1.0 - s * fail)
-    h_j, p_j, pgf = np.ones_like(h), np.ones_like(p), np.zeros_like(h)
-    pmf = np.zeros((atoms, len(log_q)))
-    for j, line in enumerate(surviving_lines(log_q, k), 1):
-        h_j *= h
-        p_j *= p
-        pgf += line * h_j
-        # P(J = j) P(Z = z | J = j) for z = j..atoms: P(J = j) p**j at z = j,
-        # and each atom (1-p) (z-1)/(z-j) times the one before
-        term = line * p_j
-        for z in range(j, atoms + 1):
-            pmf[z - 1] += term
-            term *= fail if j == 1 else fail * (z / (z + 1 - j))
-    return pmf.T, pgf.T
+    all_p, all_fail = np.exp(log_p), -np.expm1(log_p)
+    sums, pgf_sum = np.zeros((3, atoms)), np.zeros(len(s))
+    for lo in range(0, len(log_q), CONDITIONED_LAW_BLOCK):
+        rows = slice(lo, lo + CONDITIONED_LAW_BLOCK)
+        lq, wb, p, fail = log_q[rows], w[rows], all_p[rows], all_fail[rows]
+        count = len(lq)
+        lines = surviving_lines(lq, k)
+        w_line = wb * next(lines)
+        pw = powers[:, :count]
+        pw[0] = w_line * p if k == 1 else 1.0
+        fail_n, n = fail, 1
+        while n < atoms:  # rows [n, 2n) are rows [0, n) times (1-p)**n
+            np.multiply(pw[:min(n, atoms - n)], fail_n, out=pw[n:2 * n])
+            fail_n, n = fail_n * fail_n, 2 * n
+        x = wx[:, :count]
+        if k > 1:
+            np.multiply(pw, w_line * p, out=x)
+        # E[s**Z | env, alive] = sum_j P(J = j) h**j, h = s p / (1 - (1-p) s),
+        # formed as p / (1/s - (1-p))
+        h = inv_s - fail
+        np.divide(p, h, out=h)
+        pgf_sum += np.einsum("sr,r->s", h, w_line)
+        h_j, p_j = h, p
+        for j, line in enumerate(lines, 2):
+            w_line = wb * line
+            h_j = h_j * h
+            pgf_sum += np.einsum("sr,r->s", h_j, w_line)
+            p_j = p_j * p
+            if j <= atoms:
+                # C(z-1, j-1) before the factors below 1, so that no product
+                # falls below the term itself, which then underflows no sooner
+                part = buf[: atoms + 1 - j, :count]
+                np.multiply(pw[: atoms + 1 - j], choose[j - 2, : atoms + 1 - j, None], out=part)
+                part *= line * p_j
+                part *= wb
+                x[j - 1:] += part
+        # einsum, not a matrix product, keeps BLAS and its threads out
+        sums[0] += np.einsum("ar->a", x)
+        sums[1] += np.einsum("ar,r->a", x, wb)
+        sums[2] += np.einsum("ar,ar->a", x, x)
+    return sums, pgf_sum
 
 
 # --- Q-process marginals of an all-LF environment -------------------------------
@@ -299,28 +348,40 @@ class SurvivorTail:
         # U_i = a (L_{i+1} + U_{i+1}), and W_i = (1 - a) R_i with
         # R_i = sum_{j>i} L_j (1 + a + ... + a^(j-i-1)) = V_i + a R_{i+1}
         die, r = np.empty((k, len(a))), np.empty((k, len(a)))
-        v = die_next = r_next = 0.0
         for i, line in reversed(list(enumerate(surviving_lines(log_pi, k)))):
             line = alive_w * line
+            if i == k - 1:  # no line above: U = a L, R = V = L
+                v = r[i] = line
+                np.multiply(a, line, out=die[i])
+                continue
             v = v + line
-            die[i] = a * (line + die_next)
-            r[i] = v + a * r_next
-            die_next, r_next = die[i], r[i]
+            np.multiply(a, line + die[i + 1], out=die[i])
+            r[i] = v + a * r[i + 1]
         return cls(log_p, log_rho, log_x, r * -np.expm1(log_a), die)
 
     def __call__(self, z: int) -> np.ndarray:
         """w P(Z_t > z, Z_n > 0 | environment) of every replicate."""
-        x_z = np.expm1(z * self.log_x) if z else np.zeros(len(self.log_x))  # x^z - 1
         out = 0.0
+        for term, b in self._terms(z):
+            term *= b
+            out = out + term
+        return out
+
+    def total(self, z: int) -> float:
+        """The sum of ``self(z)`` over the replicates, without forming it."""
+        return float(sum(np.einsum("r,r->", term, b) for term, b in self._terms(z)))
+
+    def _terms(self, z: int):
+        """Yield W_i + (1 - x^z) U_i and b_i(z) of every replicate, for
+        i = 0..min(z, k-1)."""
+        x_z = np.expm1(z * self.log_x) if z else np.zeros(len(self.log_x))  # x^z - 1
         for i in range(min(z, len(self.die) - 1) + 1):
             term = x_z * self.die[i]
             np.subtract(self.live[i], term, out=term)
             log_b = (z - i) * self.log_rho if z > i else np.zeros(len(term))
             if i:
                 log_b += i * self.log_p + math.log(math.comb(z, i))
-            term *= np.exp(log_b, out=log_b)
-            out = out + term
-        return out
+            yield term, np.exp(log_b, out=log_b)
 
 
 # --- batch kernel -----------------------------------------------------------

@@ -50,12 +50,7 @@ from .simcore import (
     draw_conditioned_env,
     evolve_lineages,
 )
-from .stats import (
-    column_moments,
-    ratio_and_se,
-    weighted_means_and_se,
-    weighted_pmf,
-)
+from .stats import ratio_and_se, weighted_means_and_se, weighted_pmf
 
 DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 # Sampled populations above this size are flagged as overflow and frozen at
@@ -65,11 +60,6 @@ DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 POPULATION_CAP = 2**32
 S_GRID = tuple(float(s) for s in np.linspace(0.0, 1.0, 21))  # where yaglom reports its pgf
 YAGLOM_ATOMS = 64  # pmf atoms an all-LF yaglom reports; the mass above them is its tail_mass
-# replicates per block of the closed-form yaglom. Its per-replicate arrays
-# stay at 256 KB or less, which malloc reuses from the heap; at 2048 they
-# were mapped afresh and faulted in on every block (about 1000 minor page
-# faults per ws-ref yaglom call, a third of its time)
-CLOSED_FORM_BLOCK = 512
 REJECTION_MAX_ATTEMPTS = 10**7
 # generations past the horizon that the WS Q-process conditions on surviving
 QPROCESS_LOOKAHEAD = 10
@@ -316,18 +306,10 @@ def _sampled_law(z, overflow, survive_w):
 def _closed_form_law(cond, k):
     """(pmf, pgf values, tail mass) of an all-LF draw: the weighted mean over
     environments of the closed-form conditioned law, atoms 1..YAGLOM_ATOMS
-    and the pgf, integrated one block of CLOSED_FORM_BLOCK replicates at a
-    time."""
-    s_n, log_q = cond.env.s_n, cond.log_q
+    and the pgf, from the weighted sums of ``conditioned_law``."""
     # the largest weight in [0.5, 1), so that squared weights do not underflow
     w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
-    moments = np.zeros((3, YAGLOM_ATOMS))
-    pgf_sum = np.zeros(len(S_GRID))
-    for lo in range(0, len(w), CLOSED_FORM_BLOCK):
-        rows = slice(lo, lo + CLOSED_FORM_BLOCK)
-        pmf_rows, pgf_rows = conditioned_law(log_q[rows], s_n[rows], k, YAGLOM_ATOMS, S_GRID)
-        moments += column_moments(pmf_rows, w[rows])
-        pgf_sum += np.einsum("ij,i->j", pgf_rows, w[rows])
+    moments, pgf_sum = conditioned_law(cond.log_q, cond.env.s_n, k, w, YAGLOM_ATOMS, S_GRID)
     values, ses = weighted_means_and_se(moments, w)
     pgf_values = pgf_sum / float(w.sum())
     return (
@@ -565,7 +547,8 @@ def qprocess_run(
     total_w = float(cond.survive_w.sum())
     if model.all_linear_fractional:
         tails = _marginal_tails(model, k, lu, cond.env.idx[:, :horizon], cond.env.w)
-        medians, overflow_mass, method = _medians(tails, total_w), 0.0, f"{method}+closed-form"
+        medians = _medians((tail.total for tail in tails), total_w)
+        overflow_mass, method = 0.0, f"{method}+closed-form"
     else:
         traj, over = _sample_populations(cond, lu, k, horizon, True, seed, purpose)
         medians = _sampled_medians(traj, np.where(over, 0.0, cond.survive_w))
@@ -593,43 +576,46 @@ def _marginal_tails(model, k, lu, idx, w):
 
 def _sampled_medians(traj, w) -> tuple[float, ...]:
     """``_medians`` of the columns of the sampled trajectories ``traj``, rows
-    weighted by ``w``: the tail of column t is z -> w (Y_t > z)."""
-    return _medians([lambda z, col=col: w[col > z] for col in traj.T], float(w.sum()))
+    weighted by ``w``: the tail of column t is z -> sum of w over Y_t > z."""
+    return _medians([lambda z, col=col: float(w[col > z].sum()) for col in traj.T], float(w.sum()))
 
 
 def _medians(tails, total: float) -> tuple[float, ...]:
-    """The ``_tail_median`` of each tail in turn, each search started from
-    the median before it: per generation, the smallest z with weighted
-    P(Y_t <= z) >= 1/2. NaN at every generation when ``total`` is 0."""
+    """The ``_tail_median`` of each tail in turn: per generation, the
+    smallest z with weighted P(Y_t <= z) >= 1/2. Each search starts from the
+    median before it plus that median's step from the one before. NaN at
+    every generation when ``total`` is 0."""
     if total == 0.0:
         return tuple(math.nan for _ in tails)
     medians, guess = [], 1
     for tail in tails:
-        guess = _tail_median(tail, total, guess)
-        medians.append(float(guess))
+        half_at = _tail_median(tail, total, guess)
+        guess = max(2 * half_at - int(medians[-1]), 1) if medians else half_at
+        medians.append(float(half_at))
     return tuple(medians)
 
 
 def _tail_median(tail, total: float, guess: int) -> int:
-    """Smallest z with tail(z).sum() <= total / 2, where tail(0) sums to
-    ``total``: steps from ``guess`` >= 1 by doubling strides to a bracket,
-    then bisects it."""
+    """Smallest z with tail(z) <= total / 2, where ``tail`` returns the
+    weighted tail sum and tail(0) is ``total``: steps from ``guess`` >= 1 by
+    doubling strides, the first an eighth of ``guess``, to a bracket, then
+    bisects it."""
     half = 0.5 * total
-    step = 1
+    step = max(guess // 8, 1)
     lo = hi = guess
-    if tail(lo).sum() > half:
-        while tail(lo + step).sum() > half:
+    if tail(lo) > half:
+        while tail(lo + step) > half:
             lo += step
             step *= 2
         hi = lo + step
     else:
-        while hi > step and tail(hi - step).sum() <= half:
+        while hi > step and tail(hi - step) <= half:
             hi -= step
             step *= 2
         lo = max(hi - step, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail(mid).sum() > half:
+        if tail(mid) > half:
             lo = mid
         else:
             hi = mid

@@ -48,21 +48,10 @@ def ratio_and_se(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
     return r, _sample_std(resid) / (math.sqrt(n) * abs(den_mean))
 
 
-def column_moments(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(3, m) sums over the rows of w v, w**2 v and w**2 v**2, for every
-    column v of the (count, m) ``values``: what ``weighted_means_and_se``
-    needs, summed block by block. einsum keeps BLAS, and its threads, out."""
-    w2 = w * w
-    return np.stack([
-        np.einsum("ij,i->j", values, w),
-        np.einsum("ij,i->j", values, w2),
-        np.einsum("ij,ij,i->j", values, values, w2),
-    ])
-
-
 def weighted_means_and_se(moments: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ratio_and_se(w * v, w)`` of every column v whose ``column_moments``
-    over the rows of the weights ``w`` are ``moments``.
+    """``ratio_and_se(w * v, w)`` of every column v, from ``moments``, the
+    (3, m) sums over the rows of w v, w**2 v and w**2 v**2, and the weights
+    ``w``. ``lfexact.conditioned_law`` returns such sums.
 
     The residual sum of squares of w (v - r) is expanded as
     sum w**2 v**2 - 2 r sum w**2 v + r**2 sum w**2. Scale ``w`` so that its

@@ -13,6 +13,7 @@ from bpre.cli import EXIT_STARVATION, EXIT_VALIDATION, OP_HANDLERS, build_parser
 from bpre.config import config_from_dict, model_from_config, model_hash
 from bpre.environment import ss_ref, ws_ref
 from bpre.errors import BpreError, ValidationError
+from bpre.limits import qprocess_kernel
 
 
 def run_cli(args, capsys):
@@ -426,6 +427,25 @@ def test_subcommand_help_renders(command, capsys):
         main([*command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: bpre {' '.join(command)}")
+
+
+def test_exact_kernel_row_needs_no_seed(capsys):
+    # the kernel row draws nothing; it exited 2 demanding --seed
+    code, out, _ = run_cli(["qprocess", "--model", "ss-ref", "--kernel-state", "2"], capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    row = qprocess_kernel(ss_ref(), 2)
+    assert (result["state"], result["tail_mass"]) == (2, row.tail_mass)
+    assert result["probs"] == {str(m): float(p) for m, p in enumerate(row.probs) if p > 0}
+
+
+@pytest.mark.parametrize("op", sorted(op for op in OP_HANDLERS if op != "regime"))
+def test_an_op_that_draws_demands_a_seed(op, capsys):
+    # qprocess without --kernel-state draws, like every op but regime
+    with pytest.raises(SystemExit) as exc:
+        main([*_argv(op), "--model", "ss-ref"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
 
 
 def _seed_infos(obj):

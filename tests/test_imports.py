@@ -202,6 +202,53 @@ def test_one_law_of_surviving_lines(module, name):
     assert "comb" not in names
 
 
+def loops_over_atoms(node: ast.AST) -> list[ast.AST]:
+    """The ``for`` loops and comprehensions in ``node`` over a ``range``
+    whose arguments name ``atoms``."""
+    return [
+        sub
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.For, ast.comprehension))
+        and isinstance(sub.iter, ast.Call)
+        and getattr(sub.iter.func, "id", None) == "range"
+        and "atoms" in names_in(sub.iter)
+    ]
+
+
+def test_conditioned_law_takes_whole_arrays():
+    # the closed-form Yaglom law is reduced as weighted block sums, each
+    # line's atoms in one array operation; it looped over the atoms of every
+    # line, and stats.column_moments reduced the rows it returned
+    law = definition("lfexact", "conditioned_law")
+    assert loops_over_atoms(law) == []
+    names = names_in(law)
+    assert "surviving_lines" in names and "comb" not in names
+    assert "column_moments" not in module_definitions("stats")
+
+
+def test_atom_loop_check_sees_a_loop():
+    assert loops_over_atoms(ast.parse("for z in range(j, atoms + 1):\n    pass"))
+    assert loops_over_atoms(ast.parse("[z for z in range(atoms)]"))
+    assert not loops_over_atoms(ast.parse("for j, line in enumerate(lines, 2):\n    pass"))
+    assert not loops_over_atoms(ast.parse("for i in range(k):\n    pass"))
+
+
+def sum_calls(node: ast.AST) -> list[ast.Call]:
+    """The ``.sum()`` method calls in ``node``."""
+    return [
+        sub
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "sum"
+    ]
+
+
+def test_tail_median_reads_floats():
+    # each tail returns its weighted sum as a float; the search summed the
+    # per-replicate array of every evaluation
+    assert sum_calls(definition("limits", "_tail_median")) == []
+    assert sum_calls(ast.parse("tail(lo).sum() > half", mode="eval"))
+
+
 # the linear per-replicate numbers of the draw records, each formed by exp
 # from a log the draw holds: q (dropped from the records), the importance
 # weight and the conditioning weight
@@ -439,3 +486,8 @@ def test_one_qprocess_median(monkeypatch):
         run = limits.qprocess_run(model, 1, 3, 512, seed=1)
         assert run.method == method
         assert len(searches) == len(run.medians) == 4
+        # each search reads its tail as one float, the weighted tail sum
+        for (tail, total, guess), found in zip(searches, run.medians):
+            assert [type(tail(z)) for z in (0, guess, int(found))] == [float] * 3
+            assert tail(0) == pytest.approx(total, rel=1e-12)
+            assert tail(int(found)) <= 0.5 * total < tail(int(found) - 1)

@@ -402,8 +402,48 @@ MIX3 = EnvironmentModel(
 S_GRID = tuple(i / 20 for i in range(21))
 
 
+def _rows_of_law(log_q, s_n, k, atoms, s_grid):
+    """The (replicates, atoms) pmf and (replicates, len(s_grid)) pgf of
+    ``conditioned_law``, by one single-row call with unit weight per
+    replicate; its three sums are then x, x and x**2 of that row."""
+    pmf, pgf_rows = [], []
+    for row in range(len(log_q)):
+        one = slice(row, row + 1)
+        sums, pgf_sum = conditioned_law(log_q[one], s_n[one], k, np.ones(1), atoms, s_grid)
+        assert sums[1].tolist() == sums[0].tolist()
+        assert sums[2].tolist() == (sums[0] * sums[0]).tolist()
+        pmf.append(sums[0])
+        pgf_rows.append(pgf_sum)
+    return np.array(pmf), np.array(pgf_rows)
+
+
+def _per_row_law(log_q, s_n, k, atoms, s_grid):
+    """The pmf and pgf of every replicate, as ``_rows_of_law`` returns them,
+    by the sequential negative-binomial recurrence: P(J = j) p**j at z = j,
+    and each atom (1-p) (z-1)/(z-j) times the one before."""
+    with np.errstate(invalid="ignore"):
+        log_p = np.minimum(np.where(log_q > -np.inf, log_q - s_n, 0.0), 0.0)
+    p, fail = np.exp(log_p), -np.expm1(log_p)
+    s = np.asarray(s_grid, dtype=float)[:, None]
+    h = s * p / (1.0 - s * fail)
+    h_j, p_j, pgf_rows = np.ones_like(h), np.ones_like(p), np.zeros_like(h)
+    pmf = np.zeros((atoms, len(log_q)))
+    for j, line in enumerate(surviving_lines(log_q, k), 1):
+        h_j *= h
+        p_j *= p
+        pgf_rows += line * h_j
+        term = line * p_j
+        for z in range(j, atoms + 1):
+            pmf[z - 1] += term
+            term *= fail if j == 1 else fail * (z / (z + 1 - j))
+    return pmf.T, pgf_rows.T
+
+
+MODEL_IDS = ["ws", "is", "ss", "mix3"]
+
+
 class TestConditionedLaw:
-    @pytest.mark.parametrize("model", [ws_ref(), is_ref(), ss_ref(), MIX3], ids=["ws", "is", "ss", "mix3"])
+    @pytest.mark.parametrize("model", [ws_ref(), is_ref(), ss_ref(), MIX3], ids=MODEL_IDS)
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_power_series(self, model, k):
         # atoms and pgf of fixed environments against the coefficients and
@@ -412,7 +452,7 @@ class TestConditionedLaw:
         idx = draw_env_batch(model, 12, np.random.default_rng(k), 6).idx
         log_q = log_survival(model, idx)
         s_n = model.log_means[idx].sum(axis=1)
-        pmf, pgf_rows = conditioned_law(log_q, s_n, k, atoms, S_GRID)
+        pmf, pgf_rows = _rows_of_law(log_q, s_n, k, atoms, S_GRID)
         for row, comps in enumerate(idx):
             laws = [model.laws[c] for c in comps]
             np.testing.assert_allclose(pmf[row], _series_law(laws, k, atoms), rtol=0, atol=1e-12)
@@ -422,7 +462,7 @@ class TestConditionedLaw:
     def test_short_horizons_match_power_series(self, n):
         k, atoms = 3, 20
         idx = np.array(list(np.ndindex(*(3,) * n)), dtype=np.uint8).reshape(3**n, n)
-        pmf, _ = conditioned_law(log_survival(MIX3, idx), MIX3.log_means[idx].sum(axis=1), k, atoms, S_GRID)
+        pmf, _ = _rows_of_law(log_survival(MIX3, idx), MIX3.log_means[idx].sum(axis=1), k, atoms, S_GRID)
         for row, comps in enumerate(idx):
             want = _series_law([MIX3.laws[c] for c in comps], k, atoms)
             np.testing.assert_allclose(pmf[row], want, rtol=0, atol=1e-12)
@@ -431,15 +471,40 @@ class TestConditionedLaw:
         # q = 1e-300: one surviving line, Geometric(p) with p = q e^{-S_n}
         log_q = np.array([math.log(1e-300)])
         s_n = log_q - math.log(0.25)
-        pmf, pgf_rows = conditioned_law(log_q, s_n, 4, 5, (0.0, 0.5, 1.0))
+        pmf, pgf_rows = _rows_of_law(log_q, s_n, 4, 5, (0.0, 0.5, 1.0))
         np.testing.assert_allclose(pmf[0], 0.25 * 0.75 ** np.arange(5), rtol=1e-12)
         np.testing.assert_allclose(pgf_rows[0], [0.0, 0.125 / 0.625, 1.0], rtol=1e-12)
 
     def test_dead_rows_are_a_point_mass(self):
-        pmf, pgf_rows = conditioned_law(np.array([-np.inf]), np.array([-np.inf]), 2, 3, (0.0, 0.5))
+        pmf, pgf_rows = _rows_of_law(np.array([-np.inf]), np.array([-np.inf]), 2, 3, (0.0, 0.5))
         assert pmf.tolist() == [[1.0, 0.0, 0.0]]
         assert pgf_rows.tolist() == [[0.0, 0.5]]
 
+    @pytest.mark.parametrize("model", [ws_ref(), is_ref(), ss_ref(), MIX3], ids=MODEL_IDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 70])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000], ids=["unit", "tiny"])
+    def test_block_sums_match_the_per_row_law(self, model, k, scale):
+        # more rows than one block, weights with zeros, and a dead row with
+        # weight: the sums of w x, w**2 x, w**2 x**2 and w G against the
+        # same sums of the per-row law; with weights of 2**-1000 the squared
+        # weights are 0 and the atoms of w x partly subnormal
+        rows, atoms = 700, 64
+        idx = draw_env_batch(model, 12, np.random.default_rng(k), rows).idx
+        log_q = log_survival(model, idx)
+        s_n = model.log_means[idx].sum(axis=1)
+        log_q[3] = -np.inf
+        rng = np.random.default_rng(100 + k)
+        w = np.ldexp(rng.random(rows) * (rng.random(rows) > 0.2), -1000 if scale < 1 else 0)
+        w[3] = 0.5 * scale
+        sums, pgf_sum = conditioned_law(log_q, s_n, k, w, atoms, S_GRID)
+        pmf, pgf_rows = _per_row_law(log_q, s_n, k, atoms, S_GRID)
+        w2 = w * w
+        want = [(w[:, None] * pmf).sum(axis=0), (w2[:, None] * pmf).sum(axis=0),
+                (w2[:, None] * pmf * pmf).sum(axis=0)]
+        for got, expected in zip(sums, want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-315)
+        np.testing.assert_allclose(pgf_sum, (w[:, None] * pgf_rows).sum(axis=0), rtol=1e-12, atol=1e-315)
+        assert sums[0][0] > 0.0 and (scale < 1) == (sums[1].max() == 0.0)
 
 
 def _exact_lines(log_q: float, k: int) -> list[float]:
@@ -529,6 +594,21 @@ class TestSurvivorTail:
         np.testing.assert_allclose(tail(0), w * any_survive(np.log(q), k), rtol=1e-12)
         for z in (1, 50, 5000):
             assert np.all(np.isfinite(tail(z))) and np.all(tail(z) <= tail(0))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_total_is_the_sum_over_replicates(self, k):
+        # rows from u = 1e-40 to u = 1, with weights of every size and a 0
+        rng = np.random.default_rng(k)
+        u = np.tile([1e-40, 1e-12, 1e-3, 0.5, 1.0], 8)
+        s_t, g_t = rng.normal(-1.0, 1.0, len(u)), rng.exponential(3.0, len(u))
+        w = rng.random(len(u)) * 10.0 ** rng.integers(-30, 1, len(u))
+        w[7] = 0.0
+        tail = SurvivorTail.of(s_t, g_t, np.log(u), k, w)
+        for z in (0, 1, 7, 60, 5000):
+            total = tail.total(z)
+            assert type(total) is float
+            assert total == pytest.approx(float(tail(z).sum()), rel=1e-13, abs=0)
+        assert tail.total(0) > tail.total(60) > 0.0
 
     def test_weight_scales_each_replicate(self):
         args = (np.full(2, -0.3), np.full(2, 0.8), np.log([0.2, 0.2]), 3)

@@ -198,14 +198,14 @@ class TestYaglom:
         log_q = log_survival(model, idx)
         with np.errstate(divide="ignore"):  # q = 1 in some is-ref environments
             weight = model.weights[idx].prod(axis=1) * -np.expm1(k * np.log1p(-np.exp(log_q)))
-        pmf, pgf_rows = conditioned_law(log_q, model.log_means[idx].sum(axis=1), k, atoms, limits.S_GRID)
-        exact = weight @ pmf / weight.sum()
+        sums, pgf_sum = conditioned_law(log_q, model.log_means[idx].sum(axis=1), k, weight, atoms, limits.S_GRID)
+        exact = sums[0] / weight.sum()
         est = yaglom(model, k, n, 20000, seed=30 + k)
         assert est.method.endswith("+closed-form")
         for z in range(1, atoms + 1):
             value, se = est.pmf[z]
             assert abs(value - exact[z - 1]) < 4 * se
-        np.testing.assert_allclose(est.pgf_values, weight @ pgf_rows / weight.sum(), atol=0.02)
+        np.testing.assert_allclose(est.pgf_values, pgf_sum / weight.sum(), atol=0.02)
 
     @pytest.mark.parametrize("model", [FS_WS, MIXED], ids=["fs-ws", "mixed"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -489,7 +489,9 @@ class TestQProcessRun:
             want = np.cumsum(joint[t]) / alive
             got = np.array([1.0 - tail(z).sum() / total for z in range(cap + 1)])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            assert limits._tail_median(tail, total, 1) == int(np.argmax(want >= 0.5))
+            summed = np.array([1.0 - tail.total(z) / total for z in range(cap + 1)])
+            np.testing.assert_allclose(summed, want, rtol=0, atol=1e-12)
+            assert limits._tail_median(tail.total, total, 1) == int(np.argmax(want >= 0.5))
         assert t == horizon
 
     def test_sampled_medians_match_the_weighted_cdf(self):
