@@ -558,6 +558,12 @@ class _StepTable:
     b: np.ndarray  # (L,) B of an LF component, 0 otherwise
     c: np.ndarray  # (L,) B / (1 - B) of an LF component, 0 otherwise
     horner: np.ndarray  # (S, L): row i holds coefficient i of g of every component
+    # the offspring laws of the finite-support components, zero-padded up to
+    # the longest support (T entries); an LF component's column is all zero
+    pmf: np.ndarray  # (T, L): row i holds P(X = i)
+    biased_cdf: np.ndarray  # (T, L): row i holds P(X* <= i), X* size-biased: i P(X = i) / m
+    joint: np.ndarray  # (J, L): p_c C(c, j) of each joint outcome (c, j), 1 <= j <= c < T
+    outcomes: np.ndarray  # (2, J): j and c - j of each joint outcome, ordered by j, then c
 
 
 @lru_cache(maxsize=8)
@@ -567,7 +573,9 @@ def _step_table(model: EnvironmentModel) -> _StepTable:
     a finite-support law has c = 0 and g(d) = sum_i d**i P(X > i), each tail
     summed from the end so that tiny tails keep their relative precision,
     and an LF law has g = m. Zeros pad each column of ``horner`` up to the
-    longest, which leaves Horner exact."""
+    longest, which leaves Horner exact. The population samplers of
+    ``limits`` gather each finite-support row's outcome weights from the
+    pmfs; a size-biased CDF is exactly 1 from its last atom on."""
     laws = model.laws
     lf = np.array([isinstance(law, LinearFractional) for law in laws])
     a, b = np.array(
@@ -579,7 +587,21 @@ def _step_table(model: EnvironmentModel) -> _StepTable:
         for law, is_lf, m in zip(laws, lf, model.means)
     ]
     horner = np.array(list(zip_longest(*coefs, fillvalue=0.0)))
-    return _StepTable(*(_read_only(x) for x in (lf, a, b, b / (1.0 - b), horner)))
+    fs = {col: law.probs for col, (law, is_lf) in enumerate(zip(laws, lf)) if not is_lf}
+    # at least two rows, so that a prolific parent has an outcome even when
+    # every finite-support component has mean 0
+    pmf = np.zeros((max([2, *map(len, fs.values())]), len(laws)))
+    for col, probs in fs.items():
+        pmf[: len(probs), col] = probs
+    biased = np.cumsum(np.arange(len(pmf))[:, None] * pmf, axis=0)
+    biased_cdf = np.divide(biased, biased[-1], out=np.zeros_like(biased), where=biased[-1] > 0.0)
+    j, c = np.triu_indices(len(pmf) - 1)
+    j, c = j + 1, c + 1
+    joint = np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)[:, None] * pmf[c]
+    outcomes = np.stack([j, c - j])
+    return _StepTable(
+        *(_read_only(x) for x in (lf, a, b, b / (1.0 - b), horner, pmf, biased_cdf, joint, outcomes))
+    )
 
 
 def _log_steps(model: EnvironmentModel, batch: EnvBatch):

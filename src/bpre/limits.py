@@ -9,7 +9,9 @@ Yaglom skeleton and the WS Q-process trajectories) are sampled only for
 finite-support and mixed models, by one sampler, ``_sample_populations``,
 after the conditioned draw: it reads the draw's record (environments and
 log q), the survival profile of those environments and a stream of its
-own. The SS/IS Q-process steps its exact kernel for every model.
+own. The SS/IS Q-process steps its exact kernel: as an exact law where
+the chain's states are bounded (all-finite-support models at short
+horizons), by sampled trajectories otherwise.
 
 Sampling Z_n given survival is done exactly, per environment, through the
 prolific-skeleton decomposition: an individual is prolific when it has a
@@ -18,8 +20,8 @@ and given the environment the prolific individuals form a branching process
 whose offspring law has an explicit form. Each generation draws, per
 replicate, the total children of all its prolific (and doomed) parents in
 one step per offspring family: negative binomial and binomial totals for
-linear-fractional components, one multinomial draw over the finite-support
-outcomes otherwise. This replaces accept/reject on
+linear-fractional components, stick-breaking binomials over the
+finite-support outcomes otherwise. This replaces accept/reject on
 the survival event, whose acceptance probability decays geometrically in
 the horizon. A literal rejection sampler is kept for validation at short
 horizons.
@@ -29,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import streams
-from .environment import EnvironmentModel, TiltPlan, _read_only, draw_env_batch
+from .environment import EnvironmentModel, TiltPlan, draw_env_batch
 from .errors import (
     ConditioningStarvationError,
     ValidationError,
@@ -53,6 +54,8 @@ from .simcore import (
 from .stats import ratio_and_se, weighted_means_and_se, weighted_pmf
 
 DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
+# largest state of the SS/IS chain's exact law; its dense kernel takes at most 2 MB
+EXACT_CHAIN_STATES = 512
 # Sampled populations above this size are flagged as overflow and frozen at
 # zero. The cap only keeps the aggregate draws inside numpy's samplers:
 # binomial and negative_binomial counts stay far below int64, whatever the
@@ -78,20 +81,13 @@ QPROCESS_LOOKAHEAD = 10
 #     siblings number NB(J + z, 1 - B*x). A doomed parent's law is the
 #     linear-fractional law A' = A*x/x_parent, B' = B*x: m = Binomial(d,
 #     A'/(1-B')) parents have children, m + NB(m, 1 - B*x) in total.
-#   * Finite support: one multinomial draw over the joint (prolific j >= 1,
-#     doomed c - j) children of a prolific parent, P ~ p_c C(c,j) u^j x^(c-j),
-#     and one over p_c x^c for a doomed parent; the rows that share a
-#     component are stepped together.
-
-
-def _fs_groups(model, col):
-    """(rows, probability tuple) of each finite-support component in ``col``
-    that can have children; the rows of FiniteSupport((1.0,)) have none."""
-    for comp, law in enumerate(model.laws):
-        if isinstance(law, FiniteSupport) and len(law.probs) > 1:
-            rows = col == comp
-            if rows.any():
-                yield rows, law.probs
+#   * Finite support: every row of the generation at once, its outcome
+#     weights gathered by component index from the pmfs of ``_step_table``.
+#     A prolific parent has joint (prolific j >= 1, doomed c - j) children
+#     with P ~ p_c C(c,j) u^(j-1) x^(c-j), merged over c where the doomed
+#     children are not kept (the skeleton), and a doomed parent has c
+#     children with P ~ p_c x^c; ``_fs_totals`` draws the totals by stick
+#     breaking, one binomial per outcome.
 
 
 def _neg_binomial(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -115,23 +111,22 @@ def _lf_totals(rng, n: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fs_totals(rng, n: np.ndarray, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` over n[r] iid categories drawn from row r of
-    ``weights`` (normalized here; an all-zero row draws its first category)."""
-    weights = np.atleast_2d(weights).astype(float)
-    weights[weights.sum(axis=1) <= 0.0, 0] = 1.0
-    counts = rng.multinomial(n, weights / weights.sum(axis=1, keepdims=True))
-    return counts @ values
-
-
-@lru_cache(maxsize=64)
-def _pair_table(probs: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offspring count c, prolific count j (1 <= j <= c) and p_c C(c, j) of
-    every joint outcome of a prolific parent with finite-support law. Cached
-    per law, so the arrays are read-only."""
-    c, j = np.tril_indices(len(probs))
-    c, j = c[j >= 1], j[j >= 1]
-    coef = np.array(probs)[c] * np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)
-    return _read_only(c), _read_only(j), _read_only(coef)
+    """Sum of ``values`` (outcomes last) over n[r] iid outcomes drawn from
+    column r of the (outcomes, rows) ``weights``, by stick breaking: outcome
+    i takes Binomial(left, P(outcome i | outcome >= i)) of the draws the
+    outcomes before it left. A column with no weight left from outcome i on
+    puts all its draws there, so an all-zero column draws its first outcome."""
+    rest = weights.copy()  # row i: the weight of outcomes i and after, summed from the last
+    for i in range(len(rest) - 2, -1, -1):
+        rest[i] += rest[i + 1]
+    stick = np.divide(weights, rest, out=np.ones_like(rest), where=rest > 0.0)
+    counts = np.empty(weights.shape, dtype=np.int64)
+    left = np.array(n, dtype=np.int64)
+    for i in range(len(weights) - 1):
+        counts[i] = rng.binomial(left, stick[i])
+        left -= counts[i]
+    counts[-1] = left
+    return values @ counts
 
 
 def _generation(model, col, lu_child, lu_parent, z, d, rng):
@@ -148,6 +143,7 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
     z_next = np.zeros_like(z)
     d_next = None if d is None else np.zeros_like(z)
     lf = table.lf[col]
+    rows = slice(None)  # every row is finite-support: no copies
     if lf.any():
         ai, bi, xi, zi = table.a[col[lf]], table.b[col[lf]], x[lf], z[lf]
         geo_p = 1.0 - bi * xi
@@ -157,17 +153,36 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
             x_par = -np.expm1(lu_parent[lf])
             a_doomed = np.divide(ai * xi, x_par, out=np.zeros_like(xi), where=x_par > 0.0)
             d_next[lf] = _neg_binomial(rng, j + zi, geo_p) + _lf_totals(rng, d[lf], a_doomed, bi * xi)
-    for rows, probs in _fs_groups(model, col):
-        c, j, coef = _pair_table(probs)
-        u = np.exp(lu_child[rows, None])
-        weights = coef * u ** (j - 1) * x[rows, None] ** (c - j)
-        born = _fs_totals(rng, z[rows], weights, np.stack([j, c - j], axis=1))
-        z_next[rows] = born[:, 0]
-        if d is not None:
-            sizes = np.arange(len(probs))
-            doomed = _fs_totals(rng, d[rows], np.asarray(probs) * x[rows, None] ** sizes, sizes)
-            d_next[rows] = born[:, 1] + doomed
+        rows = ~lf
+        if not rows.any():
+            return z_next, d_next
+    fs, xf, uf = col[rows], x[rows], np.exp(lu_child[rows])
+    sizes = np.arange(len(table.pmf))
+    if d is None:
+        z_next[rows] = _fs_totals(rng, z[rows], _prolific_weights(table.pmf[:, fs], xf, uf), sizes[1:])
+        return z_next, d_next
+    j, doomed = table.outcomes
+    weights = table.joint[:, fs] * uf ** (j - 1)[:, None] * xf ** doomed[:, None]
+    z_next[rows], born_doomed = _fs_totals(rng, z[rows], weights, table.outcomes)
+    d_next[rows] = born_doomed + _fs_totals(rng, d[rows], table.pmf[:, fs] * xf ** sizes[:, None], sizes)
     return z_next, d_next
+
+
+def _prolific_weights(pmf, x, u):
+    """Weights u^(j-1) sum_c p_c C(c,j) x^(c-j) of j = 1..T-1 prolific
+    children of a prolific parent, the joint outcomes merged over c, for
+    the (T, rows) pmfs ``pmf`` (overwritten). The sums over c are the
+    coefficients of the pgf f(x + s) in s, taken by the Taylor shift of f
+    by x: T(T-1)/2 multiply-adds, with no binomial coefficient."""
+    top = len(pmf) - 1
+    for i in range(top):
+        for c in range(top - 1, i - 1, -1):
+            pmf[c] += x * pmf[c + 1]
+    power = u.copy()
+    for j in range(2, top + 1):
+        pmf[j] *= power
+        power *= u
+    return pmf[1:]
 
 
 def conditioned_binomial_positive(k: int, log_q: np.ndarray, rng) -> np.ndarray:
@@ -401,12 +416,16 @@ def _component_pmf(law, cap: int) -> np.ndarray:
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """a * b on 0..cap. Trailing zeros are trimmed first, so the method is
+    chosen by the true supports and the FFT adds no noise past them."""
+    a, b = np.trim_zeros(a, "b"), np.trim_zeros(b, "b")
     if len(a) * len(b) > 2**22:  # FFT pays off for long vectors
         from scipy.signal import fftconvolve
 
-        out = fftconvolve(a, b)[: cap + 1]
-        return np.clip(out, 0.0, None)
-    return np.convolve(a, b)[: cap + 1]
+        out = np.clip(fftconvolve(a, b)[: cap + 1], 0.0, None)
+    else:
+        out = np.convolve(a, b)[: cap + 1]
+    return np.pad(out, (0, cap + 1 - len(out)))
 
 
 def _convolve_power(pmf: np.ndarray, power: int, cap: int) -> np.ndarray:
@@ -459,20 +478,21 @@ class QProcessRun:
     """Trajectory summaries of the survival-conditioned chain."""
 
     regime: str
-    method: str  # exact kernel chain, or finite-horizon approximation
+    method: str  # exact kernel law or chain, or finite-horizon approximation
     horizon: int
     medians: tuple[float, ...]  # per generation, smallest z with P(Y_t <= z) >= 1/2
     final_pmf: dict[int, tuple[float, float]] | None
     overflow_mass: float
     reps: int
-    seed_info: str
+    seed_info: str | None  # None for the exact kernel law, which draws nothing
 
 
 def _chain_step(model, comp, y, rng):
     """One exact kernel step of the chain conditioned to survive forever,
     row r in component comp[r] (drawn size-biased by its mean): y-1 plain
     offspring plus one size-biased offspring (for a linear-fractional law,
-    the sum of two shifted geometrics).
+    the sum of two shifted geometrics; for a finite-support law, one
+    uniform against the component's size-biased CDF).
     """
     table = _step_table(model)
     out = np.empty_like(y)
@@ -481,13 +501,55 @@ def _chain_step(model, comp, y, rng):
         bi = table.b[comp[lf]]
         plain = _lf_totals(rng, y[lf] - 1, table.a[comp[lf]], bi)
         out[lf] = plain + rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
-    for rows, probs in _fs_groups(model, comp):
-        probs = np.asarray(probs)
-        sizes = np.arange(len(probs))
-        biased = sizes * probs
-        plain = _fs_totals(rng, y[rows] - 1, probs, sizes)
-        out[rows] = plain + rng.choice(len(probs), len(plain), p=biased / biased.sum())
+    fs = ~lf
+    if fs.any():
+        col = comp[fs]
+        sizes = np.arange(len(table.pmf))
+        plain = _fs_totals(rng, y[fs] - 1, table.pmf[:, col], sizes)
+        out[fs] = plain + (rng.random(len(col)) >= table.biased_cdf[:, col]).sum(axis=0)
     return out
+
+
+def _chain_states(model, k, horizon) -> int | None:
+    """The largest state that Y_horizon of the SS/IS chain can reach from k,
+    k * top**horizon with top the largest offspring count, for an
+    all-finite-support model where it is at most ``EXACT_CHAIN_STATES``;
+    None otherwise."""
+    table = _step_table(model)
+    if table.lf.any():
+        return None
+    top = len(table.pmf) - 1
+    # past that many generations top**t > EXACT_CHAIN_STATES whenever top >= 2
+    states = k * top ** min(horizon, EXACT_CHAIN_STATES.bit_length())
+    return states if states <= EXACT_CHAIN_STATES else None
+
+
+def _exact_chain_law(model, gamma, k, horizon, states):
+    """Law of Y_0..Y_horizon of the SS/IS chain from k, exactly, on states
+    0..``states``: pi_{t+1} = pi_t P, where row y of P is sum_c w_c pmf_c^{*y},
+    size-biased by b / (y gamma). A parent has at most top = T - 1
+    children, so before the horizon the chain is in states up to
+    states // top only; those rows are built in turn, one convolution per
+    row and component."""
+    table = _step_table(model)
+    pmfs = [np.trim_zeros(pmf, "b") for pmf in table.pmf.T]
+    powers = np.zeros((len(pmfs), states + 1))
+    powers[:, 0] = 1.0
+    sizes = np.arange(states + 1)
+    kernel = np.zeros((states + 1, states + 1))
+    for y in range(1, states // (len(table.pmf) - 1) + 1):
+        for power, pmf in zip(powers, pmfs):
+            power[:] = np.convolve(power, pmf)[: states + 1]
+        kernel[y] = model.weights @ powers * sizes / (y * gamma)
+    law = np.zeros(states + 1)
+    law[k] = 1.0
+    laws = [law]
+    for _ in range(horizon):
+        laws.append(laws[-1] @ kernel)
+    medians = _medians(
+        (lambda z, cdf=np.cumsum(law): float(1.0 - cdf[min(z, states)]) for law in laws), 1.0
+    )
+    return medians, {int(b): (float(p), 0.0) for b, p in enumerate(laws[-1]) if p > 0.0}
 
 
 def qprocess_run(
@@ -499,23 +561,42 @@ def qprocess_run(
 ) -> QProcessRun:
     """Simulate the chain conditioned to survive in the distant future.
 
-    SS/IS: the exact one-step kernel drives the chain. WS: no exact kernel
-    exists, so Z_t is conditioned on survival ``QPROCESS_LOOKAHEAD``
-    generations past the horizon (finite-horizon approximation, labeled as
-    such in the output). One conditioned draw and its survival profile
-    serve both WS laws: for an all-LF model each median comes from the
-    exact conditioned tails of the drawn environments; otherwise the dressed
-    trajectories of ``_sample_populations`` are sampled given them.
+    SS/IS: the exact one-step kernel drives the chain. Where the chain's
+    states are bounded (``_chain_states``) its law is computed exactly and
+    nothing is drawn; otherwise ``reps`` trajectories are sampled. WS: no
+    exact kernel exists, so Z_t is conditioned on survival
+    ``QPROCESS_LOOKAHEAD`` generations past the horizon (finite-horizon
+    approximation, labeled as such in the output). One conditioned draw and
+    its survival profile serve both WS laws: for an all-LF model each median
+    comes from the exact conditioned tails of the drawn environments;
+    otherwise the dressed trajectories of ``_sample_populations`` are sampled
+    given them.
     """
     check_k(k)
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0, got {horizon}", field="horizon")
     regime = regime_of(model)
     if regime in ("SS", "IS"):
+        gamma = expected_mean(model)
+        if gamma == 0.0:
+            raise ValidationError("no chain survives: every component has mean 0", field="model")
+        states = _chain_states(model, k, horizon)
+        if states is not None:
+            streams.check_reps_and_seed(reps, seed)
+            medians, final_pmf = _exact_chain_law(model, gamma, k, horizon, states)
+            return QProcessRun(
+                regime=regime,
+                method="exact-kernel-law",
+                horizon=horizon,
+                medians=medians,
+                final_pmf=final_pmf,
+                overflow_mass=0.0,
+                reps=reps,
+                seed_info=None,
+            )
         # the spine's environments follow the mean-size-biased law w m / gamma,
         # the tilt by m; built here because tilt_plan rejects a model with a
         # zero-mean component, to which this law gives weight 0
-        gamma = expected_mean(model)
         plan = TiltPlan(1.0, gamma, model.weights * model.means / gamma)
         purpose = "qprocess"
 

@@ -24,9 +24,12 @@ BIT_GENERATOR = np.random.SFC64
 # Version of the way draws are laid out on the streams, printed in every
 # ``seed_provenance`` string; 3 draws environments one block code per SFC64
 # uniform, one block row of the chunk at a time, 4 draws the populations
-# sampled given a conditioned draw on streams of their own, and 5 draws the
-# SS/IS Q-process chain's environments as block codes before its offspring.
-STREAM_LAYOUT = 5
+# sampled given a conditioned draw on streams of their own, 5 draws the
+# SS/IS Q-process chain's environments as block codes before its offspring,
+# and 6 draws the finite-support totals of every row of a generation by
+# stick-breaking binomials, and the chain's finite-support size-biased child
+# by one uniform against its CDF.
+STREAM_LAYOUT = 6
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 
@@ -64,6 +67,15 @@ def thread_count() -> int:
     return max(1, n)
 
 
+def check_reps_and_seed(reps, seed) -> None:
+    """Reject a replicate count below 1 or a seed below 0, or either one not
+    an integer, with ``ValidationError``."""
+    for field, value, low in (("reps", reps, 1), ("seed", seed, 0)):
+        # a bool is an int to Python: True would run as seed 1
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValidationError(f"{field} must be an integer >= {low}, got {value!r}", field=field)
+
+
 def run_chunks(
     fn: Callable[[np.random.Generator, int, int], Sequence[np.ndarray]],
     reps: int,
@@ -78,10 +90,7 @@ def run_chunks(
     of the worker count. Chunk streams are numbered from ``first_chunk``, so
     a later call can continue the streams of an earlier one.
     """
-    for field, value, low in (("reps", reps, 1), ("seed", seed, 0)):
-        # a bool is an int to Python: True would run as seed 1
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValidationError(f"{field} must be an integer >= {low}, got {value!r}", field=field)
+    check_reps_and_seed(reps, seed)
     bounds = list(chunk_bounds(reps))
     results: list[Sequence[np.ndarray]] = [None] * len(bounds)  # type: ignore[list-item]
 

@@ -439,6 +439,21 @@ def test_exact_kernel_row_needs_no_seed(capsys):
     assert result["probs"] == {str(m): float(p) for m, p in enumerate(row.probs) if p > 0}
 
 
+def test_finite_support_kernel_row_prints_its_support(capsys, tmp_path):
+    # FS_SS from state 2 can reach 1..4 children; the row printed 13 764
+    # atoms of FFT noise (520 KB of JSON)
+    model = {"components": [{"law": {"fs": [0.5, 0.3, 0.2]}, "weight": 0.5},
+                            {"law": {"fs": [0.7, 0.2, 0.1]}, "weight": 0.5}]}
+    model_path = tmp_path / "fs-ss.json"
+    model_path.write_text(json.dumps(model))
+    code, out, _ = run_cli(["qprocess", "--model", str(model_path), "--kernel-state", "2"], capsys)
+    assert code == 0
+    probs = json.loads(out)["result"]["probs"]
+    assert sorted(probs) == ["1", "2", "3", "4"]
+    for state, value in zip("1234", (29, 47, 24, 10)):
+        assert abs(probs[state] - value / 110) < 1e-15
+
+
 @pytest.mark.parametrize("op", sorted(op for op in OP_HANDLERS if op != "regime"))
 def test_an_op_that_draws_demands_a_seed(op, capsys):
     # qprocess without --kernel-state draws, like every op but regime

@@ -70,10 +70,13 @@ def test_finite_support_qprocess():
     run = qprocess_run(FS_SS, 1, 5, 1500, seed=3)
     assert run.regime == "SS"
     assert [m.hex() for m in run.medians] == [x.hex() for x in (1.0, 2.0, 2.0, 2.0, 2.0, 2.0)]
-    # re-pinned at stream layout 5, which draws the spine's components as
-    # block codes; the exact law of the chain gives P(Y_5 = 2) = 0.414798
+    # re-pinned at stream layout 6: the chain's states stay below 2**5, so
+    # its law is computed exactly and nothing is drawn. P(Y_5 = 2) is the
+    # 0.414798 of the exact law (oracles.qprocess_ss_laws agrees to 6e-17);
+    # layout 5 sampled 0.42 +- 0.0127
+    assert (run.method, run.seed_info, run.reps) == ("exact-kernel-law", None, 1500)
     value, se = run.final_pmf[2]
-    assert (value.hex(), se.hex()) == ("0x1.ae147ae147ae1p-2", "0x1.a1b8eef3b15cap-7")
+    assert (value.hex(), se) == ("0x1.a8c0e38e3c555p-2", 0.0)
 
 
 def test_ss_qprocess_medians():
@@ -143,11 +146,13 @@ def test_finite_support_lineage_count_atom():
 
 
 def test_finite_support_yaglom_atom():
-    # re-pinned at stream layout 4, which samples the skeleton on streams of
-    # its own after the draw: 0.10216 +- 0.01328, 0.40 SE below the exact
-    # 0.10747 of environment enumeration (layout 3 gave 0.11739 +- 0.01434)
+    # re-pinned at stream layout 6, which steps every finite-support row of
+    # a generation at once by stick-breaking binomials: 0.07527 +- 0.01157,
+    # 2.78 SE below the exact 0.10747 of environment enumeration. Over seeds
+    # 0..299 the z-scores of this atom have mean -0.11 and sd 1.11, and 4 of
+    # them lie beyond 2.8 (layout 4 gave 0.10216 +- 0.01328, -0.40 SE)
     value, se = yaglom(FS_WS, 1, 12, 600, seed=3).pmf[1]
-    assert (value.hex(), se.hex()) == ("0x1.a2751b835e9adp-4", "0x1.b35190d3386dfp-7")
+    assert (value.hex(), se.hex()) == ("0x1.344c5f281c92cp-4", "0x1.7b0c74c873e04p-7")
 
 
 def test_tilted_env_posterior_atom():
@@ -159,24 +164,23 @@ def test_tilted_env_posterior_atom():
 
 def test_finite_support_ws_qprocess_medians():
     # the sampled conditioned trajectories, which a model that is not all-LF
-    # runs on; re-pinned at stream layout 4, which samples them on streams of
-    # their own after the draw. The enumerated medians are (2, 3, 3, 4, 5, 5):
-    # at t = 5 the exact P(Z_5 <= 5 | Z_15 > 0) is 0.5144 and the sampled
-    # weighted CDF 0.4940, 1.8 SE below it at 1888 effective events
+    # runs on; re-pinned at stream layout 6 (the gathered finite-support
+    # step). They equal the enumerated medians (2, 3, 3, 4, 5, 5); layout 4
+    # gave 6 at t = 5, where the exact P(Z_5 <= 5 | Z_15 > 0) is 0.5144
     run = qprocess_run(FS_WS, 2, 5, 2048, seed=3)
     assert run.method == "finite-horizon-approximation(lookahead=10)"
     assert (run.reps, run.overflow_mass) == (2048, 0.0)
-    assert run.medians == (2.0, 3.0, 3.0, 4.0, 5.0, 6.0)
+    assert run.medians == (2.0, 3.0, 3.0, 4.0, 5.0, 5.0)
 
 
 def test_mixed_yaglom_atom():
     # the sampled skeleton of a mixed LF + finite-support model; the SE
     # convention of sampled atoms is pinned by test_finite_support_yaglom_atom.
-    # Re-pinned at stream layout 4 (the skeleton's own streams): atoms 1 and
-    # 2 are 0.30076 +- 0.01180 and 0.21749 +- 0.01049, 0.25 SE below and
-    # 0.49 SE above the enumerated 0.30370 and 0.21239; the pgf at 1/2 is
-    # 0.23708 against 0.23704
+    # Re-pinned at stream layout 6 (the gathered finite-support step): atoms
+    # 1 and 2 are 0.30186 +- 0.01156 and 0.23279 +- 0.01101, 0.16 SE below
+    # and 1.85 SE above the enumerated 0.30370 and 0.21239; the pgf at 1/2
+    # is 0.23968 against 0.23704 (layout 4: 0.30076, 0.21749 and 0.23708)
     est = yaglom(MIXED, 2, 10, 2048, seed=3)
     assert (est.method, est.reps_used) == ("env-exact", 2048)
-    assert [est.pmf[z][0].hex() for z in (1, 2)] == ["0x1.33f9afaa6f89cp-2", "0x1.bd6a9cad0c3fbp-3"]
-    assert est.pgf_values[10].hex() == "0x1.e58b19c8f4e01p-3"
+    assert [est.pmf[z][0].hex() for z in (1, 2)] == ["0x1.351ab6d2f0dafp-2", "0x1.dcc36f51464afp-3"]
+    assert est.pgf_values[10].hex() == "0x1.eade635c9fb48p-3"

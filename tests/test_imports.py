@@ -51,7 +51,9 @@ AGGREGATE_SAMPLER = (
     "_generation",
     "_lf_totals",
     "_fs_totals",
+    "_prolific_weights",
     "_neg_binomial",
+    "_exact_chain_law",
     "_sample_populations",
     "_marginal_tails",
     "SurvivorTail",
@@ -299,19 +301,22 @@ def test_log_check_sees_a_draw_attribute():
 
 # the readers of the per-component family parameters of ``lfexact._step_table``,
 # and the generic survival step and population draws that gather them by
-# component index
+# component index, and the exact SS/IS chain law that reads its pmfs
 STEP_TABLE_READERS = [
     ("lfexact", "_lf_tables"),
     ("lfexact", "lf_forward"),
     ("lfexact", "_log_steps"),
     ("limits", "_generation"),
     ("limits", "_chain_step"),
+    ("limits", "_chain_states"),
+    ("limits", "_exact_chain_law"),
 ]
 FAMILY_GATHERS = [
     ("lfexact", "_log_step"),
     ("lfexact", "_log_steps"),
     ("limits", "_generation"),
     ("limits", "_chain_step"),
+    ("limits", "_exact_chain_law"),
 ]
 
 
@@ -370,8 +375,9 @@ def test_family_parameters_come_from_the_step_table(module, name):
     "module, name", FAMILY_GATHERS, ids=[name for _, name in FAMILY_GATHERS]
 )
 def test_family_gathers_branch_on_no_law(module, name):
-    # every row's family parameters are gathered by component index, with
-    # no isinstance test on a law and no per-component row mask
+    # every row's family parameters are gathered by component index, and
+    # the exact chain law reads the table's pmfs, with no isinstance test on
+    # a law and no per-component row mask
     node = definition(module, name)
     assert not [
         sub
@@ -379,6 +385,23 @@ def test_family_gathers_branch_on_no_law(module, name):
         if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "isinstance"
     ]
     assert not [sub for sub in ast.walk(node) if is_component_mask(sub)]
+
+
+def test_one_finite_support_step():
+    # every finite-support row of a generation is stepped at once from the
+    # step table's pmfs, by stick-breaking binomials: no multinomial draw,
+    # no per-component row groups and no per-law joint outcome table
+    names = names_in(ast.parse((Path(bpre.__file__).parent / "limits.py").read_text(encoding="utf-8")))
+    assert names.isdisjoint({"multinomial", "_fs_groups", "_pair_table"})
+    assert "binomial" in names_in(definition("limits", "_fs_totals"))
+
+
+def test_exact_chain_law_draws_nothing():
+    # the bounded SS/IS chain's law is computed: its branch draws no
+    # environment and runs no chunk
+    names = names_in(definition("limits", "_exact_chain_law"))
+    assert names.isdisjoint({"draw_env_batch", "run_chunks", "rng", "stream"})
+    assert "_exact_chain_law" in names_in(definition("limits", "qprocess_run"))
 
 
 def test_mask_check_sees_a_component_mask():
@@ -463,9 +486,10 @@ def test_then_check_sees_a_callback():
 
 
 def test_one_qprocess_median(monkeypatch):
-    # every branch of qprocess_run, the SS/IS chain and the closed-form and
-    # sampled WS laws, reports its medians through the one weighted-tail
-    # search, and no other median is left in limits or stats
+    # every branch of qprocess_run, the SS/IS chain and its exact law and the
+    # closed-form and sampled WS laws, reports its medians through the one
+    # weighted-tail search, once per generation, and no other median is left
+    # in limits or stats
     from bpre import limits
 
     assert "weighted_median" not in module_definitions("stats")
@@ -477,8 +501,12 @@ def test_one_qprocess_median(monkeypatch):
     fs_ws = EnvironmentModel(
         [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.3, 0.3, 0.2, 0.2)), 0.5)]
     )
+    fs_ss = EnvironmentModel(
+        [(FiniteSupport((0.5, 0.3, 0.2)), 0.5), (FiniteSupport((0.7, 0.2, 0.1)), 0.5)]
+    )
     for model, method in [
         (ss_ref(), "exact-kernel-chain"),
+        (fs_ss, "exact-kernel-law"),
         (ws_ref(), "finite-horizon-approximation(lookahead=10)+closed-form"),
         (fs_ws, "finite-horizon-approximation(lookahead=10)"),
     ]:

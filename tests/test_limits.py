@@ -11,6 +11,7 @@ from bpre.environment import (
     draw_env,
     draw_env_batch,
     is_ref,
+    pack_env,
     ss_ref,
     ws_ref,
 )
@@ -23,7 +24,6 @@ from bpre.limits import (
     _convolve_power,
     _fs_totals,
     _lf_totals,
-    _pair_table,
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
     env_posterior,
@@ -58,6 +58,8 @@ FS_WS = EnvironmentModel(
 MIXED = EnvironmentModel(
     [(FiniteSupport([0.6, 0.2, 0.1, 0.1]), 0.4), (LinearFractional(0.125, 0.5), 0.6)]
 )
+# a zero-mean finite-support component next to a linear-fractional one
+DEAD_MIXED = EnvironmentModel([(FiniteSupport([1.0]), 0.2), (LinearFractional(0.225, 0.5), 0.8)])
 # SS mixtures with a zero-mean component, first or last: means {0, 0.7}
 ZERO_MEAN_SS = {
     "first": EnvironmentModel(
@@ -85,18 +87,33 @@ def test_survival_profile_matches_quenched():
 )
 @pytest.mark.parametrize("m", [1, 3, 10])
 def test_aggregate_totals_match_convolution(law, m):
-    # one aggregate draw per replicate against the m-fold convolution of the law
+    # one aggregate draw per replicate against the m-fold convolution of the
+    # law. The finite-support draws take one column of weights per row: rows
+    # alternate with a second law, whose weights are scaled by 3 and have a
+    # zero, and the last 100 rows have no parent
     reps, cap = 20000, 200
     rng = stream(23, "t")
-    n = np.full(reps, m)
     if isinstance(law, LinearFractional):
-        totals = _lf_totals(rng, n, np.full(reps, law.A), np.full(reps, law.B))
+        drawn = {law: _lf_totals(rng, np.full(reps, m), np.full(reps, law.A), np.full(reps, law.B))}
     else:
-        totals = _fs_totals(rng, n, np.asarray(law.probs), np.arange(len(law.probs)))
-    assert totals.max() <= cap
-    exact = _convolve_power(_component_pmf(law, cap), m, cap)
-    observed = np.bincount(totals, minlength=cap + 1)
-    assert chi_square_pvalue(observed, reps * exact) > 1e-3
+        other = FiniteSupport([0.6, 0.1, 0.0, 0.3])
+        which = np.arange(2 * reps + 100) % 2
+        n = np.where(np.arange(len(which)) < 2 * reps, m, 0)
+        weights = np.array([law.probs, 3.0 * np.asarray(other.probs)]).T[:, which]
+        totals = _fs_totals(rng, n, weights, np.arange(len(law.probs)))
+        assert totals.dtype == np.int64 and (totals[2 * reps:] == 0).all()
+        drawn = {law: totals[: 2 * reps : 2], other: totals[1 : 2 * reps : 2]}
+    for each, totals in drawn.items():
+        assert totals.max() <= cap
+        exact = _convolve_power(_component_pmf(each, cap), m, cap)
+        observed = np.bincount(totals, minlength=cap + 1)
+        assert chi_square_pvalue(observed, reps * exact) > 1e-3
+
+
+def test_fs_totals_of_an_all_zero_column_take_the_first_outcome():
+    weights = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    totals = _fs_totals(stream(24, "t"), np.array([5, 4, 3]), weights, np.array([10, 20, 30]))
+    np.testing.assert_array_equal(totals, [50, 80, 30])
 
 
 class TestConditionedBinomial:
@@ -207,11 +224,12 @@ class TestYaglom:
             assert abs(value - exact[z - 1]) < 4 * se
         np.testing.assert_allclose(est.pgf_values, pgf_sum / weight.sum(), atol=0.02)
 
-    @pytest.mark.parametrize("model", [FS_WS, MIXED], ids=["fs-ws", "mixed"])
+    @pytest.mark.parametrize("model", [FS_WS, MIXED, DEAD_MIXED], ids=["fs-ws", "mixed", "dead-mixed"])
     @pytest.mark.parametrize("k", [1, 2])
     def test_sampled_matches_enumeration(self, model, k):
         # the sampled skeleton against P(Z_n = z | Z_n > 0) over every one of
-        # the 2**n environments (lookahead 0: the law at the horizon itself)
+        # the 2**n environments (lookahead 0: the law at the horizon itself);
+        # DEAD_MIXED's only finite-support law has no child to draw
         n = 6
         _, _, joint, alive = _enumerated_marginals(model, k, n, 80, lookahead=0)
         est = yaglom(model, k, n, 10000, seed=40 + k)
@@ -239,13 +257,14 @@ class TestYaglom:
 
 
 class TestSharedTables:
-    """Per-law tables are built once and shared by the chunks of every
-    thread, so they are read-only."""
+    """The per-model step table is built once and shared by the chunks of
+    every thread, so its arrays are read-only."""
 
-    def test_pair_table_is_read_only(self):
-        for table in _pair_table((0.3, 0.3, 0.2, 0.2)):
+    def test_step_table_is_read_only(self):
+        table = lfexact._step_table(MIXED)
+        for field in ("pmf", "biased_cdf", "joint", "outcomes"):
             with pytest.raises(ValueError):
-                table[0] = 0
+                getattr(table, field)[0, 0] = 0
 
     @pytest.mark.parametrize("threads", ["2", "4"])
     def test_threads_match_one_thread_bitwise(self, monkeypatch, threads):
@@ -260,7 +279,7 @@ class TestSharedTables:
             return yaglom(FS_WS, 1, 12, 600, seed=3), qprocess_run(FS_WS, 2, 5, 600, seed=3)
 
         one = runs()
-        for cached in (_pair_table, lfexact._step_table, solve_alpha):
+        for cached in (lfexact._step_table, solve_alpha):
             cached.cache_clear()
         monkeypatch.setenv(streams.THREADS_ENV_VAR, threads)
         interval = sys.getswitchinterval()
@@ -298,6 +317,32 @@ class TestPopulationSampler:
         assert est.reps_used == 2400
         assert est.pmf == weighted_pmf(z, cond.survive_w)
 
+    @pytest.mark.parametrize("model", [FS_WS, MIXED], ids=["fs-ws", "mixed"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_given_the_environment(self, model, k):
+        # the skeleton's Z_n and the dressed Z_1..Z_3 (given Z_n > 0), each
+        # drawn 20 000 times for each of three hand-built environments of
+        # n = 6 generations, against the law given that environment
+        envs = [[0, 1, 0, 1, 1, 0], [1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]]
+        reps, n, horizon = 20000, 6, 3
+        idx = np.repeat(envs, reps, axis=0)
+        env = pack_env(model, idx)
+        log_q = log_survival(model, idx)
+        cond = simcore.ConditionedEnvSamples(env, log_q, np.ones(len(idx)), "hand-built", len(idx), 0.0, "")
+        lu = log_survival_profile(model, env)
+        z, over = limits._sample_populations(cond, lu, k, n, False, 7, "t")
+        traj, over_dressed = limits._sample_populations(cond, lu, k, horizon, True, 7, "t")
+        assert not over.any() and not over_dressed.any()
+        for e, laws in enumerate(_laws_given(model, envs, k)):
+            rows = slice(e * reps, (e + 1) * reps)
+            for t, sizes in [(n, z[rows])] + [(t, traj[rows, t]) for t in range(1, horizon + 1)]:
+                law = laws[t]
+                observed = np.bincount(sizes, minlength=9)
+                assert observed[0] == 0
+                for size in range(1, 9):
+                    se = math.sqrt(law[size] * (1.0 - law[size]) / reps)
+                    assert abs(observed[size] / reps - law[size]) < 4 * se + 1e-12, (e, t, size)
+
 
 class TestFunctionalResidual:
     def test_bernoulli_identity_exact(self):
@@ -328,6 +373,25 @@ class TestQKernel:
     def test_ws_rejected(self):
         with pytest.raises(ValidationError):
             qprocess_kernel(ws_ref(), 1)
+
+    def test_finite_support_row_has_its_true_support(self):
+        # the row convolves zero-padded pmfs of length 2**14 + 1; it went
+        # through the FFT and came back with 13 764 atoms of noise, summing to
+        # 1 + 4.6e-11. By hand, with gamma = 0.55: 0.5 (p1*p1 + p2*p2) =
+        # (0.37, 0.29, 0.235, 0.08, 0.025), times b / 1.1
+        row = qprocess_kernel(FS_SS, 2)
+        assert len(row.probs) == limits.DEFAULT_STATE_CAP + 1
+        np.testing.assert_array_equal(np.flatnonzero(row.probs), [1, 2, 3, 4])
+        np.testing.assert_allclose(row.probs[1:5], np.array([29, 47, 24, 10]) / 110, rtol=0, atol=1e-15)
+        assert row.tail_mass < 1e-15
+
+    @pytest.mark.parametrize("model_fn", [ss_ref, is_ref])
+    def test_lf_rows_lose_no_excess(self, model_fn):
+        # the geometric tails underflow to 0 past about 1100, so the trimmed
+        # supports convolve directly; through the FFT the rows summed to
+        # 1 + 7.6e-11
+        row = qprocess_kernel(model_fn(), 2)
+        assert abs(row.row_sum - 1.0) < 1e-14
 
     def test_product_formula_on_enumeration_fixture(self):
         # two-step joint law: kernel product vs size-biased path probability
@@ -374,7 +438,9 @@ class TestQProcessRun:
         assert all(size >= 1 for size in run.final_pmf)
 
     def test_fs_chain_matches_kernel(self):
-        # multinomial plus size-biased draws against the exact kernel row
+        # the exact law of the bounded finite-support chain against the
+        # exact kernel row (test_exact_law_matches_the_kernel checks it to
+        # 1e-12); test_chain_matches_exact_law samples the chain
         reps = 20000
         row = qprocess_kernel(FS_SS, 2, state_cap=64).probs
         run = qprocess_run(FS_SS, 2, 1, reps, seed=26)
@@ -385,39 +451,65 @@ class TestQProcessRun:
             assert abs(p_emp - row[state]) < 4 * se + 1e-12
 
     @pytest.mark.parametrize(
-        "model, horizon, cap", [(FS_SS, 5, 64), (ss_ref(), 4, 128)], ids=["fs-ss", "ss-ref"]
+        "model, horizon, cap", [(FS_SS, 10, 64), (ss_ref(), 4, 128)], ids=["fs-ss", "ss-ref"]
     )
     def test_chain_matches_exact_law(self, model, horizon, cap):
         # the sampled Y_h against pi_h = pi_0 P^h, stepped through the exact
-        # kernel rows; atoms, not medians: P(Y_1 <= 2) is exactly 1/2 on ss-ref
+        # kernel rows; atoms, not medians: P(Y_1 <= 2) is exactly 1/2 on ss-ref.
+        # FS_SS at h 10 may reach 2**10 > EXACT_CHAIN_STATES, so it is sampled
         reps = 20000
-        kernel = np.zeros((cap + 1, cap + 1))
-        for state in range(1, cap + 1):
-            kernel[state] = qprocess_kernel(model, state, state_cap=cap).probs
-        law = np.zeros(cap + 1)
-        law[1] = 1.0
-        for _ in range(horizon):
-            law = law @ kernel
+        law = _capped_chain_law(model, 1, horizon, cap)
         assert 1.0 - law.sum() < 1e-6
-        _assert_atoms_match(qprocess_run(model, 1, horizon, reps, seed=29).final_pmf, law, reps)
+        run = qprocess_run(model, 1, horizon, reps, seed=29)
+        assert run.method == "exact-kernel-chain"
+        _assert_atoms_match(run.final_pmf, law, reps)
+
+    @pytest.mark.parametrize(
+        "model", [FS_SS, *ZERO_MEAN_SS.values()], ids=["fs-ss", *(f"zero-{key}" for key in ZERO_MEAN_SS)]
+    )
+    def test_exact_law_matches_the_kernel(self, model):
+        # a parent has at most 2 children, so the states stay bounded at
+        # these horizons and the law is computed, not sampled: each row of
+        # P, the one-step law from k, and pi_h match the rows of
+        # qprocess_kernel within 1e-12, with SE 0, and nothing is drawn
+        for k in range(1, 21):
+            run = qprocess_run(model, k, 1, 1000, seed=1)
+            assert (run.method, run.seed_info, run.reps, run.overflow_mass) == ("exact-kernel-law", None, 1000, 0.0)
+            row = qprocess_kernel(model, k, state_cap=64).probs
+            assert set(run.final_pmf) == set(np.flatnonzero(row))
+            for state, (p, se) in run.final_pmf.items():
+                assert abs(p - row[state]) < 1e-12 and se == 0.0
+        for k in (1, 2):
+            for horizon in range(1, 6):
+                law = _capped_chain_law(model, k, horizon, 64)
+                run = qprocess_run(model, k, horizon, 1000, seed=1)
+                assert run.method == "exact-kernel-law"
+                got = np.zeros(65)
+                for state, (p, _) in run.final_pmf.items():
+                    got[state] = p
+                np.testing.assert_allclose(got, law, rtol=0, atol=1e-12)
+                assert run.medians[-1] == np.argmax(np.cumsum(law) >= 0.5)
 
     @pytest.mark.parametrize("model", ZERO_MEAN_SS.values(), ids=ZERO_MEAN_SS.keys())
     def test_zero_mean_component_never_drawn(self, model, monkeypatch):
         # the chain draws its spine's components with draw_env_batch under the
         # mean-size-biased plan, which gives the zero-mean component weight 0
-        # (tilt_plan rejects such a model); its one-step law is the kernel row
+        # (tilt_plan rejects such a model); at h 10 its states may pass
+        # EXACT_CHAIN_STATES, so it is sampled, and Y_10 matches the capped law
         zero = model.laws.index(FiniteSupport([1.0]))
         batches = []
         draw = limits.draw_env_batch
         monkeypatch.setattr(limits, "draw_env_batch", lambda *a: batches.append(draw(*a)) or batches[-1])
         reps = 20000
-        row = qprocess_kernel(model, 1, state_cap=16).probs
-        run = qprocess_run(model, 1, 1, reps, seed=30)
+        law = _capped_chain_law(model, 1, 10, 64)
+        assert 1.0 - law.sum() < 1e-6
+        run = qprocess_run(model, 1, 10, reps, seed=30)
+        assert run.method == "exact-kernel-chain"
         assert len(batches) == -(-reps // streams.CHUNK_SIZE)
         for batch in batches:
             assert batch.plan.weights[zero] == 0.0
             assert np.all(batch.idx != zero)
-        _assert_atoms_match(run.final_pmf, row, reps)
+        _assert_atoms_match(run.final_pmf, law, reps)
         # the exact law's medians; its CDF at 2 is 0.58 or more, at 1 0.43 or less
         assert qprocess_run(model, 1, 5, 2000, seed=1).medians == (1.0, 2.0, 2.0, 2.0, 2.0, 2.0)
 
@@ -458,6 +550,13 @@ class TestQProcessRun:
             mean_est, se_est = ratio_and_se(w * traj[:, gen], w)
             mean_rej, se_rej = mean_and_se(kept[:, gen - 1].astype(float))
             assert abs(mean_est - mean_rej) < 4 * math.hypot(se_est, se_rej)
+
+    def test_every_component_dead_is_rejected(self):
+        # gamma = 0: no chain survives (it ran into a 0/0 and a numpy warning)
+        dead = EnvironmentModel([(FiniteSupport([1.0]), 1.0)])
+        with pytest.raises(ValidationError) as err:
+            qprocess_run(dead, 1, 3, 100, seed=1)
+        assert err.value.field == "model"
 
     def test_is_chain_transient_trend(self):
         run = qprocess_run(is_ref(), 1, 20, 1500, seed=17)
@@ -603,6 +702,19 @@ def _assert_atoms_match(pmf, law, reps):
         assert abs(p_emp - law[state]) < 4 * se + 1e-12, state
 
 
+def _capped_chain_law(model, k, horizon, cap):
+    """pi_horizon = pi_0 P^horizon of the SS/IS chain from k, with the rows
+    of P from qprocess_kernel, cut at cap."""
+    kernel = np.zeros((cap + 1, cap + 1))
+    for state in range(1, cap + 1):
+        kernel[state] = qprocess_kernel(model, state, state_cap=cap).probs
+    law = np.zeros(cap + 1)
+    law[k] = 1.0
+    for _ in range(horizon):
+        law = law @ kernel
+    return law
+
+
 def _trajectories(model, k, horizon, lookahead, reps, seed):
     """The conditioned draw of a WS ``qprocess_run`` at ``lookahead``, and
     its dressed trajectories Z_0..Z_horizon and overflow mask."""
@@ -610,6 +722,35 @@ def _trajectories(model, k, horizon, lookahead, reps, seed):
     cond = draw_conditioned_env(model, k, horizon + lookahead, reps, seed, purpose)
     lu = log_survival_profile(model, cond.env)
     return (cond, *limits._sample_populations(cond, lu, k, horizon, True, seed, purpose))
+
+
+def _laws_given(model, envs, k, cap=80):
+    """For each environment (component indices of generations 0..n-1):
+    P(Z_t = z | Z_n > 0, environment), z = 0..cap, for t = 0..n, from k
+    particles, by convolution powers of the offspring pmfs and the composed
+    pgfs."""
+    out = []
+    for env in envs:
+        n = len(env)
+        dead = [0.0] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            dead[t] = float(_offspring_pgf(model.laws[env[t]], np.array(dead[t + 1])))
+        law = np.zeros(cap + 1)
+        law[k] = 1.0
+        laws = []
+        for t in range(n + 1):
+            alive = law * (1.0 - dead[t] ** np.arange(cap + 1))
+            laws.append(alive / (1.0 - dead[0] ** k))
+            if t < n:
+                step = _offspring_pmf(model.laws[env[t]], cap)
+                power = np.eye(cap + 1)[0]
+                nxt = np.zeros(cap + 1)
+                for size in range(cap + 1):
+                    nxt += law[size] * power
+                    power = np.convolve(power, step)[: cap + 1]
+                law = nxt
+        out.append(laws)
+    return out
 
 
 def _offspring_pmf(law, cap: int) -> np.ndarray:
