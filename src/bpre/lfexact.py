@@ -561,7 +561,6 @@ class _StepTable:
     # the offspring laws of the finite-support components, zero-padded up to
     # the longest support (T entries); an LF component's column is all zero
     pmf: np.ndarray  # (T, L): row i holds P(X = i)
-    biased_cdf: np.ndarray  # (T, L): row i holds P(X* <= i), X* size-biased: i P(X = i) / m
     joint: np.ndarray  # (J, L): p_c C(c, j) of each joint outcome (c, j), 1 <= j <= c < T
     outcomes: np.ndarray  # (2, J): j and c - j of each joint outcome, ordered by j, then c
 
@@ -575,7 +574,7 @@ def _step_table(model: EnvironmentModel) -> _StepTable:
     and an LF law has g = m. Zeros pad each column of ``horner`` up to the
     longest, which leaves Horner exact. The population samplers of
     ``limits`` gather each finite-support row's outcome weights from the
-    pmfs; a size-biased CDF is exactly 1 from its last atom on."""
+    pmfs and the joint outcome table."""
     laws = model.laws
     lf = np.array([isinstance(law, LinearFractional) for law in laws])
     a, b = np.array(
@@ -593,14 +592,12 @@ def _step_table(model: EnvironmentModel) -> _StepTable:
     pmf = np.zeros((max([2, *map(len, fs.values())]), len(laws)))
     for col, probs in fs.items():
         pmf[: len(probs), col] = probs
-    biased = np.cumsum(np.arange(len(pmf))[:, None] * pmf, axis=0)
-    biased_cdf = np.divide(biased, biased[-1], out=np.zeros_like(biased), where=biased[-1] > 0.0)
     j, c = np.triu_indices(len(pmf) - 1)
     j, c = j + 1, c + 1
     joint = np.array([math.comb(ci, ji) for ci, ji in zip(c, j)], dtype=float)[:, None] * pmf[c]
     outcomes = np.stack([j, c - j])
     return _StepTable(
-        *(_read_only(x) for x in (lf, a, b, b / (1.0 - b), horner, pmf, biased_cdf, joint, outcomes))
+        *(_read_only(x) for x in (lf, a, b, b / (1.0 - b), horner, pmf, joint, outcomes))
     )
 
 

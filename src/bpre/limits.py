@@ -4,14 +4,16 @@ environment posteriors.
 For all-linear-fractional models the conditioned laws are not sampled:
 each drawn environment contributes its exact law, the Yaglom law through
 ``lfexact.conditioned_law`` and the marginals of the weakly subcritical
-Q-process through ``lfexact.SurvivorTail``. Conditioned populations (the
-Yaglom skeleton and the WS Q-process trajectories) are sampled only for
-finite-support and mixed models, by one sampler, ``_sample_populations``,
-after the conditioned draw: it reads the draw's record (environments and
-log q), the survival profile of those environments and a stream of its
-own. The SS/IS Q-process steps its exact kernel: as an exact law where
-the chain's states are bounded (all-finite-support models at short
-horizons), by sampled trajectories otherwise.
+Q-process through ``lfexact.SurvivorTail``. Every other conditioned
+population is sampled by one sampler, ``_sample_populations``, given drawn
+environments, their log q, their survival profile and a stream of its own:
+the Yaglom skeleton and the WS Q-process trajectories of finite-support and
+mixed models, after the conditioned draw. The SS/IS Q-process is an exact
+law where the chain's states are bounded (all-finite-support models at
+short horizons). Otherwise it is the same sampler at u = 0, given spine
+environments drawn under the mean-size-biased tilt: the conditioned
+population is one prolific spine with size-biased children plus doomed
+particles with the plain law (Lyons, Pemantle and Peres 1995).
 
 Sampling Z_n given survival is done exactly, per environment, through the
 prolific-skeleton decomposition: an individual is prolific when it has a
@@ -35,22 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .environment import EnvironmentModel, TiltPlan, draw_env_batch
-from .errors import (
-    ConditioningStarvationError,
-    ValidationError,
-)
+from .environment import EnvBatch, EnvironmentModel, TiltPlan, draw_env_batch
+from .errors import ConditioningStarvationError, ValidationError
 from .lfexact import (
     SurvivorTail, _step_table, conditioned_law, lf_forward, log_survival_profile, surviving_lines,
 )
 from .offspring import FiniteSupport, pgf
 from .regime import expected_mean, regime_of
-from .simcore import (
-    METHOD_EXACT,
-    check_k,
-    draw_conditioned_env,
-    evolve_lineages,
-)
+from .simcore import METHOD_EXACT, check_k, draw_conditioned_env, evolve_lineages
 from .stats import ratio_and_se, weighted_means_and_se, weighted_pmf
 
 DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
@@ -162,10 +156,20 @@ def _generation(model, col, lu_child, lu_parent, z, d, rng):
         z_next[rows] = _fs_totals(rng, z[rows], _prolific_weights(table.pmf[:, fs], xf, uf), sizes[1:])
         return z_next, d_next
     j, doomed = table.outcomes
-    weights = table.joint[:, fs] * uf ** (j - 1)[:, None] * xf ** doomed[:, None]
+    x_powers = _powers(xf, len(sizes))
+    weights = table.joint[:, fs] * _powers(uf, len(sizes) - 1)[j - 1] * x_powers[doomed]
     z_next[rows], born_doomed = _fs_totals(rng, z[rows], weights, table.outcomes)
-    d_next[rows] = born_doomed + _fs_totals(rng, d[rows], table.pmf[:, fs] * xf ** sizes[:, None], sizes)
+    d_next[rows] = born_doomed + _fs_totals(rng, d[rows], table.pmf[:, fs] * x_powers, sizes)
     return z_next, d_next
+
+
+def _powers(x, count):
+    """(count, rows) table of x**0 .. x**(count-1) per row, by count - 1 multiplies."""
+    out = np.empty((count, len(x)))
+    out[0] = 1.0
+    for i in range(1, count):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
 
 
 def _prolific_weights(pmf, x, u):
@@ -200,9 +204,10 @@ def conditioned_binomial_positive(k: int, log_q: np.ndarray, rng) -> np.ndarray:
 # --- populations sampled given the conditioned draw ----------------------------
 
 
-def _sample_populations(cond, lu, k, generations, dressed, seed, purpose):
-    """Populations of every replicate of the conditioned draw ``cond``, given
-    its environments and their log survival profile ``lu``.
+def _sample_populations(env, log_q, lu, k, generations, dressed, seed, purpose):
+    """Populations of every replicate of the environments ``env``, given the
+    log survival probability ``log_q`` of one particle to the horizon and
+    the log survival profile ``lu``.
 
     The lines of the k initial particles alive at the horizon are drawn by
     ``conditioned_binomial_positive``, then ``generations`` generations by
@@ -213,11 +218,11 @@ def _sample_populations(cond, lu, k, generations, dressed, seed, purpose):
     flagged. Chunk i of the rows draws from stream (seed, purpose + "-pop",
     i). Returns (sizes, overflow mask).
     """
-    model, idx = cond.env.model, cond.env.idx
+    model, idx = env.model, env.idx
 
     def chunk(rng, count, start):
         rows = slice(start, start + count)
-        prolific = conditioned_binomial_positive(k, cond.log_q[rows], rng)
+        prolific = conditioned_binomial_positive(k, log_q[rows], rng)
         doomed = k - prolific if dressed else None
         sizes = [np.full(count, k)]
         overflow = np.zeros(count, dtype=bool)
@@ -233,7 +238,7 @@ def _sample_populations(cond, lu, k, generations, dressed, seed, purpose):
                 sizes.append(prolific + doomed)
         return (np.stack(sizes, axis=1) if dressed else prolific), overflow
 
-    return streams.run_chunks(chunk, cond.reps_used, seed, f"{purpose}-pop")
+    return streams.run_chunks(chunk, len(log_q), seed, f"{purpose}-pop")
 
 
 @dataclass(frozen=True)
@@ -283,7 +288,7 @@ def yaglom(
         method = f"{cond.method}+closed-form"
     else:
         lu = log_survival_profile(model, cond.env)
-        z, overflow = _sample_populations(cond, lu, k, n, False, seed, purpose)
+        z, overflow = _sample_populations(cond.env, cond.log_q, lu, k, n, False, seed, purpose)
         pmf, pgf_values, tail_mass = _sampled_law(z, overflow, cond.survive_w)
         method = cond.method
     return YaglomEstimate(
@@ -487,29 +492,6 @@ class QProcessRun:
     seed_info: str | None  # None for the exact kernel law, which draws nothing
 
 
-def _chain_step(model, comp, y, rng):
-    """One exact kernel step of the chain conditioned to survive forever,
-    row r in component comp[r] (drawn size-biased by its mean): y-1 plain
-    offspring plus one size-biased offspring (for a linear-fractional law,
-    the sum of two shifted geometrics; for a finite-support law, one
-    uniform against the component's size-biased CDF).
-    """
-    table = _step_table(model)
-    out = np.empty_like(y)
-    lf = table.lf[comp]
-    if lf.any():
-        bi = table.b[comp[lf]]
-        plain = _lf_totals(rng, y[lf] - 1, table.a[comp[lf]], bi)
-        out[lf] = plain + rng.geometric(1.0 - bi) + rng.geometric(1.0 - bi) - 1
-    fs = ~lf
-    if fs.any():
-        col = comp[fs]
-        sizes = np.arange(len(table.pmf))
-        plain = _fs_totals(rng, y[fs] - 1, table.pmf[:, col], sizes)
-        out[fs] = plain + (rng.random(len(col)) >= table.biased_cdf[:, col]).sum(axis=0)
-    return out
-
-
 def _chain_states(model, k, horizon) -> int | None:
     """The largest state that Y_horizon of the SS/IS chain can reach from k,
     k * top**horizon with top the largest offspring count, for an
@@ -563,8 +545,11 @@ def qprocess_run(
 
     SS/IS: the exact one-step kernel drives the chain. Where the chain's
     states are bounded (``_chain_states``) its law is computed exactly and
-    nothing is drawn; otherwise ``reps`` trajectories are sampled. WS: no
-    exact kernel exists, so Z_t is conditioned on survival
+    nothing is drawn. Otherwise ``reps`` environments are drawn under the
+    mean-size-biased tilt and the populations are sampled given them by
+    ``_sample_populations`` with u = 0 at every generation: one prolific
+    spine, whose children are size-biased, and doomed particles with the
+    plain law. WS: no exact kernel exists, so Z_t is conditioned on survival
     ``QPROCESS_LOOKAHEAD`` generations past the horizon (finite-horizon
     approximation, labeled as such in the output). One conditioned draw and
     its survival profile serve both WS laws: for an all-LF model each median
@@ -598,51 +583,42 @@ def qprocess_run(
         # the tilt by m; built here because tilt_plan rejects a model with a
         # zero-mean component, to which this law gives weight 0
         plan = TiltPlan(1.0, gamma, model.weights * model.means / gamma)
-        purpose = "qprocess"
-
-        def chunk(rng, count, start):
-            comp = draw_env_batch(model, horizon, rng, count, plan).idx
-            traj = np.empty((count, horizon + 1), dtype=np.int64)
-            traj[:, 0] = k
-            for i in range(horizon):
-                traj[:, i + 1] = _chain_step(model, comp[:, i], traj[:, i], rng)
-            return (traj,)
-
-        (traj,) = streams.run_chunks(chunk, reps, seed, purpose)
-        ones = np.ones(len(traj))
-        return QProcessRun(
-            regime=regime,
-            method="exact-kernel-chain",
-            horizon=horizon,
-            medians=_sampled_medians(traj, ones),
-            final_pmf=weighted_pmf(traj[:, -1], ones),
-            overflow_mass=0.0,
-            reps=reps,
-            seed_info=streams.seed_provenance(seed, purpose),
+        method, purpose = "exact-kernel-chain", "qprocess"
+        (codes,) = streams.run_chunks(
+            lambda rng, count, start: (draw_env_batch(model, horizon, rng, count, plan).codes,),
+            reps, seed, purpose,
         )
-    # WS: conditioned on survival QPROCESS_LOOKAHEAD generations past the horizon
-    method = f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
-    purpose = f"qtraj-k{k}-h{horizon}"
-    cond = draw_conditioned_env(model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, purpose)
-    lu = log_survival_profile(model, cond.env)
-    total_w = float(cond.survive_w.sum())
-    if model.all_linear_fractional:
-        tails = _marginal_tails(model, k, lu, cond.env.idx[:, :horizon], cond.env.w)
-        medians = _medians((tail.total for tail in tails), total_w)
-        overflow_mass, method = 0.0, f"{method}+closed-form"
+        # a particle's chance u to reach the distant future tends to 0, and the
+        # conditioned population keeps one prolific particle, the spine
+        env, log_q, w = EnvBatch(model, horizon, codes, plan), np.full(reps, -np.inf), np.ones(reps)
+        lu = np.broadcast_to(-np.inf, (reps, horizon + 1))
+        seed_info = streams.seed_provenance(seed, purpose)
     else:
-        traj, over = _sample_populations(cond, lu, k, horizon, True, seed, purpose)
-        medians = _sampled_medians(traj, np.where(over, 0.0, cond.survive_w))
-        overflow_mass = float(np.sum(cond.survive_w[over])) / total_w if total_w > 0 else 0.0
+        # WS: conditioned on survival QPROCESS_LOOKAHEAD generations past the horizon
+        method = f"finite-horizon-approximation(lookahead={QPROCESS_LOOKAHEAD})"
+        purpose = f"qtraj-k{k}-h{horizon}"
+        cond = draw_conditioned_env(model, k, horizon + QPROCESS_LOOKAHEAD, reps, seed, purpose)
+        lu = log_survival_profile(model, cond.env)
+        env, log_q, w, seed_info = cond.env, cond.log_q, cond.survive_w, cond.seed_info
+    total_w = float(w.sum())
+    if regime == "WS" and model.all_linear_fractional:
+        tails = _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w)
+        medians, final_pmf = _medians((tail.total for tail in tails), total_w), None
+        method, overflow_mass = f"{method}+closed-form", 0.0
+    else:
+        traj, over = _sample_populations(env, log_q, lu, k, horizon, True, seed, purpose)
+        medians = _sampled_medians(traj, np.where(over, 0.0, w))
+        final_pmf = None if regime == "WS" else weighted_pmf(traj[~over, -1], w[~over])
+        overflow_mass = float(np.sum(w[over])) / total_w if total_w > 0 else 0.0
     return QProcessRun(
-        regime="WS",
+        regime=regime,
         method=method,
         horizon=horizon,
         medians=medians,
-        final_pmf=None,
+        final_pmf=final_pmf,
         overflow_mass=overflow_mass,
-        reps=cond.reps_used,
-        seed_info=cond.seed_info,
+        reps=len(w),
+        seed_info=seed_info,
     )
 
 

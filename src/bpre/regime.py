@@ -125,9 +125,11 @@ def _regime(e_m_log_m: float) -> str:
 
 
 def classify(model: EnvironmentModel, k: int = 1) -> RegimeReport:
-    """Regime tag plus all rate constants for a subcritical model."""
+    """Regime tag plus all rate constants for a subcritical model with E[m] > 0."""
     check_k(k)
     e_log_m = _require_subcritical(model)
+    if expected_mean(model) == 0.0:
+        raise ValidationError("no regime: every component has mean 0", field="model")
     e_m_log_m = _dphi(model, 1.0)
     regime = _regime(e_m_log_m)
     alpha, gamma = solve_alpha(model)

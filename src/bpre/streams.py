@@ -26,10 +26,11 @@ BIT_GENERATOR = np.random.SFC64
 # uniform, one block row of the chunk at a time, 4 draws the populations
 # sampled given a conditioned draw on streams of their own, 5 draws the
 # SS/IS Q-process chain's environments as block codes before its offspring,
-# and 6 draws the finite-support totals of every row of a generation by
-# stick-breaking binomials, and the chain's finite-support size-biased child
-# by one uniform against its CDF.
-STREAM_LAYOUT = 6
+# 6 draws the finite-support totals of every row of a generation by
+# stick-breaking binomials, and 7 samples the SS/IS Q-process's populations
+# with the population sampler at u = 0 on a stream of their own, after all
+# of its environments.
+STREAM_LAYOUT = 7
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 

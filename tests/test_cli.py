@@ -454,6 +454,16 @@ def test_finite_support_kernel_row_prints_its_support(capsys, tmp_path):
         assert abs(probs[state] - value / 110) < 1e-15
 
 
+def test_all_dead_model_has_no_regime(capsys, tmp_path):
+    # every component has mean 0: E[m] = 0, and regime printed IS with
+    # gamma 0.0 and exit 0; qprocess rejects the same model on field "model"
+    model_path = tmp_path / "dead.json"
+    model_path.write_text(json.dumps({"components": [{"law": {"fs": [1.0]}, "weight": 1.0}]}))
+    code, out, err = run_cli(["regime", "--model", str(model_path)], capsys)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "validation error: model:" in err
+
+
 @pytest.mark.parametrize("op", sorted(op for op in OP_HANDLERS if op != "regime"))
 def test_an_op_that_draws_demands_a_seed(op, capsys):
     # qprocess without --kernel-state draws, like every op but regime

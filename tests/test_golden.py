@@ -81,9 +81,11 @@ def test_finite_support_qprocess():
 
 def test_ss_qprocess_medians():
     # each median is the smallest z with P(Y_t <= z) >= 1/2, as in every
-    # Q-process branch; re-pinned at stream layout 5. The exact law of the
-    # chain gives (1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4), with P(Y_1 <= 2)
-    # exactly 1/2, so a sample's median of Y_1 is 2 or 3 about equally often
+    # Q-process branch. The exact law of the chain gives (1, 2, 3, 3, 4, 4,
+    # 4, 4, 4, 4, 4), with P(Y_1 <= 2) exactly 1/2, so a sample's median of
+    # Y_1 is 2 or 3 about equally often, and a new draw may move it. Checked
+    # again at stream layout 7 (the populations sampled at u = 0 by the
+    # population sampler): the medians of layout 5 held
     run = qprocess_run(ss_ref(), 1, 10, 1500, seed=2)
     assert run.medians == (1.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0)
 

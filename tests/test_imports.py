@@ -120,23 +120,37 @@ def imports_from_streams(tree: ast.Module) -> list[str]:
 
 
 def test_one_environment_draw():
-    # draw_env_batch draws every environment, the SS/IS Q-process chain's
+    # draw_env_batch draws every environment, the SS/IS Q-process's
     # mean-size-biased spine included: no package module defines or names a
     # categorical sampler of its own, offspring draws through Generator.choice
-    # and takes nothing from streams, and the chain step reads its components
-    # from the batch its chunk drew instead of drawing them per generation
+    # and takes nothing from streams, and the population sampler reads its
+    # components from the drawn batch instead of drawing them per generation
     for path in MODULES + [Path(bpre.__file__)]:
         module = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
         assert "categorical" not in names_in(module) | defined, path.stem
     offspring = ast.parse((Path(bpre.__file__).parent / "offspring.py").read_text(encoding="utf-8"))
     assert imports_from_streams(offspring) == []
-    step = module_definitions("limits")["_chain_step"]
-    assert [arg.arg for arg in step.args.args] == ["model", "comp", "y", "rng"]
-    assert names_in(step).isdisjoint({"draw_env_batch", "_draw_codes", "weights", "means", "gamma"})
+    sampler = module_definitions("limits")["_sample_populations"]
+    assert names_in(sampler).isdisjoint({"draw_env_batch", "_draw_codes", "weights", "means", "gamma"})
     assert "draw_env_batch" in names_in(module_definitions("limits")["qprocess_run"])
-    assert ("limits", "_chain_step") in STEP_TABLE_READERS
-    assert ("limits", "_chain_step") in FAMILY_GATHERS
+
+
+def test_one_population_sampler():
+    # every sampled Q-process, SS/IS past the exact bound and WS of a model
+    # that is not all-LF, steps its populations through _sample_populations:
+    # qprocess_run calls it once, and returns only before it (the exact law,
+    # which draws nothing) and after it, past every branch; no module keeps
+    # a chain step of its own or a size-biased CDF for one
+    run = module_definitions("limits")["qprocess_run"]
+    calls = [sub.lineno for sub in ast.walk(run) if getattr(sub, "id", None) == "_sample_populations"]
+    returns = sorted(sub.lineno for sub in ast.walk(run) if isinstance(sub, ast.Return))
+    assert len(calls) == 1 and len(returns) == 2
+    assert returns[0] < calls[0] < returns[1] and run.body[-1].lineno == returns[1]
+    for path in MODULES:
+        assert "_chain_step" not in module_definitions(path.stem), path.stem
+    for name in ("_StepTable", "_step_table"):
+        assert "biased_cdf" not in names_in(module_definitions("lfexact")[name])
 
 
 def test_test_modules_import_no_test_module():
@@ -307,7 +321,6 @@ STEP_TABLE_READERS = [
     ("lfexact", "lf_forward"),
     ("lfexact", "_log_steps"),
     ("limits", "_generation"),
-    ("limits", "_chain_step"),
     ("limits", "_chain_states"),
     ("limits", "_exact_chain_law"),
 ]
@@ -315,7 +328,6 @@ FAMILY_GATHERS = [
     ("lfexact", "_log_step"),
     ("lfexact", "_log_steps"),
     ("limits", "_generation"),
-    ("limits", "_chain_step"),
     ("limits", "_exact_chain_law"),
 ]
 

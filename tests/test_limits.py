@@ -262,7 +262,7 @@ class TestSharedTables:
 
     def test_step_table_is_read_only(self):
         table = lfexact._step_table(MIXED)
-        for field in ("pmf", "biased_cdf", "joint", "outcomes"):
+        for field in ("pmf", "joint", "outcomes"):
             with pytest.raises(ValueError):
                 getattr(table, field)[0, 0] = 0
 
@@ -306,8 +306,8 @@ class TestPopulationSampler:
         calls = []
         run_chunks = streams.run_chunks
         monkeypatch.setattr(streams, "run_chunks", lambda *a: calls.append(a[1:]) or run_chunks(*a))
-        z, overflow = limits._sample_populations(cond, lu, 2, 8, False, 5, "yaglom-k2-n8")
-        traj, over = limits._sample_populations(cond, lu, 2, 8, True, 5, "yaglom-k2-n8")
+        z, overflow = limits._sample_populations(cond.env, cond.log_q, lu, 2, 8, False, 5, "yaglom-k2-n8")
+        traj, over = limits._sample_populations(cond.env, cond.log_q, lu, 2, 8, True, 5, "yaglom-k2-n8")
         assert calls == [(2400, 5, "yaglom-k2-n8-pop")] * 2
         assert z.shape == (2400,) and traj.shape == (2400, 9)
         assert not overflow.any() and not over.any()
@@ -330,8 +330,8 @@ class TestPopulationSampler:
         log_q = log_survival(model, idx)
         cond = simcore.ConditionedEnvSamples(env, log_q, np.ones(len(idx)), "hand-built", len(idx), 0.0, "")
         lu = log_survival_profile(model, env)
-        z, over = limits._sample_populations(cond, lu, k, n, False, 7, "t")
-        traj, over_dressed = limits._sample_populations(cond, lu, k, horizon, True, 7, "t")
+        z, over = limits._sample_populations(cond.env, cond.log_q, lu, k, n, False, 7, "t")
+        traj, over_dressed = limits._sample_populations(cond.env, cond.log_q, lu, k, horizon, True, 7, "t")
         assert not over.any() and not over_dressed.any()
         for e, laws in enumerate(_laws_given(model, envs, k)):
             rows = slice(e * reps, (e + 1) * reps)
@@ -451,16 +451,20 @@ class TestQProcessRun:
             assert abs(p_emp - row[state]) < 4 * se + 1e-12
 
     @pytest.mark.parametrize(
-        "model, horizon, cap", [(FS_SS, 10, 64), (ss_ref(), 4, 128)], ids=["fs-ss", "ss-ref"]
+        "model, k, horizon, cap",
+        [(FS_SS, 1, 10, 64), (ss_ref(), 1, 4, 128), (ss_ref(), 3, 4, 128), (MIXED, 3, 5, 128)],
+        ids=["fs-ss", "ss-ref", "ss-ref-k3", "mixed-k3"],
     )
-    def test_chain_matches_exact_law(self, model, horizon, cap):
+    def test_chain_matches_exact_law(self, model, k, horizon, cap):
         # the sampled Y_h against pi_h = pi_0 P^h, stepped through the exact
         # kernel rows; atoms, not medians: P(Y_1 <= 2) is exactly 1/2 on ss-ref.
-        # FS_SS at h 10 may reach 2**10 > EXACT_CHAIN_STATES, so it is sampled
+        # FS_SS at h 10 may reach 2**10 > EXACT_CHAIN_STATES, so it is sampled.
+        # From k = 3 the two initial particles off the spine are doomed, and
+        # the SS mixture steps both offspring families in one generation
         reps = 20000
-        law = _capped_chain_law(model, 1, horizon, cap)
+        law = _capped_chain_law(model, k, horizon, cap)
         assert 1.0 - law.sum() < 1e-6
-        run = qprocess_run(model, 1, horizon, reps, seed=29)
+        run = qprocess_run(model, k, horizon, reps, seed=29)
         assert run.method == "exact-kernel-chain"
         _assert_atoms_match(run.final_pmf, law, reps)
 
@@ -721,7 +725,7 @@ def _trajectories(model, k, horizon, lookahead, reps, seed):
     purpose = f"qtraj-k{k}-h{horizon}"
     cond = draw_conditioned_env(model, k, horizon + lookahead, reps, seed, purpose)
     lu = log_survival_profile(model, cond.env)
-    return (cond, *limits._sample_populations(cond, lu, k, horizon, True, seed, purpose))
+    return (cond, *limits._sample_populations(cond.env, cond.log_q, lu, k, horizon, True, seed, purpose))
 
 
 def _laws_given(model, envs, k, cap=80):
