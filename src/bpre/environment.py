@@ -124,12 +124,18 @@ def tilt_plan(model: EnvironmentModel, theta: float) -> TiltPlan:
 # K**b <= BLOCK_TABLE_SIZE, at most MAX_BLOCK, and 1 when K exceeds
 # BLOCK_TABLE_SIZE; a last block of n mod b generations is shorter. Each code
 # is one draw from the product law of its block, through a Walker/Vose alias
-# table, and the LF survival kernel steps a whole block by the same code.
+# table, and the batch keeps the slot of the table the draw landed in: slot
+# 2j + 1 holds code j and slot 2j its alias. Per-block quantities (S, the
+# walk's steps and the LF survival kernel's composite step) are gathered
+# straight from the slot, through tables composed with the alias pick and
+# cached per (weights, block length); the codes and the component indices
+# are formed from the slots only for their readers.
 
-BLOCK_TABLE_SIZE = 256
-MAX_BLOCK = 8
+BLOCK_TABLE_SIZE = 4096
+MAX_BLOCK = 12
 
 
+@lru_cache(maxsize=64)
 def block_length(k: int) -> int:
     """Generations per block code of a model with k components."""
     b = 1
@@ -152,15 +158,16 @@ def _alias_table(p: tuple[float, ...], length: int) -> tuple[np.ndarray, np.ndar
     """Walker/Vose alias table of one block code of ``length`` generations
     drawn iid from ``p``.
 
-    A uniform u picks cell j = floor(u * N) of the N codes, and then code
-    pick[2j + 1] (j itself) when u * N < edge[j] = j + P(keep j), else its
-    alias pick[2j].
+    A uniform u picks cell j = floor(u * N) of the N codes, and then slot
+    2j + 1, which holds code pick[2j + 1] = j, when u * N < edge[j] = j +
+    P(keep j), else slot 2j, which holds its alias pick[2j].
     """
     probs = _block_values(p, length, np.multiply)
     size = len(probs)
-    mass = list(probs * (size / probs.sum()))
-    keep = np.ones(size)
-    alias = np.arange(size)
+    # Python floats and lists: the loop runs once per code, up to 4096 times
+    mass = (probs * (size / probs.sum())).tolist()
+    keep = [1.0] * size
+    alias = list(range(size))
     small = [j for j in range(size) if mass[j] < 1.0]
     large = [j for j in range(size) if mass[j] >= 1.0]
     while small and large:
@@ -170,16 +177,20 @@ def _alias_table(p: tuple[float, ...], length: int) -> tuple[np.ndarray, np.ndar
         (small if mass[big] < 1.0 else large).append(big)
     # cells left over in either list hold mass 1 up to rounding and keep themselves
     pick = np.stack([alias, np.arange(size)], axis=1).ravel()
-    return _read_only(np.arange(size) + keep), _read_only(pick.astype(np.min_scalar_type(size - 1)))
+    edge = np.arange(size) + np.array(keep)
+    return _read_only(edge), _read_only(pick.astype(np.min_scalar_type(size - 1)))
 
 
-def _draw_codes(rng: np.random.Generator, p, length: int, shape) -> np.ndarray:
-    """Block codes of ``length`` generations from ``p``, one uniform each."""
-    edge, pick = _alias_table(tuple(p), length)
+def _draw_slots(rng: np.random.Generator, p, length: int, out: np.ndarray) -> None:
+    """Fill the intp array ``out`` with alias slots of block codes of
+    ``length`` generations from ``p``, one uniform each."""
+    edge = _alias_table(tuple(p), length)[0]
     # u < 1 has 53 bits, so u * N rounds below N and cell stays in range
-    x = rng.random(shape) * len(edge)
+    x = rng.random(out.shape)
+    x *= len(edge)
     cell = x.astype(np.intp)
-    return pick.take((cell << 1) | (x < edge.take(cell)))
+    np.left_shift(cell, 1, out=out)
+    out |= x < edge.take(cell)
 
 
 @lru_cache(maxsize=16)
@@ -190,43 +201,58 @@ def _digits(k: int, length: int) -> np.ndarray:
     return _read_only((codes // places % k).astype(np.min_scalar_type(k - 1)))
 
 
-@lru_cache(maxsize=16)
-def _block_log_means(log_means: tuple[float, ...], length: int) -> np.ndarray:
-    """S of each block code: the sum of its generations' log means."""
-    return _read_only(_block_values(log_means, length, np.add))
-
-
-@lru_cache(maxsize=16)
-def _block_steps(log_means: tuple[float, ...], length: int) -> np.ndarray:
-    """(length, K**length) log mean of each generation of each block code."""
-    digits = _digits(len(log_means), length).astype(np.intp)
-    return _read_only(np.array(log_means)[digits.T])
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark a cached table read-only; chunks on several threads share it."""
     a.flags.writeable = False
     return a
 
 
+@lru_cache(maxsize=64)
+def _slot_log_means(log_means: tuple[float, ...], p: tuple[float, ...], length: int) -> np.ndarray:
+    """S of the block code in each alias slot of blocks drawn from ``p``:
+    the sum of its generations' log means."""
+    return _read_only(_block_values(log_means, length, np.add).take(_alias_table(p, length)[1]))
+
+
+@lru_cache(maxsize=16)
+def _slot_steps(log_means: tuple[float, ...], p: tuple[float, ...], length: int) -> np.ndarray:
+    """(length, 2 K**length) log mean of each generation of the block code
+    in each alias slot of blocks drawn from ``p``."""
+    digits = _digits(len(log_means), length).take(_alias_table(p, length)[1], axis=0)
+    return _read_only(np.array(log_means)[digits.T])
+
+
 @dataclass(frozen=True)
 class EnvBatch:
-    """A chunk of Monte Carlo environments, one row per replicate: block codes
-    (see ``block_length``) and the tilt plan they were drawn under."""
+    """A chunk of Monte Carlo environments, one row per replicate: the alias
+    slots of their block codes (see ``block_length``) and the tilt plan they
+    were drawn under."""
 
     model: EnvironmentModel
     n: int
-    codes: np.ndarray  # (count, ceil(n / b)) block codes, generation order left to right
-    plan: TiltPlan | None = None  # the tilt the codes were drawn under
+    slots: np.ndarray  # (count, ceil(n / b)) alias slots, generation order left to right
+    plan: TiltPlan | None = None  # the tilt the slots were drawn under
+
+    @cached_property
+    def law(self) -> tuple[float, ...]:
+        """The component probabilities the slots were drawn from; with the
+        block length they pick the alias table that maps slots to codes."""
+        return tuple(self.model.weights if self.plan is None else self.plan.weights)
+
+    def blocks(self, stop: int | None = None) -> Iterator[tuple[np.ndarray, int, int]]:
+        """Yield (slots, lo, hi) of the blocks [lo, hi) of generations, left
+        to right, that cover generations 0..stop - 1 (all n by default)."""
+        b = block_length(len(self.model.laws))
+        for j, lo in enumerate(range(0, self.n if stop is None else stop, b)):
+            yield self.slots[:, j], lo, min(lo + b, self.n)
 
     @cached_property
     def s_n(self) -> np.ndarray:
-        """(count,) S_n of every replicate, read one block code at a time."""
+        """(count,) S_n of every replicate, read one block slot at a time."""
         log_means = tuple(self.model.log_means)
-        b = block_length(len(log_means))
-        s = np.zeros(len(self.codes))
-        for j in range(self.codes.shape[1]):
-            s += _block_log_means(log_means, min(b, self.n - j * b)).take(self.codes[:, j])
+        s = np.zeros(len(self.slots))
+        for slot, lo, hi in self.blocks():
+            s += _slot_log_means(log_means, self.law, hi - lo).take(slot)
         return s
 
     @cached_property
@@ -234,48 +260,61 @@ class EnvBatch:
         """(count,) log importance weights back to the base model,
         n log(rate) - theta S_n (0 untilted); finite where ``w`` underflows."""
         if self.plan is None:
-            return np.zeros(len(self.codes))
+            return np.zeros(len(self.slots))
         return self.n * math.log(self.plan.rate) - self.plan.theta * self.s_n
 
     @cached_property
     def w(self) -> np.ndarray:
         """(count,) importance weights exp(log_w); exact ones untilted."""
-        return np.ones(len(self.codes)) if self.plan is None else np.exp(self.log_w)
+        return np.ones(len(self.slots)) if self.plan is None else np.exp(self.log_w)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """(count, ceil(n / b)) block codes (uint8 up to K**b = 256), read
+        from the slots through the alias picks on first read."""
+        k = len(self.model.laws)
+        codes = np.empty(self.slots.shape[::-1], dtype=np.min_scalar_type(k ** block_length(k) - 1))
+        for row, (slot, lo, hi) in zip(codes, self.blocks()):
+            row[...] = _alias_table(self.law, hi - lo)[1].take(slot)
+        return codes.T
 
     @cached_property
     def idx(self) -> np.ndarray:
         """(count, n) component indices (uint8 up to K = 256), unpacked from
-        the codes on first read."""
+        the slots on first read."""
+        return self.prefix(self.n)
+
+    def prefix(self, generations: int) -> np.ndarray:
+        """(count, generations) component indices of the first
+        ``generations`` generations: sliced from ``idx`` once that is formed,
+        and otherwise unpacked from only the blocks that cover them."""
+        if "idx" in self.__dict__:
+            return self.idx[:, :generations]
         k = len(self.model.laws)
-        b = block_length(k)
-        full = self.n // b
-        count = len(self.codes)
-        parts = [_digits(k, b)[self.codes[:, :full]].reshape(count, full * b)]
-        if full * b < self.n:
-            parts.append(_digits(k, self.n - full * b)[self.codes[:, full]])
-        return np.concatenate(parts, axis=1)
+        out = np.empty((len(self.slots), generations), dtype=np.min_scalar_type(k - 1))
+        for code, (_, lo, hi) in zip(self.codes.T, self.blocks(generations)):
+            out[:, lo:hi] = _digits(k, hi - lo)[code, : generations - lo]
+        return out
 
     def partial_sums(self) -> Iterator[np.ndarray]:
         """Yield the walk's partial sums S_1, ..., S_n of every replicate, one
-        (count,) array per generation, read from the codes block by block.
+        (count,) array per generation, read from the slots block by block.
 
         Each S_i is S_{i-1} plus the step of generation i, so it has the bits
         of ``np.cumsum(self.model.log_means[self.idx], axis=1)[:, i - 1]``.
         The same array is yielded every time, updated in place.
         """
         log_means = tuple(self.model.log_means)
-        b = block_length(len(log_means))
-        s = np.zeros(len(self.codes))
-        for j in range(self.codes.shape[1]):
-            code = self.codes[:, j].astype(np.intp)
-            for table in _block_steps(log_means, min(b, self.n - j * b)):
-                s += table.take(code)
+        s = np.zeros(len(self.slots))
+        for slot, lo, hi in self.blocks():
+            for table in _slot_steps(log_means, self.law, hi - lo):
+                s += table.take(slot)
                 yield s
 
     def walk_minimum(self) -> np.ndarray:
         """(count,) minimum of each replicate's walk over S_1..S_n; +inf
         when n is 0."""
-        low = np.full(len(self.codes), np.inf)
+        low = np.full(len(self.slots), np.inf)
         for s in self.partial_sums():
             np.minimum(low, s, out=low)
         return low
@@ -293,7 +332,7 @@ def pack_env(model: EnvironmentModel, idx) -> EnvBatch:
     codes = idx[:, :full].reshape(count, full // b, b) @ places
     if full < n:  # the short last block
         codes = np.column_stack([codes, idx[:, full:] @ places[full - n :]])
-    return EnvBatch(model, n, codes.astype(np.min_scalar_type(k**b - 1)))
+    return EnvBatch(model, n, 2 * codes + 1)  # code c sits in slot 2c + 1 of every alias table
 
 
 def draw_env_batch(
@@ -306,10 +345,11 @@ def draw_env_batch(
     """Draw ``count`` iid environments of n generations, tilted when ``plan``
     is given; every Monte Carlo estimator draws its environments here.
 
-    Each block code takes one uniform. They are drawn one block row at a
-    time, the first block of every replicate before the second, with the
-    short last block last: the (ceil(n / b), count) array that ``codes``
-    transposes. The batch keeps ``plan`` and derives its weights from it.
+    Each block code takes one uniform, and the batch keeps the alias slot it
+    picked. They are drawn one block row at a time, the first block of every
+    replicate before the second, with the short last block last: the
+    (ceil(n / b), count) array that ``slots`` transposes. The batch keeps
+    ``plan`` and derives its weights from it.
     """
     if n < 0:
         raise ValidationError(f"generation count must be >= 0, got {n}", field="n")
@@ -317,10 +357,10 @@ def draw_env_batch(
     b = block_length(len(p))
     full, rest = divmod(n, b)
     lengths = [b] * full + ([rest] if rest else [])
-    codes = np.empty((len(lengths), count), dtype=np.min_scalar_type(len(p) ** b - 1))
-    for row, length in zip(codes, lengths):
-        row[...] = _draw_codes(rng, p, length, count)
-    return EnvBatch(model=model, n=n, codes=codes.T, plan=plan)
+    slots = np.empty((len(lengths), count), dtype=np.intp)
+    for row, length in zip(slots, lengths):
+        _draw_slots(rng, p, length, row)
+    return EnvBatch(model=model, n=n, slots=slots.T, plan=plan)
 
 
 def env_expectation(model: EnvironmentModel, g: Callable[[OffspringLaw], float]) -> float:

@@ -18,7 +18,15 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .environment import EnvBatch, EnvSequence, EnvironmentModel, _read_only, block_length, pack_env
+from .environment import (
+    EnvBatch,
+    EnvSequence,
+    EnvironmentModel,
+    _alias_table,
+    _read_only,
+    block_length,
+    pack_env,
+)
 from .errors import CrossCheckError, ValidationError
 from .offspring import LinearFractional, OffspringLaw, lf_from_moments, moments, pgf
 
@@ -159,14 +167,18 @@ def lf_minorant(law: OffspringLaw) -> LinearFractional:
 
 
 def any_survive(log_q: np.ndarray, k: int) -> np.ndarray:
-    """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines`` from log q, stable for tiny q."""
-    return _any_survive(np.exp(np.minimum(log_q, 0.0)), k)
+    """P(J >= 1) = 1 - (1 - q)**k of ``surviving_lines`` from log q, stable
+    for tiny q; formed in one new array (a scalar for a scalar log q)."""
+    q = np.minimum(log_q, 0.0, out=np.empty(np.shape(log_q)))
+    return _any_survive(np.exp(q, out=q), k)[()]
 
 
 def _any_survive(q: np.ndarray, k: int) -> np.ndarray:
-    """``any_survive`` from q <= 1 itself."""
+    """``any_survive`` from the array q <= 1 itself, formed in place in q."""
     with np.errstate(divide="ignore"):
-        return -np.expm1(k * np.log1p(-q))
+        np.log1p(np.negative(q, out=q), out=q)
+    q *= k
+    return np.negative(np.expm1(q, out=q), out=q)
 
 
 def surviving_lines(log_q: np.ndarray, k: int):
@@ -343,7 +355,8 @@ class SurvivorTail:
             log_x = np.log1p(-u)  # -inf where u = 1
         log_a = log_x - np.log1p(g_t * u)
         log_pi = np.minimum(s_t + log_p, 0.0)  # pi <= 1 against rounding
-        a, alive_w = np.exp(log_a), w * any_survive(log_pi, k)
+        a, alive_w = np.exp(log_a), any_survive(log_pi, k)
+        alive_w *= w
         # from i = k-1 down, with L_j = w P(J = j) and V_i = sum_{j>i} L_j:
         # U_i = a (L_{i+1} + U_{i+1}), and W_i = (1 - a) R_i with
         # R_i = sum_{j>i} L_j (1 + a + ... + a^(j-i-1)) = V_i + a R_{i+1}
@@ -393,13 +406,14 @@ class SurvivorTail:
 # A linear-fractional step maps u to m*u/(1+c*u), so R = 1/u steps by the
 # affine map R -> R/m + c/m, and affine maps compose. For an all-LF model
 # the recursion steps a block of generations at once, with the composite
-# (1/M, C/M) looked up by the block code of the environment draw
-# (``environment.block_length``): a multiply and an add per block, and one
-# log per replicate at the end. Every replicate carries R as r * 2**E; when
-# the chunk's largest r passes the model's limit, each r is renormalised by
-# frexp. Other models step log u one generation at a time by ``_log_step``,
-# every row at once: the family parameters of each component sit in one
-# table per model (``_step_table``), gathered by component index.
+# (1/M, C/M) gathered by the alias slot of the block's code in the
+# environment draw (``environment.block_length``): a multiply and an add per
+# block, and one log per replicate at the end. Every replicate carries R as
+# r * 2**E; when the chunk's largest r passes the model's limit, each r is
+# renormalised by frexp. Other models step log u one generation at a time
+# by ``_log_step``, every row at once: the family parameters of each
+# component sit in one table per model (``_step_table``), gathered by
+# component index.
 
 
 def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndarray:
@@ -412,15 +426,15 @@ def log_survival_profile(model: EnvironmentModel, env: EnvBatch | np.ndarray) ->
     survival probability.
     """
     batch = _as_batch(model, env)
-    lu = np.zeros((batch.n + 1, len(batch.codes)))
+    lu = np.zeros((batch.n + 1, len(batch.slots)))
     lf = _lf_tables(model)
     if lf is None:
         for i, row in _log_steps(model, batch):
             lu[i] = row
         return lu.T
     inv_m, c_m = lf.tables[0]
-    state = _Reciprocal(np.ones(len(batch.codes)))
-    for lo, hi, block_end in _lf_blocks(lf, batch):
+    state = _Reciprocal(np.ones(len(batch.slots)))
+    for lo, hi, block_end in _lf_blocks(model, lf, batch):
         # generations inside the block, stepped one at a time from its end
         for i in range(hi - 1, lo, -1):
             state = state.step(inv_m, c_m, batch.idx[:, i])
@@ -436,12 +450,12 @@ def log_survival(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> np.ndar
     batch = _as_batch(model, env)
     lf = _lf_tables(model)
     if lf is None:
-        lu = np.zeros(len(batch.codes))
+        lu = np.zeros(len(batch.slots))
         for _, lu in _log_steps(model, batch):
             pass
         return lu
-    state = _Reciprocal(np.ones(len(batch.codes)))
-    for _, _, state in _lf_blocks(lf, batch):
+    state = _Reciprocal(np.ones(len(batch.slots)))
+    for _, _, state in _lf_blocks(model, lf, batch):
         pass
     return state.log_u()
 
@@ -454,6 +468,7 @@ def _as_batch(model: EnvironmentModel, env: EnvBatch | np.ndarray) -> EnvBatch:
 class _LFTables:
     tables: tuple[tuple[np.ndarray, np.ndarray], ...]  # (1/M, C/M) per block length
     limit: float  # renormalise R once the largest r passes this
+    first_test: int  # the first block after which r can pass the limit
 
 
 @lru_cache(maxsize=8)
@@ -468,6 +483,11 @@ def _lf_tables(model: EnvironmentModel) -> _LFTables | None:
     r <= limit = 2**1020 / bound stays finite (2**-E <= 1 since 1/u >= 1).
     None for a model that is not all-LF, or whose bound passes 2**1000 (a
     block mean below about 2**-1000); those step log u per generation.
+
+    From R = 1, a step takes max(R, 1) up by at most ``bound`` (and eight
+    ulps of rounding), so the first blocks cannot pass the limit and the
+    kernel tests r only from block ``first_test`` on; a model with a
+    zero-mean component is tested from the first, since R = inf there.
     """
     if not model.all_linear_fractional:
         return None
@@ -492,7 +512,12 @@ def _lf_tables(model: EnvironmentModel) -> _LFTables | None:
     if not bound < 2.0**1000:
         return None
     tables = tuple(tuple(map(_read_only, table)) for table in tables)
-    return _LFTables(tables, min(2.0**1020 / bound, 2.0**1000))
+    limit = min(2.0**1020 / bound, 2.0**1000)
+    # bound >= 1, since 1/u >= 1 after any step from R = 1; growth**j stays
+    # below the limit for every block j before first_test
+    growth = bound * (1.0 + 2.0**-50)
+    first_test = 1 if zero.any() else max(1, math.floor(math.log(limit) / math.log(growth)))
+    return _LFTables(tables, limit, first_test)
 
 
 @dataclass(frozen=True)
@@ -507,11 +532,12 @@ class _Reciprocal:
     e: np.ndarray | None = None
     scale: np.ndarray | None = None
 
-    def step(self, inv_m: np.ndarray, c_m: np.ndarray, code: np.ndarray) -> "_Reciprocal":
-        """R -> R/M + C/M over the block of each replicate's code."""
-        r = inv_m.take(code)
+    def step(self, inv_m: np.ndarray, c_m: np.ndarray, index: np.ndarray) -> "_Reciprocal":
+        """R -> R/M + C/M over the block of each replicate, gathered at its
+        ``index`` in the tables."""
+        r = inv_m.take(index)
         r *= self.r
-        add = c_m.take(code)
+        add = c_m.take(index)
         if self.scale is not None:
             add *= self.scale
         r += add
@@ -534,19 +560,27 @@ class _Reciprocal:
 _LN2 = math.log(2.0)
 
 
-def _lf_blocks(lf: _LFTables, batch: EnvBatch):
+def _lf_blocks(model: EnvironmentModel, lf: _LFTables, batch: EnvBatch):
     """Yield (lo, hi, R at generation lo) for the blocks [lo, hi) of
-    generations from last to first, starting from R = 1 at generation n."""
-    n = batch.n
-    b = len(lf.tables)
-    full = n - n % b
-    bounds = [(full, n)] if full < n else []
-    bounds += [(lo, lo + b) for lo in range(full - b, -1, -b)]
-    state = _Reciprocal(np.ones(len(batch.codes)))
-    for lo, hi in bounds:
-        inv_m, c_m = lf.tables[hi - lo - 1]
-        state = state.step(inv_m, c_m, batch.codes[:, lo // b]).renormalised(lf.limit)
+    generations from last to first, starting from R = 1 at generation n;
+    each block steps by the tables of its alias slots (``_lf_slot_tables``)."""
+    blocks = list(batch.blocks())[::-1]
+    # the last block and the one before it have every block length there is
+    tables = {hi - lo: _lf_slot_tables(model, batch.law, hi - lo) for _, lo, hi in blocks[:2]}
+    state = _Reciprocal(np.ones(len(batch.slots)))
+    for j, (slot, lo, hi) in enumerate(blocks, 1):
+        state = state.step(*tables[hi - lo], slot)
+        if j >= lf.first_test:
+            state = state.renormalised(lf.limit)
         yield lo, hi, state
+
+
+@lru_cache(maxsize=64)
+def _lf_slot_tables(model: EnvironmentModel, law: tuple[float, ...], length: int):
+    """(1/M, C/M) of ``_lf_tables`` of the block code in each alias slot of
+    blocks of ``length`` generations drawn from ``law``."""
+    pick = _alias_table(law, length)[1]
+    return tuple(_read_only(table.take(pick)) for table in _lf_tables(model).tables[length - 1])
 
 
 @dataclass(frozen=True)
@@ -604,7 +638,7 @@ def _step_table(model: EnvironmentModel) -> _StepTable:
 def _log_steps(model: EnvironmentModel, batch: EnvBatch):
     """Yield (i, log u at generation i) for i = n - 1 down to 0 by ``_log_step``."""
     table = _step_table(model)
-    lu = np.zeros(len(batch.codes))
+    lu = np.zeros(len(batch.slots))
     for i in range(batch.n - 1, -1, -1):
         lu = _log_step(table, lu, batch.idx[:, i].astype(np.intp))
         yield i, lu

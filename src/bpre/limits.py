@@ -584,13 +584,13 @@ def qprocess_run(
         # zero-mean component, to which this law gives weight 0
         plan = TiltPlan(1.0, gamma, model.weights * model.means / gamma)
         method, purpose = "exact-kernel-chain", "qprocess"
-        (codes,) = streams.run_chunks(
-            lambda rng, count, start: (draw_env_batch(model, horizon, rng, count, plan).codes,),
+        (slots,) = streams.run_chunks(
+            lambda rng, count, start: (draw_env_batch(model, horizon, rng, count, plan).slots,),
             reps, seed, purpose,
         )
         # a particle's chance u to reach the distant future tends to 0, and the
         # conditioned population keeps one prolific particle, the spine
-        env, log_q, w = EnvBatch(model, horizon, codes, plan), np.full(reps, -np.inf), np.ones(reps)
+        env, log_q, w = EnvBatch(model, horizon, slots, plan), np.full(reps, -np.inf), np.ones(reps)
         lu = np.broadcast_to(-np.inf, (reps, horizon + 1))
         seed_info = streams.seed_provenance(seed, purpose)
     else:
@@ -602,7 +602,7 @@ def qprocess_run(
         env, log_q, w, seed_info = cond.env, cond.log_q, cond.survive_w, cond.seed_info
     total_w = float(w.sum())
     if regime == "WS" and model.all_linear_fractional:
-        tails = _marginal_tails(model, k, lu, env.idx[:, :horizon], env.w)
+        tails = _marginal_tails(model, k, lu, env.prefix(horizon), env.w)
         medians, final_pmf = _medians((tail.total for tail in tails), total_w), None
         method, overflow_mass = f"{method}+closed-form", 0.0
     else:
@@ -737,7 +737,7 @@ def env_posterior(
             seed_info=None,
         )
     cond = draw_conditioned_env(model, k, n + p, reps, seed, f"envpost-p{p}-n{n}")
-    prefix, survive_w = cond.env.idx[:, :p], cond.survive_w
+    prefix, survive_w = cond.env.prefix(p), cond.survive_w
     per_position = []
     for pos in range(p):
         dist: dict[int, tuple[float, float]] = {}

@@ -198,7 +198,9 @@ def annealed_survival(
     else:
         plan = method_plan(method, lambda: _centered_tilt(model))
     samples = draw_env_samples(model, n, reps, seed, "annealed", plan)
-    return _checked_estimate(samples, samples.w * any_survive(samples.log_q, k), "survival")
+    values = any_survive(samples.log_q, k)
+    values *= samples.w
+    return _checked_estimate(samples, values, "survival")
 
 
 def joint_survival(
@@ -218,7 +220,10 @@ def joint_survival(
     check_k(k)
     plan = method_plan(method, lambda: tilt_plan(model, solve_gamma_tilde(model, k)[0]))
     samples = draw_env_samples(model, n, reps, seed, "joint", plan)
-    return _checked_estimate(samples, samples.w * np.exp(k * samples.log_q), "joint survival")
+    values = k * samples.log_q
+    np.exp(values, out=values)
+    values *= samples.w
+    return _checked_estimate(samples, values, "joint survival")
 
 
 @dataclass(frozen=True)
@@ -416,11 +421,13 @@ def draw_conditioned_env(
     def chunk(rng, count, start):
         batch = draw_env_batch(model, n, rng, count, plan)
         log_q = log_survival(model, batch)
-        return batch.w * any_survive(log_q, k), log_q, batch.codes
+        survive_w = any_survive(log_q, k)
+        survive_w *= batch.w
+        return survive_w, log_q, batch.slots
 
-    (survive_w, log_q, codes), total, eff = run_conditioned(chunk, reps, seed, purpose)
+    (survive_w, log_q, slots), total, eff = run_conditioned(chunk, reps, seed, purpose)
     return ConditionedEnvSamples(
-        env=EnvBatch(model, n, codes, plan),
+        env=EnvBatch(model, n, slots, plan),
         log_q=log_q,
         survive_w=survive_w,
         method=method_name(plan),

@@ -27,10 +27,11 @@ BIT_GENERATOR = np.random.SFC64
 # sampled given a conditioned draw on streams of their own, 5 draws the
 # SS/IS Q-process chain's environments as block codes before its offspring,
 # 6 draws the finite-support totals of every row of a generation by
-# stick-breaking binomials, and 7 samples the SS/IS Q-process's populations
+# stick-breaking binomials, 7 samples the SS/IS Q-process's populations
 # with the population sampler at u = 0 on a stream of their own, after all
-# of its environments.
-STREAM_LAYOUT = 7
+# of its environments, and 8 draws block codes of up to 12 generations
+# from alias tables of up to 4096 codes (``environment.block_length``).
+STREAM_LAYOUT = 8
 
 THREADS_ENV_VAR = "BPRE_THREADS"
 

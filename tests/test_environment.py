@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bpre.environment import (
     EnvironmentModel,
     _alias_table,
-    _draw_codes,
+    _draw_slots,
     block_length,
     builtin_model,
     draw_env,
@@ -165,7 +165,9 @@ def unpack(codes, k, length):
 
 
 class TestBlockDraw:
-    @pytest.mark.parametrize("k, b", [(1, 8), (2, 8), (3, 5), (5, 3), (16, 2), (17, 1), (300, 1)])
+    @pytest.mark.parametrize(
+        "k, b", [(1, 12), (2, 12), (3, 7), (5, 5), (16, 3), (17, 2), (64, 2), (65, 1), (300, 1)]
+    )
     def test_block_length(self, k, b):
         assert block_length(k) == b
 
@@ -238,9 +240,9 @@ class TestBlockDraw:
         b = block_length(k)
         assert batch.n == n
         assert batch.codes.shape == (count, -(-n // b))
-        assert batch.codes.dtype == (np.uint16 if k == 300 else np.uint8)
+        assert batch.codes.dtype == (np.uint8 if k == 1 else np.uint16)
         assert batch.idx.shape == (count, n)
-        assert batch.idx.dtype == batch.codes.dtype
+        assert batch.idx.dtype == (np.uint16 if k == 300 else np.uint8)
         assert batch.w.shape == (count,)
         assert np.all(batch.idx < k)
         if k == 1:
@@ -249,9 +251,23 @@ class TestBlockDraw:
             np.testing.assert_array_equal(batch.codes, batch.idx)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 300])
+    def test_prefix_is_the_head_of_idx(self, k):
+        # a prefix unpacks only the blocks that cover it, with the bits of idx
+        b = block_length(k)
+        n = 2 * b + 1
+        for g in sorted({0, 1, b - 1, b, b + 1, n}):
+            batch = draw_env_batch(BLOCK_MODELS[k], n, stream(37, "blocks"), 64)
+            head = batch.prefix(g)
+            assert "idx" not in vars(batch)
+            assert head.shape == (64, g) and head.dtype == batch.idx.dtype
+            np.testing.assert_array_equal(head, batch.idx[:, :g])
+            np.testing.assert_array_equal(batch.prefix(g), head)  # sliced from idx
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 300])
     def test_pack_env_round_trip(self, k):
         model = BLOCK_MODELS[k]
-        for n in (0, 8, 23):  # no block, whole blocks only, a short last block
+        b = block_length(k)
+        for n in (0, 2 * b, 2 * b + 1, 23):  # no block, whole blocks only, a short last block
             batch = draw_env_batch(model, n, stream(35, "blocks"), 64)
             packed = pack_env(model, batch.idx)
             np.testing.assert_array_equal(packed.codes, batch.codes)
@@ -310,10 +326,12 @@ class TestRowDraw:
             batch = draw_env_batch(model, n, rng, count, plan)
             ref = stream(36, "rows")
             full, rest = divmod(n, b)
-            parts = [_draw_codes(ref, p, b, (full, count))]
+            parts = [np.empty((full, count), dtype=np.intp)]
             if rest:
-                parts.append(_draw_codes(ref, p, rest, (1, count)))
-            np.testing.assert_array_equal(batch.codes.T, np.concatenate(parts))
+                parts.append(np.empty((1, count), dtype=np.intp))
+            for part, length in zip(parts, (b, rest)):
+                _draw_slots(ref, p, length, part)
+            np.testing.assert_array_equal(batch.slots.T, np.concatenate(parts))
             # a callback drawing after the batch starts where one uniform
             # per code, in row order, leaves the stream
             ref = stream(36, "rows")

@@ -105,7 +105,7 @@ def test_environment_draws_block_codes_only():
         module = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)}
         assert "_block_codes" not in names_in(module) | defined
-    assert "_draw_codes" in names_in(module_definitions("environment")["draw_env_batch"])
+    assert "_draw_slots" in names_in(module_definitions("environment")["draw_env_batch"])
 
 
 def imports_from_streams(tree: ast.Module) -> list[str]:
@@ -132,7 +132,7 @@ def test_one_environment_draw():
     offspring = ast.parse((Path(bpre.__file__).parent / "offspring.py").read_text(encoding="utf-8"))
     assert imports_from_streams(offspring) == []
     sampler = module_definitions("limits")["_sample_populations"]
-    assert names_in(sampler).isdisjoint({"draw_env_batch", "_draw_codes", "weights", "means", "gamma"})
+    assert names_in(sampler).isdisjoint({"draw_env_batch", "_draw_slots", "weights", "means", "gamma"})
     assert "draw_env_batch" in names_in(module_definitions("limits")["qprocess_run"])
 
 
@@ -531,3 +531,35 @@ def test_one_qprocess_median(monkeypatch):
             assert [type(tail(z)) for z in (0, guess, int(found))] == [float] * 3
             assert tail(0) == pytest.approx(total, rel=1e-12)
             assert tail(int(found)) <= 0.5 * total < tail(int(found) - 1)
+
+
+# what a module needs to draw environments or read alias slots other than
+# through ``draw_env_batch`` and an ``EnvBatch``
+SLOT_DRAW = {"_draw_slots", "_alias_table", "_slot_log_means", "_slot_steps", "_lf_slot_tables", "block_length"}
+
+
+def test_one_slot_draw_and_one_lf_kernel():
+    # the alias-slot draw is named in draw_env_batch alone; the estimators
+    # reach environments through draw_env_batch only and gather by no slot; and
+    # drawn and packed batches step through the one _lf_blocks, the only
+    # reader of the slot tables of the LF kernel
+    for path in MODULES + [Path(bpre.__file__)]:
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        callers = {
+            node.name
+            for node in ast.walk(module)
+            if isinstance(node, ast.FunctionDef) and node.name != "_draw_slots"
+            and "_draw_slots" in names_in(node)
+        }
+        assert callers == ({"draw_env_batch"} if path.stem == "environment" else set()), path.stem
+    for module in ("simcore", "rwalk", "limits"):
+        tree = ast.parse((Path(bpre.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+        assert names_in(tree).isdisjoint(SLOT_DRAW), module
+        assert "draw_env_batch" in names_in(tree), module
+    lfexact = module_definitions("lfexact")
+    readers = {name for name, node in lfexact.items() if "_lf_slot_tables" in names_in(node)}
+    assert readers == {"_lf_blocks"}
+    for entry in ("log_survival", "log_survival_profile"):
+        assert {"_as_batch", "_lf_blocks"} <= names_in(lfexact[entry]), entry
+    assert "pack_env" in names_in(lfexact["_as_batch"])
+    assert "_lf_blocks" not in names_in(module_definitions("environment")["EnvBatch"])

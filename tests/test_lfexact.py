@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import warnings
@@ -13,7 +14,9 @@ from bpre.environment import (
     draw_env,
     draw_env_batch,
     is_ref,
+    pack_env,
     ss_ref,
+    tilt_plan,
     ws_ref,
 )
 from bpre.errors import ValidationError
@@ -36,7 +39,7 @@ from bpre.offspring import FiniteSupport, LinearFractional, geometric_lf, moment
 from bpre.rwalk import WalkPath, walk_stats
 from bpre.simcore import evolve_lineages
 from bpre.streams import stream
-from helpers import MODELS, reference_log_profile
+from helpers import MODELS, lf_model, reference_log_profile
 
 LF = LinearFractional(0.25, 0.5)  # critical geometric: f(s) = 1/(2-s)
 
@@ -187,9 +190,10 @@ B_TOP = 1.0 - 2.0**-52
 EXTREME_LF = EnvironmentModel(
     [(LinearFractional((1.0 - B_TOP) / 2.0, B_TOP), 0.5), (LinearFractional(0.125, 0.5), 0.5)]
 )
-# Block edges for every block length the LF kernel picks (8, 5 and 3 at
-# K = 2, 3 and 5; 1 at K = 300) and the horizons the estimators use.
-HORIZONS = [0, 1, 7, 8, 9, 16, 100, 400]
+# Block edges for every block length the LF kernel picks (12, 7 and 5 at
+# K = 2, 3 and 5; 1 at K = 300), those of the 8-generation blocks of stream
+# layouts 3-7, and the horizons the estimators use.
+HORIZONS = [0, 1, 5, 7, 8, 9, 11, 12, 13, 16, 24, 100, 400]
 KERNEL_MODELS = {
     "lf": ws_ref(),
     "fs": FS_MIXTURE,
@@ -332,7 +336,7 @@ class TestReciprocalKernel:
         assert log_q.tobytes() == profile[:, 0].tobytes()
 
     def test_tiny_means_fall_back_to_log_steps(self):
-        # a block of 8 generations of mean 1e-40 has 1/M past 2**1000, so the
+        # a block of 12 generations of mean 1e-40 has 1/M past 2**1000, so the
         # model steps log u one generation at a time
         model = EnvironmentModel([(LinearFractional(1e-40, 0.0), 0.5), (geometric_lf(1.5), 0.5)])
         assert _lf_tables(model) is None
@@ -353,6 +357,81 @@ class TestReciprocalKernel:
             log_survival_profile(model, batch)
         with pytest.raises(AssertionError):
             log_survival(MIXED_FAMILY, draw_env_batch(MIXED_FAMILY, 3, stream(64, "t"), 5))
+
+
+# every block length of the kernel: 12, 7, 5, 2 and 1 at K = 2, 3, 5, 17
+# and 300; 12 at K = 1
+SLOT_MODELS = {
+    **{f"lf{k}": model for k, model in MODELS.items()},
+    "lf17": lf_model(np.linspace(0.3, 2.0, 17)),
+    "lf-extreme": EXTREME_LF,
+}
+# means 2**-10 and 2**-3: R grows by up to about 2**120 per block of 12, so
+# the kernel tests it for renormalisation from block 7 on, and at n = 100
+# most chunks renormalise at block 8 or 9
+SMALL_MEANS_LF = EnvironmentModel([(geometric_lf(2.0**-10), 0.9), (geometric_lf(2.0**-3), 0.1)])
+
+
+class TestSlotPath:
+    """A drawn batch steps by the alias slots its draw picked, a packed one
+    by slot 2c + 1 of its codes; both go through the one ``_lf_blocks``."""
+
+    @pytest.mark.parametrize("model", SLOT_MODELS.values(), ids=SLOT_MODELS.keys())
+    @pytest.mark.parametrize("theta", [None, 0.5], ids=["base", "tilted"])
+    def test_drawn_and_packed_batches_agree_bitwise(self, model, theta):
+        plan = None if theta is None else tilt_plan(model, theta)
+        for n in (0, 1, 11, 12, 13, 24, 100, 400):
+            batch = draw_env_batch(model, n, stream(66, "slots"), 64, plan)
+            packed = pack_env(model, batch.idx)
+            assert log_survival(model, batch).tobytes() == log_survival(model, packed).tobytes(), n
+            assert batch.s_n.tobytes() == packed.s_n.tobytes(), n
+            np.testing.assert_array_equal(packed.codes, batch.codes)
+            if n <= 24:
+                want = log_survival_profile(model, packed).tobytes()
+                assert log_survival_profile(model, batch).tobytes() == want, n
+
+    @pytest.mark.parametrize(
+        "model, n",
+        [(SMALL_MEANS_LF, 100), (SMALL_MEANS_LF, 400), (ss_ref(), 1200), (ZERO_MEAN_LF, 40)],
+        ids=["small-means-100", "small-means-400", "ss-1200", "zero-mean-40"],
+    )
+    def test_late_first_test_keeps_the_bits_of_testing_every_block(self, model, n, monkeypatch):
+        lf = _lf_tables(model)
+        batch = draw_env_batch(model, n, stream(67, "slots"), 256)
+        log_q = log_survival(model, batch)
+        profile = log_survival_profile(model, batch)
+        if model is SMALL_MEANS_LF:
+            assert 1 < lf.first_test <= 8
+        assert log_q.min() < -math.log(lf.limit)  # some row passes the limit
+        monkeypatch.setattr(lfexact, "_lf_tables", lambda m: dataclasses.replace(lf, first_test=1))
+        assert log_survival(model, batch).tobytes() == log_q.tobytes()
+        assert log_survival_profile(model, batch).tobytes() == profile.tobytes()
+
+    def test_first_test_follows_the_growth_bound(self):
+        assert _lf_tables(ZERO_MEAN_LF).first_test == 1
+        for model in (ws_ref(), ss_ref(), SMALL_MEANS_LF):
+            lf = _lf_tables(model)
+            bound = max(float((inv + c)[np.isfinite(inv)].max()) for inv, c in lf.tables)
+            assert bound ** (lf.first_test - 1) < lf.limit
+
+
+class TestAnySurvive:
+    LOG_Q = np.array([-np.inf, -800.0, -30.0, -1.0, -1e-12, 0.0, 0.5])
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_bits_of_the_formula_and_input_kept(self, k):
+        log_q = self.LOG_Q.copy()
+        with np.errstate(divide="ignore"):
+            want = -np.expm1(k * np.log1p(-np.exp(np.minimum(log_q, 0.0))))
+        assert any_survive(log_q, k).tobytes() == want.tobytes()
+        assert log_q.tobytes() == self.LOG_Q.tobytes()
+
+    @pytest.mark.parametrize("log_q", [-0.5, np.float64(-0.5), np.array(-0.5)], ids=["float", "float64", "0-d"])
+    def test_scalar_log_q(self, log_q):
+        got = any_survive(log_q, 3)
+        assert np.ndim(got) == 0
+        assert float(got) == float(any_survive(np.array([-0.5]), 3)[0])
+        assert float(got) == pytest.approx(1.0 - (1.0 - math.exp(-0.5)) ** 3, rel=1e-15)
 
 
 def _series(laws, k, atoms):

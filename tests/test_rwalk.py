@@ -234,8 +234,8 @@ class TestSurvivalLink:
 
 
 class TestWalkMinimum:
-    """EnvBatch.walk_minimum and partial_sums read the walk from the block
-    codes with the bits of a cumsum over the unpacked steps."""
+    """EnvBatch.walk_minimum and partial_sums read the walk from the alias
+    slots with the bits of a cumsum over the unpacked steps."""
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     @pytest.mark.parametrize("tilted", [False, True])

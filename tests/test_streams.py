@@ -46,4 +46,4 @@ def test_provenance_names_the_generator_streams_use():
     info = seed_provenance(5, "annealed")
     assert info.split()[0] == type(stream(5, "annealed").bit_generator).__name__.lower()
     assert info == f"sfc64 seed=5 purpose=annealed chunk_size=4096 layout={STREAM_LAYOUT}"
-    assert STREAM_LAYOUT == 7
+    assert STREAM_LAYOUT == 8
