@@ -31,6 +31,7 @@ horizons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .errors import ConditioningStarvationError, ValidationError
 from .lfexact import (
     SurvivorTail, _step_table, conditioned_law, lf_forward, log_survival_profile, surviving_lines,
 )
-from .offspring import FiniteSupport, pgf
+from .offspring import pgf
 from .regime import expected_mean, regime_of
 from .simcore import METHOD_EXACT, check_k, draw_conditioned_env, evolve_lineages
 from .stats import ratio_and_se, weighted_means_and_se, weighted_pmf
@@ -407,45 +408,34 @@ class QKernelRow:
         return float(self.probs.sum())
 
 
-def _component_pmf(law, cap: int) -> np.ndarray:
-    if isinstance(law, FiniteSupport):
-        pmf = np.zeros(cap + 1)
-        upto = min(len(law.probs), cap + 1)
-        pmf[:upto] = law.probs[:upto]
-        return pmf
-    pmf = np.zeros(cap + 1)
-    pmf[0] = 1.0 - law.A / (1.0 - law.B)
-    j = np.arange(1, cap + 1)
-    pmf[1:] = law.A * law.B ** (j - 1.0)
-    return pmf
-
-
-def _convolve(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """a * b on 0..cap. Trailing zeros are trimmed first, so the method is
-    chosen by the true supports and the FFT adds no noise past them."""
-    a, b = np.trim_zeros(a, "b"), np.trim_zeros(b, "b")
-    if len(a) * len(b) > 2**22:  # FFT pays off for long vectors
-        from scipy.signal import fftconvolve
-
-        out = np.clip(fftconvolve(a, b)[: cap + 1], 0.0, None)
-    else:
-        out = np.convolve(a, b)[: cap + 1]
-    return np.pad(out, (0, cap + 1 - len(out)))
-
-
-def _convolve_power(pmf: np.ndarray, power: int, cap: int) -> np.ndarray:
-    """power-fold convolution truncated to length cap+1 (binary powering)."""
-    result = np.zeros(cap + 1)
-    result[0] = 1.0
-    base = pmf.copy()
-    p = power
-    while p > 0:
-        if p & 1:
-            result = _convolve(result, base, cap)
-        p >>= 1
-        if p:
-            base = _convolve(base, base, cap)
-    return result
+def _kernel_rows(model: EnvironmentModel, cap: int):
+    """Yield row y = 1, 2, ... of the unbiased kernel, sum_c w_c pmf_c^{*y}
+    on 0..cap. Each component's power is stepped from the one before by
+    one more particle of its family, read from ``_step_table``: a
+    finite-support law convolves its trimmed pmf; an LF law has P(X = 0) =
+    1 - a with a = A/(1-B) and P(X = j) = A B^(j-1), so the new power is
+    (1 - a) power + A g, g_i = power_(i-1) + B g_(i-1), the geometric sum
+    taken by doubling until B**s underflows. Every term is positive, so
+    nothing cancels."""
+    table = _step_table(model)
+    pmfs = [np.trim_zeros(pmf, "b") for pmf in table.pmf.T]
+    steps = list(zip(table.lf.tolist(), table.a.tolist(), table.b.tolist(), pmfs))
+    powers = np.zeros((len(pmfs), cap + 1))
+    powers[:, 0] = 1.0
+    while True:
+        for power, (lf, a, b, pmf) in zip(powers, steps):
+            if not lf:
+                power[:] = np.convolve(power, pmf)[: cap + 1]
+                continue
+            g = np.zeros(cap + 1)
+            g[1:] = power[:-1]
+            s = 1
+            while s <= cap and b**s > 0.0:
+                g[s:] += b**s * g[:-s]
+                s *= 2
+            power *= 1.0 - a / (1.0 - b)
+            power += a * g
+        yield model.weights @ powers
 
 
 def qprocess_kernel(
@@ -457,7 +447,9 @@ def qprocess_kernel(
     Only the strongly and intermediate subcritical regimes admit this closed
     form (size-biased, rate-normalized one-step law); weakly subcritical
     models are rejected because the size-bias weights there are not
-    computable in closed form.
+    computable in closed form. The row takes ``kernel_state`` steps of
+    ``_kernel_rows``; a state past ``state_cap`` has no row inside the
+    capped kernel and is rejected.
     """
     if kernel_state < 1:
         raise ValidationError(
@@ -467,12 +459,14 @@ def qprocess_kernel(
         raise ValidationError(
             "no exact kernel in the weakly subcritical regime", field="model"
         )
+    if kernel_state > state_cap:
+        raise ValidationError(
+            f"kernel_state must be <= the state cap {state_cap}, got {kernel_state}",
+            field="kernel_state",
+        )
     gamma = expected_mean(model)
-    base = np.zeros(state_cap + 1)
-    for law, w in model.components:
-        base += w * _convolve_power(_component_pmf(law, state_cap), kernel_state, state_cap)
-    sizes = np.arange(state_cap + 1)
-    row = base * sizes / (kernel_state * gamma)
+    base = next(itertools.islice(_kernel_rows(model, state_cap), kernel_state - 1, None))
+    row = base * np.arange(state_cap + 1) / (kernel_state * gamma)
     return QKernelRow(
         state=kernel_state, probs=row, tail_mass=max(0.0, 1.0 - float(row.sum()))
     )
@@ -511,18 +505,12 @@ def _exact_chain_law(model, gamma, k, horizon, states):
     0..``states``: pi_{t+1} = pi_t P, where row y of P is sum_c w_c pmf_c^{*y},
     size-biased by b / (y gamma). A parent has at most top = T - 1
     children, so before the horizon the chain is in states up to
-    states // top only; those rows are built in turn, one convolution per
-    row and component."""
-    table = _step_table(model)
-    pmfs = [np.trim_zeros(pmf, "b") for pmf in table.pmf.T]
-    powers = np.zeros((len(pmfs), states + 1))
-    powers[:, 0] = 1.0
+    states // top only; those rows are taken in turn from ``_kernel_rows``."""
+    top = len(_step_table(model).pmf) - 1
     sizes = np.arange(states + 1)
     kernel = np.zeros((states + 1, states + 1))
-    for y in range(1, states // (len(table.pmf) - 1) + 1):
-        for power, pmf in zip(powers, pmfs):
-            power[:] = np.convolve(power, pmf)[: states + 1]
-        kernel[y] = model.weights @ powers * sizes / (y * gamma)
+    for y, row in zip(range(1, states // top + 1), _kernel_rows(model, states)):
+        kernel[y] = row * sizes / (y * gamma)
     law = np.zeros(states + 1)
     law[k] = 1.0
     laws = [law]

@@ -582,6 +582,8 @@ def test_out_of_range_k_or_horizon_is_validation_exit(field, args, capsys):
         ("k_list", "alphak --k="),
         ("n_list", "alphak --n="),
         ("kernel_state", "qprocess --kernel-state -1 --model ss-ref"),
+        # past DEFAULT_STATE_CAP: no row in the capped kernel
+        ("kernel_state", "qprocess --kernel-state 16385 --model ss-ref"),
     ],
 )
 def test_out_of_domain_parameter_names_its_flag(field, args, capsys):

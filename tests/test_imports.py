@@ -315,7 +315,7 @@ def test_log_check_sees_a_draw_attribute():
 
 # the readers of the per-component family parameters of ``lfexact._step_table``,
 # and the generic survival step and population draws that gather them by
-# component index, and the exact SS/IS chain law that reads its pmfs
+# component index, and the kernel-row builder that steps each family from them
 STEP_TABLE_READERS = [
     ("lfexact", "_lf_tables"),
     ("lfexact", "lf_forward"),
@@ -323,12 +323,14 @@ STEP_TABLE_READERS = [
     ("limits", "_generation"),
     ("limits", "_chain_states"),
     ("limits", "_exact_chain_law"),
+    ("limits", "_kernel_rows"),
 ]
 FAMILY_GATHERS = [
     ("lfexact", "_log_step"),
     ("lfexact", "_log_steps"),
     ("limits", "_generation"),
     ("limits", "_exact_chain_law"),
+    ("limits", "_kernel_rows"),
 ]
 
 
@@ -416,30 +418,41 @@ def test_exact_chain_law_draws_nothing():
     assert "_exact_chain_law" in names_in(definition("limits", "qprocess_run"))
 
 
+def test_one_kernel_row_builder():
+    # the size-biased kernel and the exact chain law step their rows one
+    # particle at a time in _kernel_rows: no binary powering, no FFT
+    for name in ("qprocess_kernel", "_exact_chain_law"):
+        assert "_kernel_rows" in names_in(definition("limits", name))
+    source = (Path(bpre.__file__).parent / "limits.py").read_text(encoding="utf-8")
+    for gone in ("_component_pmf", "_convolve", "_convolve_power", "fftconvolve"):
+        assert gone not in source
+
+
 def test_mask_check_sees_a_component_mask():
     assert is_component_mask(ast.parse("col == comp", mode="eval").body)
     assert is_component_mask(ast.parse("comp == col", mode="eval").body)
     assert not is_component_mask(ast.parse("col == 0", mode="eval").body)
 
 
-# one small run of each op a survival, Yaglom or Q-process command makes; none
-# of them may import scipy, which stays a first-use import of the functional
-# residual and the FFT branch of the kernel row
+# one small run of each op a survival, Yaglom or Q-process command makes, and
+# a kernel row far from the start; none of them may import scipy, which stays
+# a first-use import of the functional residual
 SCIPY_FREE_OPS = [
-    {"op": "survival", "params": {"k": 1, "n": 8}},
-    {"op": "jointsurv", "params": {"k": 2, "n": 8, "method": "tilted-IS"}},
-    {"op": "yaglom", "params": {"k": 1, "n": 8}},
-    {"op": "lineages", "params": {"k": 2, "n": 8}},
-    {"op": "envsel", "params": {"k": 1, "n": 8}},
-    {"op": "qprocess", "params": {"k": 1, "horizon": 4}},
-    {"op": "rwalk-tail", "params": {"n": 8, "x": 1.0}},
+    {"op": "survival", "model": "ws-ref", "params": {"k": 1, "n": 8}},
+    {"op": "jointsurv", "model": "ws-ref", "params": {"k": 2, "n": 8, "method": "tilted-IS"}},
+    {"op": "yaglom", "model": "ws-ref", "params": {"k": 1, "n": 8}},
+    {"op": "lineages", "model": "ws-ref", "params": {"k": 2, "n": 8}},
+    {"op": "envsel", "model": "ws-ref", "params": {"k": 1, "n": 8}},
+    {"op": "qprocess", "model": "ws-ref", "params": {"k": 1, "horizon": 4}},
+    {"op": "qprocess", "model": "ss-ref", "params": {"kernel_state": 1000}},
+    {"op": "rwalk-tail", "model": "ws-ref", "params": {"n": 8, "x": 1.0}},
 ]
 SCIPY_PROBE = """
 import json, sys
 import bpre, bpre.cli
 from bpre.config import config_from_dict
 for raw in json.loads(sys.argv[1]):
-    bpre.cli.run(config_from_dict({**raw, "model": "ws-ref", "seed": 1, "reps": 256}))
+    bpre.cli.run(config_from_dict({**raw, "seed": 1, "reps": 256}))
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

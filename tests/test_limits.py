@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -20,9 +21,8 @@ from bpre.errors import ConditioningStarvationError, ValidationError
 from bpre.lfexact import conditioned_law, log_survival, log_survival_profile, quenched_survival
 from bpre.limits import (
     QPROCESS_LOOKAHEAD,
-    _component_pmf,
-    _convolve_power,
     _fs_totals,
+    _kernel_rows,
     _lf_totals,
     conditioned_binomial_positive,
     conditioned_population_by_rejection,
@@ -105,7 +105,7 @@ def test_aggregate_totals_match_convolution(law, m):
         drawn = {law: totals[: 2 * reps : 2], other: totals[1 : 2 * reps : 2]}
     for each, totals in drawn.items():
         assert totals.max() <= cap
-        exact = _convolve_power(_component_pmf(each, cap), m, cap)
+        exact = next(itertools.islice(_kernel_rows(EnvironmentModel([(each, 1.0)]), cap), m - 1, None))
         observed = np.bincount(totals, minlength=cap + 1)
         assert chi_square_pvalue(observed, reps * exact) > 1e-3
 
@@ -374,6 +374,55 @@ class TestQKernel:
         with pytest.raises(ValidationError):
             qprocess_kernel(ws_ref(), 1)
 
+    def test_state_above_the_cap_rejected(self):
+        # a state past the cap has no row inside the capped kernel; 10**9
+        # would have stepped the builder 10**9 times
+        assert qprocess_kernel(ss_ref(), 20, state_cap=20).state == 20
+        cap = limits.DEFAULT_STATE_CAP
+        for state, state_cap in ((21, 20), (cap + 1, cap), (10**9, cap)):
+            with pytest.raises(ValidationError) as exc:
+                qprocess_kernel(ss_ref(), state, state_cap=state_cap)
+            assert exc.value.field == "kernel_state"
+
+    @pytest.mark.parametrize(
+        "model", [ss_ref(), is_ref(), FS_SS, MIXED], ids=["ss-ref", "is-ref", "fs-ss", "mixed"]
+    )
+    @pytest.mark.parametrize("state", [1, 2, 5, 10, 40])
+    def test_rows_match_independent_references(self, model, state):
+        # each row against its law built here, not by the builder: repeated
+        # np.convolve of a finite-support pmf, and the LF y-fold law in closed
+        # form, size-biased by b / (y gamma)
+        cap = 300
+        row = qprocess_kernel(model, state, state_cap=cap).probs
+        gamma = classify(model).e_m
+        unbiased = np.zeros(cap + 1)
+        for law, w in model.components:
+            if isinstance(law, LinearFractional):
+                unbiased += w * np.array([_lf_power(law, state, b) for b in range(cap + 1)])
+            else:
+                conv = np.array([1.0])
+                for _ in range(state):
+                    conv = np.convolve(conv, law.probs)
+                unbiased[: len(conv)] += w * conv[: cap + 1]
+        ref = unbiased * np.arange(cap + 1) / (state * gamma)
+        atoms = ref >= 1e-12
+        assert atoms.sum() >= min(state, 4)
+        np.testing.assert_allclose(row[atoms], ref[atoms], rtol=1e-14, atol=0)
+        assert (np.abs(row[~atoms] - ref[~atoms]) < 1e-14).all()
+
+    def test_ss_ref_row_at_state_1000(self):
+        # 100 atoms across the bulk of the row, against the LF law in logs;
+        # binary powering through the FFT was up to 8e-5 off here
+        model, state = ss_ref(), 1000
+        row = qprocess_kernel(model, state).probs
+        gamma = classify(model).e_m
+        bulk = np.flatnonzero(row >= 1e-12 * row.max())
+        for b in np.linspace(bulk[0], bulk[-1], 100).astype(int).tolist():
+            logs = [math.log(w) + _log_lf_power(law, state, b) for law, w in model.components]
+            top = max(logs)
+            ref = math.exp(top) * math.fsum(math.exp(x - top) for x in logs) * b / (state * gamma)
+            assert row[b] == pytest.approx(ref, rel=1e-12, abs=0), b
+
     def test_finite_support_row_has_its_true_support(self):
         # the row convolves zero-padded pmfs of length 2**14 + 1; it went
         # through the FFT and came back with 13 764 atoms of noise, summing to
@@ -475,7 +524,9 @@ class TestQProcessRun:
         # a parent has at most 2 children, so the states stay bounded at
         # these horizons and the law is computed, not sampled: each row of
         # P, the one-step law from k, and pi_h match the rows of
-        # qprocess_kernel within 1e-12, with SE 0, and nothing is drawn
+        # qprocess_kernel within 1e-12, with SE 0, and nothing is drawn. Both
+        # take their rows from _kernel_rows, so this checks the wiring;
+        # test_rows_match_independent_references checks the rows
         for k in range(1, 21):
             run = qprocess_run(model, k, 1, 1000, seed=1)
             assert (run.method, run.seed_info, run.reps, run.overflow_mass) == ("exact-kernel-law", None, 1000, 0.0)
@@ -706,9 +757,49 @@ def _assert_atoms_match(pmf, law, reps):
         assert abs(p_emp - law[state]) < 4 * se + 1e-12, state
 
 
+def _lf_power(law, y, b):
+    """P(X_1 + ... + X_y = b) for iid LF X: j ~ Binomial(y, a) of the
+    particles have children, a = A/(1-B), and their children number
+    NegativeBinomial(j, 1-B) on top of j, so the atom is sum_j C(y,j) a^j
+    (1-a)^(y-j) C(b-1,j-1) (1-B)^j B^(b-j)."""
+    a, B = law.A / (1.0 - law.B), law.B
+    if b == 0:
+        return (1.0 - a) ** y
+    return math.fsum(
+        math.comb(y, j) * a**j * (1.0 - a) ** (y - j) * math.comb(b - 1, j - 1) * (1.0 - B) ** j * B ** (b - j)
+        for j in range(1, min(y, b) + 1)
+    )
+
+
+@functools.cache
+def _log_combs(n):
+    """log C(n, k) for k = 0..n, each the log of the exact integer: closer
+    than lgamma differences, which lose about 1e-12 near n = 1000."""
+    logs, c = [], 1
+    for k in range(n + 1):
+        logs.append(math.log(c))
+        c = c * (n - k) // (k + 1)
+    return logs
+
+
+def _log_lf_power(law, y, b):
+    """log of ``_lf_power`` for b >= 1, summed in logs."""
+    a, B = law.A / (1.0 - law.B), law.B
+    log_cy, log_cb = _log_combs(y), _log_combs(b - 1)
+    logs = [
+        log_cy[j] + j * math.log(a) + (y - j) * math.log1p(-a)
+        + log_cb[j - 1] + j * math.log1p(-B) + (b - j) * math.log(B)
+        for j in range(1, min(y, b) + 1)
+    ]
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
 def _capped_chain_law(model, k, horizon, cap):
     """pi_horizon = pi_0 P^horizon of the SS/IS chain from k, with the rows
-    of P from qprocess_kernel, cut at cap."""
+    of P from qprocess_kernel, cut at cap. The rows share ``_kernel_rows``
+    with ``_exact_chain_law``, so against it this checks the wiring;
+    test_rows_match_independent_references checks the rows."""
     kernel = np.zeros((cap + 1, cap + 1))
     for state in range(1, cap + 1):
         kernel[state] = qprocess_kernel(model, state, state_cap=cap).probs
