@@ -237,7 +237,7 @@ def conditioned_law(
     k = 1, w p is folded into the first power, so the powers are w x itself.
     """
     s = np.asarray(s_grid, dtype=float)[:, None]
-    inv_s = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0.0)
+    inv_s_less_1 = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0.0) - 1.0
     # row j - 2 holds C(z-1, j-1) at z = j + m, the cumulative product over z
     # of z/(z+1-j) = (m+j)/(m+1)
     m = np.arange(atoms - 1)
@@ -267,8 +267,8 @@ def conditioned_law(
         if k > 1:
             np.multiply(pw, w_line * p, out=x)
         # E[s**Z | env, alive] = sum_j P(J = j) h**j, h = s p / (1 - (1-p) s),
-        # formed as p / (1/s - (1-p))
-        h = inv_s - fail
+        # formed as p / (p + (1/s - 1)), which is exactly 1 at s = 1
+        h = p + inv_s_less_1
         np.divide(p, h, out=h)
         pgf_sum += np.einsum("sr,r->s", h, w_line)
         h_j, p_j = h, p

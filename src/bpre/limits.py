@@ -44,9 +44,9 @@ from .lfexact import (
     SurvivorTail, _step_table, conditioned_law, lf_forward, log_survival_profile, surviving_lines,
 )
 from .offspring import pgf
-from .regime import expected_mean, regime_of
+from .regime import expected_mean, regime_of, solve_alpha
 from .simcore import METHOD_EXACT, check_k, draw_conditioned_env, evolve_lineages
-from .stats import ratio_and_se, weighted_means_and_se, weighted_pmf
+from .stats import ratio_and_se, unit_scaled, weighted_means_and_se, weighted_pmf
 
 DEFAULT_STATE_CAP = 2**14  # largest state of a qprocess_kernel row
 # largest state of the SS/IS chain's exact law; its dense kernel takes at most 2 MB
@@ -282,16 +282,7 @@ def yaglom(
     exactly-sampled conditioned binomial, and each surviving lineage's
     population an exact skeleton sample.
     """
-    purpose = f"yaglom-k{k}-n{n}"
-    cond = draw_conditioned_env(model, k, n, reps, seed, purpose)
-    if model.all_linear_fractional:
-        pmf, pgf_values, tail_mass = _closed_form_law(cond, k)
-        method = f"{cond.method}+closed-form"
-    else:
-        lu = log_survival_profile(model, cond.env)
-        z, overflow = _sample_populations(cond.env, cond.log_q, lu, k, n, False, seed, purpose)
-        pmf, pgf_values, tail_mass = _sampled_law(z, overflow, cond.survive_w)
-        method = cond.method
+    cond, method, (pmf, pgf_values, tail_mass) = _yaglom_law(model, k, n, reps, seed, S_GRID)
     return YaglomEstimate(
         k=k,
         n=n,
@@ -306,10 +297,22 @@ def yaglom(
     )
 
 
-def _sampled_law(z, overflow, survive_w):
-    """(pmf, pgf values, tail mass) of the sampled sizes ``z`` weighted by
-    ``survive_w``; overflowed rows are the tail mass, and the pmf mass is
-    scaled so that pmf + tail mass accounts for all weight."""
+def _yaglom_law(model, k, n, reps, seed, s_grid):
+    """The conditioned draw of ``yaglom``, its method label and the law it
+    gives: (pmf, pgf values at ``s_grid``, tail mass)."""
+    purpose = f"yaglom-k{k}-n{n}"
+    cond = draw_conditioned_env(model, k, n, reps, seed, purpose)
+    if model.all_linear_fractional:
+        return cond, f"{cond.method}+closed-form", _closed_form_law(cond, k, s_grid)
+    lu = log_survival_profile(model, cond.env)
+    z, overflow = _sample_populations(cond.env, cond.log_q, lu, k, n, False, seed, purpose)
+    return cond, cond.method, _sampled_law(z, overflow, cond.survive_w, s_grid)
+
+
+def _sampled_law(z, overflow, survive_w, s_grid):
+    """(pmf, pgf values at ``s_grid``, tail mass) of the sampled sizes ``z``
+    weighted by ``survive_w``; overflowed rows are the tail mass, and the pmf
+    mass is scaled so that pmf + tail mass accounts for all weight."""
     total_w = float(np.sum(survive_w))
     kept = np.where(overflow, 0.0, survive_w)
     ok = ~overflow
@@ -319,23 +322,22 @@ def _sampled_law(z, overflow, survive_w):
         for size, (p, se) in weighted_pmf(z[ok], survive_w[ok]).items()
     }
     pgf_values = tuple(
-        1.0 if s >= 1.0 else float(np.sum(kept * np.power(s, z)) / total_w) for s in S_GRID
+        1.0 if s >= 1.0 else float(np.sum(kept * np.power(s, z)) / total_w) for s in s_grid
     )
     return pmf, pgf_values, 1.0 - ok_fraction
 
 
-def _closed_form_law(cond, k):
-    """(pmf, pgf values, tail mass) of an all-LF draw: the weighted mean over
-    environments of the closed-form conditioned law, atoms 1..YAGLOM_ATOMS
-    and the pgf, from the weighted sums of ``conditioned_law``."""
-    # the largest weight in [0.5, 1), so that squared weights do not underflow
-    w = np.ldexp(cond.survive_w, -math.frexp(float(cond.survive_w.max()))[1])
-    moments, pgf_sum = conditioned_law(cond.log_q, cond.env.s_n, k, w, YAGLOM_ATOMS, S_GRID)
+def _closed_form_law(cond, k, s_grid):
+    """(pmf, pgf values at ``s_grid``, tail mass) of an all-LF draw: the
+    weighted mean over environments of the closed-form conditioned law, atoms
+    1..YAGLOM_ATOMS and the pgf, from the weighted sums of ``conditioned_law``."""
+    w = unit_scaled(cond.survive_w)
+    moments, pgf_sum = conditioned_law(cond.log_q, cond.env.s_n, k, w, YAGLOM_ATOMS, s_grid)
     values, ses = weighted_means_and_se(moments, w)
     pgf_values = pgf_sum / float(w.sum())
     return (
         {z: (float(v), float(se)) for z, v, se in zip(range(1, YAGLOM_ATOMS + 1), values, ses)},
-        tuple(1.0 if s >= 1.0 else float(g) for s, g in zip(S_GRID, pgf_values)),
+        tuple(1.0 if s >= 1.0 else float(g) for s, g in zip(s_grid, pgf_values)),
         max(0.0, 1.0 - math.fsum(values)),
     )
 
@@ -369,27 +371,21 @@ def conditioned_population_by_rejection(
 
 
 def functional_residual(
-    estimate: YaglomEstimate, model: EnvironmentModel, gamma: float
+    model: EnvironmentModel, k: int, n: int, reps: int, seed: int = 0
 ) -> tuple[float, dict[float, float]]:
-    """Residual of the stationarity equation E[G(f(s))] = gamma*G(s) + 1-gamma.
+    """Residual |E[G(f(s))] - gamma G(s) - (1 - gamma)| of the stationarity
+    equation of the Yaglom law at each s of ``S_GRID``; returns (max, curve).
 
-    G is the estimated conditioned pgf, evaluated off-grid by monotone cubic
-    interpolation (shape preserving, so the interpolant stays a plausible
-    pgf between grid points).
+    G is the conditioned pgf of the draw ``yaglom(model, k, n, reps, seed)``
+    makes, read exactly at s and at every component's f_c(s) from that draw,
+    and gamma is the decay rate of ``regime.solve_alpha``.
     """
-    from scipy.interpolate import PchipInterpolator
-
-    grid = np.asarray(estimate.s_grid)
-    values = np.asarray(estimate.pgf_values)
-    interp = PchipInterpolator(grid, values)
-    curve: dict[float, float] = {}
-    for s in grid:
-        lhs = math.fsum(
-            w * float(interp(pgf(law, float(s)))) for law, w in model.components
-        )
-        rhs = gamma * float(interp(float(s))) + (1.0 - gamma)
-        curve[float(s)] = abs(lhs - rhs)
-    return max(curve.values()), curve
+    points = list(S_GRID) + [pgf(law, s) for law in model.laws for s in S_GRID]
+    _, _, (_, values, _) = _yaglom_law(model, k, n, reps, seed, points)
+    g = np.reshape(values, (-1, len(S_GRID)))  # row 0 holds G(s), row c G(f_c(s))
+    gamma = solve_alpha(model)[1]
+    residual = np.abs(np.einsum("c,cs->s", model.weights, g[1:]) - (gamma * g[0] + (1.0 - gamma)))
+    return float(residual.max()), dict(zip(S_GRID, residual.tolist()))
 
 
 # --- size-biased one-step kernel (SS / IS) -------------------------------------

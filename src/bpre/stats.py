@@ -10,6 +10,14 @@ import math
 
 import numpy as np
 
+
+def unit_scaled(w: np.ndarray) -> np.ndarray:
+    """The nonnegative weights ``w`` times the power of two that puts the
+    largest in [0.5, 1), so that their squares do not underflow. The scaling
+    is exact, and ratios of sums of w and of w**2 keep their bits."""
+    return np.ldexp(w, -math.frexp(float(np.max(w, initial=0.0)))[1])
+
+
 def _sample_std(x: np.ndarray) -> float:
     """``np.std(x, ddof=1)``, with the deviations scaled before they are
     squared by the power of two that puts the largest |x| in [0.5, 1). The
@@ -55,7 +63,7 @@ def weighted_means_and_se(moments: np.ndarray, w: np.ndarray) -> tuple[np.ndarra
 
     The residual sum of squares of w (v - r) is expanded as
     sum w**2 v**2 - 2 r sum w**2 v + r**2 sum w**2. Scale ``w`` so that its
-    largest weight is near 1, or w**2 underflows.
+    largest weight is near 1 (``unit_scaled``), or w**2 underflows.
     """
     count = len(w)
     total = float(w.sum())
@@ -84,6 +92,7 @@ def ratio_combined_se(num: np.ndarray, den: np.ndarray, scale: float = 1.0) -> f
 
 def kish_neff(weights: np.ndarray) -> float:
     """Effective sample size of a weighted sample."""
+    weights = unit_scaled(weights)
     s = float(np.sum(weights))
     s2 = float(np.sum(weights**2))
     if s2 == 0.0:
@@ -103,7 +112,7 @@ def weighted_pmf(
     Totals come from the per-atom sums, so a point mass has SE exactly 0.
     """
     atoms, inverse = np.unique(values, return_inverse=True)
-    weights = np.asarray(weights, dtype=float)
+    weights = unit_scaled(np.asarray(weights, dtype=float))
     w = np.bincount(inverse, weights=weights, minlength=len(atoms))
     w2 = np.bincount(inverse, weights=weights**2, minlength=len(atoms))
     total = float(w.sum())

@@ -223,6 +223,19 @@ class TestCliEndToEnd:
         assert code == EXIT_STARVATION
         assert "starved" in err
 
+    def test_squared_weights_do_not_starve_a_sound_draw(self, capsys):
+        # under the alpha-tilt the survival weights are about 0.6**800, whose
+        # squares underflow; the ESS read 0 and the run exited starved
+        code, out, _ = run_cli(
+            ["lineages", "--model", "is-ref", "--k", "3", "--n", "800",
+             "--reps", "4096", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["effective_events"] > 100
+        assert all(se > 0.0 for _, se in result["pmf"].values())
+
     def test_underflow_exit_code(self, capsys):
         # survival at n = 1200 underflows in linear scale: an error, not 0.0
         code, out, err = run_cli(

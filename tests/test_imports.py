@@ -1,6 +1,6 @@
 """Every top-level import of a package module is used by that module, the
-brute-force oracles stay independent of the samplers they check, and the CLI's
-Monte Carlo ops run without importing scipy."""
+brute-force oracles stay independent of the samplers they check, and the
+package, its CLI ops and its acceptance suite run without importing scipy."""
 
 import ast
 import dataclasses
@@ -434,9 +434,33 @@ def test_mask_check_sees_a_component_mask():
     assert not is_component_mask(ast.parse("col == 0", mode="eval").body)
 
 
-# one small run of each op a survival, Yaglom or Q-process command makes, and
-# a kernel row far from the start; none of them may import scipy, which stays
-# a first-use import of the functional residual
+def absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level packages a module imports by absolute name, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_no_scipy():
+    # numpy is the package's one runtime dependency; scipy serves the tests
+    for path in MODULES + [Path(bpre.__file__)]:
+        assert "scipy" not in absolute_imports(ast.parse(path.read_text(encoding="utf-8"))), path.stem
+
+
+def test_scipy_check_sees_a_deferred_import():
+    source = "def f():\n    from scipy.interpolate import PchipInterpolator\nfrom . import streams\n"
+    assert absolute_imports(ast.parse(source)) == {"scipy"}
+    assert absolute_imports(ast.parse("import scipy.signal as sig")) == {"scipy"}
+
+
+# one small run of each op a survival, Yaglom or Q-process command makes, a
+# kernel row far from the start, and criterion C12, which reads the Yaglom pgf
+# off its functional equation; no scipy module may load, though the package
+# and its acceptance suite are imported
 SCIPY_FREE_OPS = [
     {"op": "survival", "model": "ws-ref", "params": {"k": 1, "n": 8}},
     {"op": "jointsurv", "model": "ws-ref", "params": {"k": 2, "n": 8, "method": "tilted-IS"}},
@@ -449,10 +473,11 @@ SCIPY_FREE_OPS = [
 ]
 SCIPY_PROBE = """
 import json, sys
-import bpre, bpre.cli
+import bpre, bpre.acceptance, bpre.cli
 from bpre.config import config_from_dict
 for raw in json.loads(sys.argv[1]):
     bpre.cli.run(config_from_dict({**raw, "seed": 1, "reps": 256}))
+assert bpre.acceptance.run_criterion("C12").passed
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 

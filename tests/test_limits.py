@@ -47,6 +47,9 @@ from bpre.streams import stream
 from helpers import chi_square_pvalue
 
 BERNOULLI = EnvironmentModel([(FiniteSupport([0.5, 0.5]), 1.0)])
+BERNOULLI_MIX = EnvironmentModel(
+    [(FiniteSupport([0.5, 0.5]), 0.25), (FiniteSupport([0.3, 0.7]), 0.75)]
+)
 FS_HALF = EnvironmentModel([(FiniteSupport([0.75, 0.0, 0.25]), 1.0)])  # mean 1/2
 # two-component finite-support mixtures: means {0.7, 0.4} (SS), {0.7, 1.3} (WS)
 FS_SS = EnvironmentModel(
@@ -204,6 +207,18 @@ class TestYaglom:
         assert est.tail_mass == pytest.approx(tail, rel=1e-9)
         assert 0.5 < est.tail_mass < 0.7
 
+    def test_lf_pgf_at_one_past_double_precision(self):
+        # at n 200 p = q e^{-S_n} falls below 2**-53, where 1/s - (1-p)
+        # cancels to 0 at s = 1 and numpy warned of a division by zero
+        k, n, reps, seed = 1, 200, 4096, 1
+        est = yaglom(ws_ref(), k, n, reps, seed=seed)
+        assert est.pgf_values[-1] == 1.0
+        assert np.all(np.diff(est.pgf_values) >= 0.0)
+        cond = draw_conditioned_env(ws_ref(), k, n, reps, seed, f"yaglom-k{k}-n{n}")
+        assert np.any(cond.log_q - cond.env.s_n < -53 * math.log(2.0))
+        _, pgf_sum = conditioned_law(cond.log_q, cond.env.s_n, k, cond.survive_w, 1, (1.0,))
+        assert pgf_sum[0] == pytest.approx(cond.survive_w.sum(), rel=1e-12)
+
     @pytest.mark.parametrize("model, n", [(ws_ref(), 10), (is_ref(), 10), (ss_ref(), 8)], ids=["ws", "is", "ss"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_lf_matches_enumeration(self, model, n, k):
@@ -346,15 +361,15 @@ class TestPopulationSampler:
 
 class TestFunctionalResidual:
     def test_bernoulli_identity_exact(self):
-        est = yaglom(BERNOULLI, 1, 10, 2000, seed=12)
-        gamma = classify(BERNOULLI).gamma
-        max_res, curve = functional_residual(est, BERNOULLI, gamma)
-        assert max_res <= 1e-12
-        assert curve[1.0] <= 1e-15
+        # 0/1 offspring: G(s) = s, and E[f(s)] = gamma s + 1 - gamma only
+        # when each component's G(f_c(s)) carries that component's weight
+        for model in (BERNOULLI, BERNOULLI_MIX):
+            max_res, curve = functional_residual(model, 1, 10, 2000, seed=12)
+            assert max_res <= 1e-12
+            assert curve[1.0] <= 1e-15
 
     def test_residual_at_one_vanishes(self):
-        est = yaglom(ss_ref(), 1, 12, 10**4, seed=13)
-        _, curve = functional_residual(est, ss_ref(), classify(ss_ref()).gamma)
+        _, curve = functional_residual(ss_ref(), 1, 12, 10**4, seed=13)
         assert curve[1.0] <= 1e-12
 
 

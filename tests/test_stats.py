@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bpre.limits import _sampled_medians
-from bpre.stats import mean_and_se, ratio_and_se, ratio_combined_se, weighted_pmf
+from bpre.stats import kish_neff, mean_and_se, ratio_and_se, ratio_combined_se, weighted_pmf
 
 
 def _loop_weighted_pmf(values, weights):
@@ -47,6 +47,27 @@ def test_weighted_pmf_point_mass():
 
 def test_weighted_pmf_zero_weight_is_empty():
     assert weighted_pmf(np.array([1, 2]), np.zeros(2)) == {}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weights_near_1e_minus_180_keep_their_ess_and_pmf(seed):
+    """Weights are scaled before they are squared: survival weights near
+    gamma**n square to 0 at long horizons, where the ESS read 0 and every
+    pmf SE 0. Weights near 1 keep the bits of the unscaled sums."""
+    rng = np.random.default_rng(seed)
+    values = rng.geometric(0.4, 2000)
+    weights = rng.exponential(size=2000)
+    total = float(np.sum(weights))
+    assert kish_neff(weights) == total * total / float(np.sum(weights**2))
+    got = weighted_pmf(values, weights)
+    for tiny in (weights * 1e-180, np.ldexp(weights, -600)):
+        assert kish_neff(tiny) == pytest.approx(kish_neff(weights), rel=1e-12)
+        scaled = weighted_pmf(values, tiny)
+        assert list(scaled) == list(got)
+        for atom, (p, se) in got.items():
+            assert scaled[atom] == pytest.approx((p, se), rel=1e-12)
+            assert se > 0.0
+    assert weighted_pmf(values, np.ldexp(weights, -600)) == got
 
 
 def test_weighted_median_without_weight_is_nan():
